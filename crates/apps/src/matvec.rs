@@ -205,9 +205,13 @@ mod tests {
             cols: 96,
             grid: ProcGrid::new(2, 3),
         };
-        let built = mha_collectives::AllgatherAlgo::MhaInter(Default::default())
-            .build(cfg.grid, cfg.seg_bytes(), &spec)
-            .unwrap();
+        let built = mha_collectives::build(
+            &mha_collectives::AlgoConfig::default(),
+            cfg.grid,
+            cfg.seg_bytes(),
+            &spec,
+        )
+        .unwrap();
         let err = verify_matvec(cfg, &built).unwrap();
         assert!(err < 1e-9, "max error {err}");
     }
@@ -220,9 +224,8 @@ mod tests {
             cols: 40,
             grid: ProcGrid::new(2, 2),
         };
-        let built = mha_collectives::AllgatherAlgo::Ring
-            .build(cfg.grid, cfg.seg_bytes(), &spec)
-            .unwrap();
+        let ring = mha_collectives::AlgoConfig::flat(mha_collectives::Family::Ring);
+        let built = mha_collectives::build(&ring, cfg.grid, cfg.seg_bytes(), &spec).unwrap();
         let err = verify_matvec(cfg, &built).unwrap();
         assert!(err < 1e-9, "max error {err}");
     }

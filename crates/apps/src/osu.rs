@@ -7,8 +7,8 @@
 
 use mha_collectives::mha::{MhaInterConfig, Offload};
 use mha_collectives::{
-    build_ring_allreduce, build_tuned_mha, AllgatherAlgo, AllgatherPhase, BuildError, Library,
-    TuneError,
+    build, build_ring_allreduce, build_tuned_mha, AlgoConfig, AllgatherPhase, BuildError, Family,
+    Library, TuneError,
 };
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, SimError, Simulator};
@@ -64,8 +64,6 @@ pub enum Contestant {
     /// The paper's design: MHA-intra on one node, tuned MHA-inter across
     /// nodes (Ring/RD chosen per point, Figures 12–14's procedure).
     MhaTuned,
-    /// A pinned algorithm (for ablations).
-    Fixed(AllgatherAlgo),
 }
 
 impl Contestant {
@@ -74,7 +72,6 @@ impl Contestant {
         match self {
             Contestant::Library(l) => l.name().to_string(),
             Contestant::MhaTuned => "MHA".to_string(),
-            Contestant::Fixed(a) => a.name(),
         }
     }
 
@@ -89,7 +86,9 @@ impl Contestant {
         spec: &ClusterSpec,
     ) -> Result<mha_collectives::Built, AppError> {
         Ok(match self {
-            Contestant::Library(l) => l.build_allgather(grid, msg, spec)?,
+            Contestant::Library(l) => {
+                build(&AlgoConfig::flat(Family::Library(*l)), grid, msg, spec)?
+            }
             Contestant::MhaTuned => {
                 if grid.nodes() == 1 {
                     // The paper's proposed intra design sizes the offload
@@ -98,16 +97,12 @@ impl Contestant {
                     // Figure 5 empirical tuner — `tune_offload` — can find
                     // still-larger offloads under congestion; fig05 and the
                     // ablation bench quantify that gap.)
-                    AllgatherAlgo::MhaIntra {
-                        offload: Offload::Auto,
-                    }
-                    .build(grid, msg, spec)?
+                    build(&AlgoConfig::mha_intra(Offload::Auto), grid, msg, spec)?
                 } else {
                     let (built, _) = build_tuned_mha(grid, msg, spec)?;
                     built
                 }
             }
-            Contestant::Fixed(a) => a.build(grid, msg, spec)?,
         })
     }
 
@@ -121,9 +116,7 @@ impl Contestant {
     ) -> Result<mha_collectives::Built, AppError> {
         let phase = match self {
             Contestant::Library(_) => AllgatherPhase::FlatRing,
-            Contestant::MhaTuned | Contestant::Fixed(_) => {
-                AllgatherPhase::MhaInter(MhaInterConfig::default())
-            }
+            Contestant::MhaTuned => AllgatherPhase::MhaInter(MhaInterConfig::default()),
         };
         Ok(build_ring_allreduce(grid, elems, phase, spec)?)
     }

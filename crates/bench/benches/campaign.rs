@@ -7,13 +7,13 @@
 //! to `results/BENCH_campaign.json` (honoring `MHA_RESULTS_DIR`) so the
 //! cold/warm gap is recorded alongside the figure CSVs.
 
+use mha_collectives::{build, AlgoConfig, Family};
 use std::time::Instant;
 
 use criterion::{black_box, Criterion};
 use mha_bench::campaign::{
     run_campaign_with, CampaignConfig, CampaignPoint, ConfigKey, ScheduleCache,
 };
-use mha_collectives::AllgatherAlgo;
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -32,8 +32,7 @@ fn fig02_points(spec: &ClusterSpec) -> Vec<CampaignPoint> {
                 ConfigKey::new("allgather/ring", grid, msg, spec),
                 spec.clone(),
                 move || {
-                    AllgatherAlgo::Ring
-                        .build(grid, msg, &spec2)
+                    build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec2)
                         .map(|b| b.sched)
                         .map_err(|e| format!("{e:?}"))
                 },

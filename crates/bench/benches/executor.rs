@@ -2,8 +2,7 @@
 //! dependency-driven worker pool versus the sequential reference.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mha_collectives::mha::MhaInterConfig;
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig};
 use mha_exec::{run_single, run_threaded, BufferStore};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
@@ -12,9 +11,7 @@ fn bench_exec(c: &mut Criterion) {
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(2, 8);
     let msg = 64 * 1024;
-    let built = AllgatherAlgo::MhaInter(MhaInterConfig::default())
-        .build(grid, msg, &spec)
-        .unwrap();
+    let built = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
     let bytes = built.sched.total_bytes();
     let mut g = c.benchmark_group("executor");
     g.throughput(Throughput::Bytes(bytes));

@@ -2,8 +2,7 @@
 //! compile to the IR across algorithms and scales.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mha_collectives::mha::MhaInterConfig;
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -13,16 +12,16 @@ fn bench_builds(c: &mut Criterion) {
     for (nodes, ppn) in [(4u32, 8u32), (8, 32)] {
         let grid = ProcGrid::new(nodes, ppn);
         for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::Bruck,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::flat(Family::Ring),
+            AlgoConfig::flat(Family::Bruck),
+            AlgoConfig::default(),
         ] {
             g.bench_with_input(
-                BenchmarkId::new(algo.name(), format!("{nodes}x{ppn}")),
+                BenchmarkId::new(algo.family.token(), format!("{nodes}x{ppn}")),
                 &grid,
                 |b, grid| {
                     b.iter(|| {
-                        let built = algo.build(*grid, 4096, &spec).unwrap();
+                        let built = build(&algo, *grid, 4096, &spec).unwrap();
                         std::hint::black_box(built.sched.ops().len())
                     })
                 },
@@ -35,13 +34,11 @@ fn bench_builds(c: &mut Criterion) {
 fn bench_validation(c: &mut Criterion) {
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(8, 32);
-    let built = AllgatherAlgo::Ring.build(grid, 4096, &spec).unwrap();
+    let built = build(&AlgoConfig::flat(Family::Ring), grid, 4096, &spec).unwrap();
     c.bench_function("validate/ring_8x32", |b| {
         b.iter(|| mha_sched::validate(std::hint::black_box(&built.sched), Some(2)).unwrap())
     });
-    let small = AllgatherAlgo::MhaInter(MhaInterConfig::default())
-        .build(ProcGrid::new(4, 8), 4096, &spec)
-        .unwrap();
+    let small = build(&AlgoConfig::default(), ProcGrid::new(4, 8), 4096, &spec).unwrap();
     c.bench_function("check_races/mha_4x8", |b| {
         b.iter(|| assert!(mha_sched::check_races(std::hint::black_box(&small.sched)).is_empty()))
     });

@@ -2,8 +2,7 @@
 //! the number that bounds how fast the fig12-14 sweeps run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mha_collectives::mha::MhaInterConfig;
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator};
 
@@ -13,17 +12,12 @@ fn bench_sim(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulate");
     g.sample_size(10);
     for (name, algo, nodes, ppn) in [
-        ("flat_ring", AllgatherAlgo::Ring, 8u32, 16u32),
-        (
-            "mha_inter",
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
-            8,
-            16,
-        ),
-        ("bruck", AllgatherAlgo::Bruck, 8, 16),
+        ("flat_ring", AlgoConfig::flat(Family::Ring), 8u32, 16u32),
+        ("mha_inter", AlgoConfig::default(), 8, 16),
+        ("bruck", AlgoConfig::flat(Family::Bruck), 8, 16),
     ] {
         let grid = ProcGrid::new(nodes, ppn);
-        let built = algo.build(grid, 64 * 1024, &spec).unwrap();
+        let built = build(&algo, grid, 64 * 1024, &spec).unwrap();
         let events = sim.run(&built.sched).unwrap().events;
         g.throughput(Throughput::Elements(events));
         g.bench_with_input(

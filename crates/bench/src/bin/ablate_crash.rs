@@ -17,7 +17,7 @@
 
 use mha_apps::report::Table;
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, MhaInterConfig};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
 
@@ -26,7 +26,7 @@ fn main() {
     let grid = ProcGrid::new(4, 4);
     let msg = 256 * 1024;
     let spec = ClusterSpec::thor();
-    let built = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+    let built = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
 
     let t0 = Simulator::new(spec.clone())
         .unwrap()

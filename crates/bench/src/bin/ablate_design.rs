@@ -5,7 +5,8 @@
 
 use mha_apps::report::Table;
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -53,7 +54,7 @@ fn main() {
             let key = ConfigKey::new(format!("mha_inter_design/{name}"), grid, msg, &spec);
             let spec2 = spec.clone();
             CampaignPoint::sim(name, key, spec.clone(), move || {
-                build_mha_inter(grid, msg, cfg, &spec2)
+                build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))
             })

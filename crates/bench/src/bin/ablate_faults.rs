@@ -23,7 +23,8 @@
 
 use mha_apps::report::Table;
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, build_mha_inter_degraded, MhaInterConfig};
+use mha_collectives::mha::MhaInterConfig;
+use mha_collectives::{build, AlgoConfig};
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultEvent, FaultKind, FaultSpec, Simulator, DEFAULT_RETRY_TIMEOUT};
@@ -36,7 +37,7 @@ fn main() {
     let spec = ClusterSpec::thor_with_rails(rails);
     let cfg = MhaInterConfig::default();
 
-    let oblivious = build_mha_inter(grid, msg, cfg, &spec).unwrap();
+    let oblivious = build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec).unwrap();
     let healthy = Simulator::new(spec.clone()).unwrap();
     let t_fault = 0.02 * healthy.run(&oblivious.sched).unwrap().makespan;
 
@@ -65,13 +66,17 @@ fn main() {
         ));
         let key = ConfigKey::new("ablate_faults/aware", grid, msg, &spec).with_salt(u64::from(k));
         let spec2 = spec.clone();
+        let aware = AlgoConfig {
+            down_rails: down,
+            ..AlgoConfig::mha_inter(cfg)
+        };
         cells.push(CampaignPoint::sim_faulty(
             "aware",
             key,
             spec.clone(),
             Some(faults),
             move || {
-                build_mha_inter_degraded(grid, msg, cfg, &spec2, &down)
+                build(&aware, grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))
             },

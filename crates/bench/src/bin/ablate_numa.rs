@@ -5,7 +5,8 @@
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, build_mha_numa3, MhaInterConfig, Numa3Config};
+use mha_collectives::mha::{build_mha_numa3, Numa3Config};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
@@ -19,7 +20,7 @@ fn main() {
         let key = ConfigKey::new("numa/2level_blind", grid, msg, &spec);
         let spec2 = spec.clone();
         cells.push(CampaignPoint::sim("blind", key, spec.clone(), move || {
-            build_mha_inter(grid, msg, MhaInterConfig::default(), &spec2)
+            build(&AlgoConfig::default(), grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))
         }));

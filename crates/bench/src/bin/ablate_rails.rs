@@ -6,7 +6,8 @@
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, build_mha_intra, MhaInterConfig, Offload};
+use mha_collectives::mha::{build_mha_intra, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -46,7 +47,7 @@ fn main() {
         let key = ConfigKey::new("mha_inter/default", grid, msg, &spec);
         let spec2 = spec.clone();
         cells.push(CampaignPoint::sim("inter", key, spec.clone(), move || {
-            build_mha_inter(grid, msg, MhaInterConfig::default(), &spec2)
+            build(&AlgoConfig::default(), grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))
         }));

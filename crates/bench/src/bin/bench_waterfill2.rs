@@ -18,7 +18,7 @@
 //! timing windows for CI runners. Honors `MHA_RESULTS_DIR`.
 
 use mha_bench::results_dir;
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::{FrozenSchedule, Probe, ProcGrid};
 use mha_simnet::{set_incremental_enabled, ClusterSpec, EngineArena, Simulator};
 use std::fmt::Write as _;
@@ -92,7 +92,7 @@ fn main() {
 
     // -- flat_ring 8x16: incremental vs scratch ---------------------------
     let grid = ProcGrid::new(8, 16);
-    let built = AllgatherAlgo::Ring.build(grid, 64 * 1024, &spec).unwrap();
+    let built = build(&AlgoConfig::flat(Family::Ring), grid, 64 * 1024, &spec).unwrap();
     let sch: &FrozenSchedule = &built.sched;
 
     set_incremental_enabled(Some(true));
@@ -136,7 +136,7 @@ fn main() {
     let node_counts = [128u32, 256, 512, 1024];
     for (k, &nodes) in node_counts.iter().enumerate() {
         let grid = ProcGrid::new(nodes, 1);
-        let built = AllgatherAlgo::Ring.build(grid, 64 * 1024, &spec).unwrap();
+        let built = build(&AlgoConfig::flat(Family::Ring), grid, 64 * 1024, &spec).unwrap();
         let sch: &FrozenSchedule = &built.sched;
         let events = sim.run(sch).unwrap().events;
         let per_run = time_runs(&sim, sch, window.min(0.5) * 2.0);

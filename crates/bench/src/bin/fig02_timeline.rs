@@ -4,7 +4,7 @@
 //! rendered artifact rides in the row's note.
 
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, SimConfig, Simulator};
 
@@ -14,13 +14,12 @@ fn main() {
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(2, 2);
     let msg = 1 << 20;
-    let built = AllgatherAlgo::Ring.build(grid, msg, &spec).unwrap();
+    let built = build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec).unwrap();
 
     let spec2 = spec.clone();
     let points = vec![CampaignPoint::custom("timeline", move |_seed| {
         let sim = Simulator::new(spec2.clone()).map_err(|e| e.to_string())?;
-        let built = AllgatherAlgo::Ring
-            .build(grid, msg, &spec2)
+        let built = build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec2)
             .map_err(|e| format!("{e:?}"))?;
         let res = sim
             .run_with(&built.sched, SimConfig { trace: true })

@@ -5,7 +5,7 @@
 
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
 use mha_collectives::mha::{build_mha_intra, Offload};
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::{OpKind, ProcGrid};
 use mha_simnet::{ClusterSpec, Simulator};
 use std::fmt::Write as _;
@@ -35,7 +35,7 @@ fn main() {
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::single_node(4);
     let msg = 4 << 20;
-    let ds = AllgatherAlgo::DirectSpread.build(grid, msg, &spec).unwrap();
+    let ds = build(&AlgoConfig::flat(Family::DirectSpread), grid, msg, &spec).unwrap();
     let mha = build_mha_intra(grid, msg, Offload::Auto, &spec).unwrap();
 
     let ds_sched = ds.sched.clone();

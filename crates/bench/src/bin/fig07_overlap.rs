@@ -7,11 +7,12 @@
 //! Each config is one campaign point (see `mha_bench::campaign`); its row
 //! carries the six metrics and the rendered run summary rides in the note.
 
+use mha_collectives::{build, AlgoConfig};
 use std::sync::Arc;
 
 use mha_apps::report::{render_run_summary, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
-use mha_collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_sched::{ProcGrid, SummaryProbe, Tee};
 use mha_simnet::{intersection_length, ClusterSpec, Simulator, TraceBuilder};
 
@@ -38,7 +39,8 @@ fn main() {
                     offload: Offload::None, // isolate the phase-2/3 overlap effect
                     overlap: true,
                 };
-                let built = build_mha_inter(grid, msg, cfg, &spec).map_err(|e| format!("{e:?}"))?;
+                let built = build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec)
+                    .map_err(|e| format!("{e:?}"))?;
                 let mut tb = TraceBuilder::new();
                 let mut sp = SummaryProbe::new();
                 let res = sim

@@ -5,7 +5,8 @@
 
 use mha_apps::report::fmt_bytes;
 use mha_bench::campaign::{campaign_table, CampaignConfig, CampaignPoint, ConfigKey};
-use mha_collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec, Simulator};
 
@@ -31,7 +32,7 @@ fn main() {
                 let key = ConfigKey::new(format!("mha_inter/{name}"), grid, msg, &spec);
                 let spec2 = spec.clone();
                 cells.push(CampaignPoint::sim(name, key, spec.clone(), move || {
-                    build_mha_inter(grid, msg, cfg, &spec2)
+                    build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec2)
                         .map(|b| b.sched)
                         .map_err(|e| format!("{e:?}"))
                 }));
@@ -54,6 +55,12 @@ fn main() {
         offload: Offload::Auto,
         overlap: true,
     };
-    let built = build_mha_inter(ProcGrid::new(16, 32), 64 * 1024, cfg, &spec).unwrap();
+    let built = build(
+        &AlgoConfig::mha_inter(cfg),
+        ProcGrid::new(16, 32),
+        64 * 1024,
+        &spec,
+    )
+    .unwrap();
     mha_bench::emit_run_summary(&sim, &built.sched, "fig08_rd_vs_ring");
 }

@@ -5,6 +5,7 @@
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_collectives::{build, AlgoConfig};
 use mha_model::{calibrate, mean_rel_error, validate_inter};
 use mha_simnet::{size_sweep, ClusterSpec};
 
@@ -46,10 +47,10 @@ fn main() {
     }
     mha_bench::emit(&t, "fig10_model_inter");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built = mha_collectives::mha::build_mha_inter(
+    let built = build(
+        &AlgoConfig::default(),
         mha_sched::ProcGrid::new(8, 32),
         64 * 1024,
-        Default::default(),
         &spec,
     )
     .unwrap();

@@ -6,6 +6,7 @@
 
 use mha_apps::paper_contestants;
 use mha_bench::campaign::{allgather_sweep_tuned, CampaignConfig};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -38,7 +39,6 @@ fn main() {
     .unwrap();
     mha_bench::emit(&large, "fig12_inter_allgather_256_large");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
-    let built =
-        mha_collectives::mha::build_mha_inter(grid, 64 * 1024, Default::default(), &spec).unwrap();
+    let built = build(&AlgoConfig::default(), grid, 64 * 1024, &spec).unwrap();
     mha_bench::emit_run_summary(&sim, &built.sched, "fig12_inter_allgather_256");
 }

@@ -7,6 +7,7 @@ use mha_apps::matvec::{run_matvec, MatvecConfig};
 use mha_apps::report::Table;
 use mha_apps::{paper_contestants, Contestant};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
@@ -70,7 +71,6 @@ fn main() {
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(8, 32);
     let msg = 32768 * 8 / grid.nranks() as usize;
-    let built =
-        mha_collectives::mha::build_mha_inter(grid, msg, Default::default(), &spec).unwrap();
+    let built = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
     mha_bench::emit_run_summary(&sim, &built.sched, "fig16_matvec");
 }

@@ -164,7 +164,7 @@ const CACHE_SHARDS: usize = 16;
 /// campaign workers.
 ///
 /// Sharded: each [`ConfigKey`] hashes (via [`ConfigKey::digest`], stable
-/// across processes) to one of [`CACHE_SHARDS`] independently locked maps.
+/// across processes) to one of `CACHE_SHARDS` (16) independently locked maps.
 /// A miss builds *while holding the shard lock*, so concurrent workers
 /// asking for the same key never build twice — the second worker blocks
 /// briefly and then shares the first worker's `Arc`. Hit/miss counters are

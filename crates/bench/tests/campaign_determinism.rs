@@ -10,7 +10,7 @@ use mha_bench::campaign::{
     run_campaign, run_campaign_with, CampaignConfig, CampaignPoint, ConfigKey, ScheduleCache,
 };
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator};
 
@@ -19,7 +19,7 @@ struct Workload {
     golden: f64,
     grid: ProcGrid,
     msg: usize,
-    algo: AllgatherAlgo,
+    algo: AlgoConfig,
 }
 
 /// The `golden_dump` workload list with its captured constants.
@@ -42,102 +42,98 @@ fn workloads() -> Vec<Workload> {
             0x3f3834699899a5d2,
             ProcGrid::new(2, 2),
             1 << 20,
-            AllgatherAlgo::Ring,
+            AlgoConfig::flat(Family::Ring),
         ),
         w(
             "fig08/ring_16x32_4096",
             0x3f5c48ef52b1f2a9,
             ProcGrid::new(16, 32),
             4096,
-            AllgatherAlgo::MhaInter(auto_cfg(InterAlgo::Ring)),
+            AlgoConfig::mha_inter(auto_cfg(InterAlgo::Ring)),
         ),
         w(
             "fig08/ring_16x32_65536",
             0x3f9bcd308c4d7c52,
             ProcGrid::new(16, 32),
             64 * 1024,
-            AllgatherAlgo::MhaInter(auto_cfg(InterAlgo::Ring)),
+            AlgoConfig::mha_inter(auto_cfg(InterAlgo::Ring)),
         ),
         w(
             "fig08/rd_16x32_4096",
             0x3f5d08bd5a0dc992,
             ProcGrid::new(16, 32),
             4096,
-            AllgatherAlgo::MhaInter(auto_cfg(InterAlgo::RecursiveDoubling)),
+            AlgoConfig::mha_inter(auto_cfg(InterAlgo::RecursiveDoubling)),
         ),
         w(
             "fig08/rd_16x32_65536",
             0x3f9c98ec44950569,
             ProcGrid::new(16, 32),
             64 * 1024,
-            AllgatherAlgo::MhaInter(auto_cfg(InterAlgo::RecursiveDoubling)),
+            AlgoConfig::mha_inter(auto_cfg(InterAlgo::RecursiveDoubling)),
         ),
         w(
             "fig12/ring_8x32_4096",
             0x3f5ca8fab664b88f,
             ProcGrid::new(8, 32),
             4096,
-            AllgatherAlgo::Ring,
+            AlgoConfig::flat(Family::Ring),
         ),
         w(
             "fig12/bruck_8x32_4096",
             0x3f61a542613c5e41,
             ProcGrid::new(8, 32),
             4096,
-            AllgatherAlgo::Bruck,
+            AlgoConfig::flat(Family::Bruck),
         ),
         w(
             "fig12/mha_8x32_4096",
             0x3f4e4ff3af34a934,
             ProcGrid::new(8, 32),
             4096,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::default(),
         ),
         w(
             "fig11/mha_intra_1x16_262144",
             0x3f67d19a32d7357b,
             ProcGrid::single_node(16),
             256 * 1024,
-            AllgatherAlgo::MhaIntra {
-                offload: Offload::Auto,
-            },
+            AlgoConfig::mha_intra(Offload::Auto),
         ),
         w(
             "fig11/mha_intra_1x16_4194304",
             0x3fa6180840780799,
             ProcGrid::single_node(16),
             4 << 20,
-            AllgatherAlgo::MhaIntra {
-                offload: Offload::Auto,
-            },
+            AlgoConfig::mha_intra(Offload::Auto),
         ),
         w(
             "fig13/ring_16x32_16384",
             0x3f8a2cb47614aa3e,
             ProcGrid::new(16, 32),
             16 * 1024,
-            AllgatherAlgo::Ring,
+            AlgoConfig::flat(Family::Ring),
         ),
         w(
             "fig13/mha_16x32_16384",
             0x3f7bffc5daeef453,
             ProcGrid::new(16, 32),
             16 * 1024,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::default(),
         ),
         w(
             "fig14/mha_32x32_4096",
             0x3f6b456d24709764,
             ProcGrid::new(32, 32),
             4096,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::default(),
         ),
         w(
             "fig14/mha_32x32_65536",
             0x3faafe1dd5f3f5e9,
             ProcGrid::new(32, 32),
             64 * 1024,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::default(),
         ),
     ]
 }
@@ -152,8 +148,7 @@ fn points(spec: &ClusterSpec) -> Vec<CampaignPoint> {
                 ConfigKey::new(format!("golden/{}", w.name), w.grid, w.msg, spec),
                 spec.clone(),
                 move || {
-                    w.algo
-                        .build(w.grid, w.msg, &spec2)
+                    build(&w.algo, w.grid, w.msg, &spec2)
                         .map(|b| b.sched)
                         .map_err(|e| format!("{e:?}"))
                 },
@@ -185,7 +180,7 @@ fn golden_workloads_are_bit_identical_through_every_pool_width() {
 
     // The serial reference: direct build + simulate, no campaign involved.
     for w in workloads() {
-        let built = w.algo.build(w.grid, w.msg, &spec).unwrap();
+        let built = build(&w.algo, w.grid, w.msg, &spec).unwrap();
         let direct = sim.run(&built.sched).unwrap().makespan;
         assert_eq!(
             direct.to_bits(),

@@ -19,12 +19,8 @@
 //! surrogate preserves the comparisons.
 
 use mha_sched::ProcGrid;
-use mha_simnet::ClusterSpec;
 
-use crate::algo::AllgatherAlgo;
-use crate::allreduce::{build_ring_allreduce, AllgatherPhase};
-use crate::ctx::{BuildError, Built};
-use crate::mha::Offload;
+use crate::config::Family;
 
 /// An MPI library whose Allgather behaviour we emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,71 +40,37 @@ impl Library {
         }
     }
 
-    /// The Allgather algorithm the library would select for this layout
-    /// and per-rank message size.
-    pub fn select_allgather(&self, grid: ProcGrid, msg: usize) -> AllgatherAlgo {
+    /// The Allgather family the library would select for this layout and
+    /// per-rank message size. Never [`Family::Library`], and always valid
+    /// for `grid`.
+    pub fn select_allgather(&self, grid: ProcGrid, msg: usize) -> Family {
         let p2_ranks = grid.nranks().is_power_of_two();
         match self {
             Library::HpcX => {
                 if msg < 4096 {
-                    AllgatherAlgo::Bruck
+                    Family::Bruck
                 } else if msg < 64 * 1024 && p2_ranks {
-                    AllgatherAlgo::RecursiveDoubling
+                    Family::RecursiveDoubling
                 } else {
-                    AllgatherAlgo::Ring
+                    Family::Ring
                 }
             }
             Library::Mvapich2X => {
                 if msg < 4096 {
                     if p2_ranks {
-                        AllgatherAlgo::RecursiveDoubling
+                        Family::RecursiveDoubling
                     } else {
-                        AllgatherAlgo::Bruck
+                        Family::Bruck
                     }
                 } else if grid.nodes() > 1 && grid.ppn().is_multiple_of(2) {
-                    AllgatherAlgo::MultiLeader { groups: 2 }
+                    Family::MultiLeader { groups: 2 }
                 } else if grid.nodes() > 1 {
-                    AllgatherAlgo::MultiLeader { groups: 1 }
+                    Family::MultiLeader { groups: 1 }
                 } else {
-                    AllgatherAlgo::Ring
+                    Family::Ring
                 }
             }
         }
-    }
-
-    /// Builds the library's Allgather for this point.
-    pub fn build_allgather(
-        &self,
-        grid: ProcGrid,
-        msg: usize,
-        spec: &ClusterSpec,
-    ) -> Result<Built, BuildError> {
-        self.select_allgather(grid, msg).build(grid, msg, spec)
-    }
-
-    /// Builds the library's large-message Allreduce: Ring-Allreduce with a
-    /// flat-ring Allgather phase (both libraries behave this way for the
-    /// sizes in Figure 15).
-    pub fn build_allreduce(
-        &self,
-        grid: ProcGrid,
-        elems: usize,
-        spec: &ClusterSpec,
-    ) -> Result<Built, BuildError> {
-        build_ring_allreduce(grid, elems, AllgatherPhase::FlatRing, spec)
-    }
-}
-
-/// The paper's proposed configuration at a given point: MHA-intra on one
-/// node, tuned MHA-inter across nodes (the tuned Ring/RD choice lives in
-/// [`crate::tuning`]).
-pub fn mha_default_allgather(grid: ProcGrid) -> AllgatherAlgo {
-    if grid.nodes() == 1 {
-        AllgatherAlgo::MhaIntra {
-            offload: Offload::Auto,
-        }
-    } else {
-        AllgatherAlgo::MhaInter(crate::mha::MhaInterConfig::default())
     }
 }
 
@@ -116,28 +78,24 @@ pub fn mha_default_allgather(grid: ProcGrid) -> AllgatherAlgo {
 mod tests {
     use super::*;
     use crate::flat::testutil::assert_allgather_correct;
+    use crate::{build, AlgoConfig};
+    use mha_simnet::ClusterSpec;
 
     #[test]
     fn hpcx_selection_moves_bruck_rd_ring() {
         let grid = ProcGrid::new(2, 8);
-        assert_eq!(
-            Library::HpcX.select_allgather(grid, 256),
-            AllgatherAlgo::Bruck
-        );
+        assert_eq!(Library::HpcX.select_allgather(grid, 256), Family::Bruck);
         assert_eq!(
             Library::HpcX.select_allgather(grid, 16 * 1024),
-            AllgatherAlgo::RecursiveDoubling
+            Family::RecursiveDoubling
         );
         assert_eq!(
             Library::HpcX.select_allgather(grid, 256 * 1024),
-            AllgatherAlgo::Ring
+            Family::Ring
         );
         // Non-power-of-two falls back from RD to Ring mid-range.
         let odd = ProcGrid::new(3, 5);
-        assert_eq!(
-            Library::HpcX.select_allgather(odd, 16 * 1024),
-            AllgatherAlgo::Ring
-        );
+        assert_eq!(Library::HpcX.select_allgather(odd, 16 * 1024), Family::Ring);
     }
 
     #[test]
@@ -145,17 +103,17 @@ mod tests {
         let grid = ProcGrid::new(4, 8);
         assert_eq!(
             Library::Mvapich2X.select_allgather(grid, 128 * 1024),
-            AllgatherAlgo::MultiLeader { groups: 2 }
+            Family::MultiLeader { groups: 2 }
         );
         let single = ProcGrid::single_node(8);
         assert_eq!(
             Library::Mvapich2X.select_allgather(single, 128 * 1024),
-            AllgatherAlgo::Ring
+            Family::Ring
         );
         let odd_ppn = ProcGrid::new(4, 5);
         assert_eq!(
             Library::Mvapich2X.select_allgather(odd_ppn, 128 * 1024),
-            AllgatherAlgo::MultiLeader { groups: 1 }
+            Family::MultiLeader { groups: 1 }
         );
     }
 
@@ -165,22 +123,11 @@ mod tests {
         let grid = ProcGrid::new(2, 4);
         for lib in [Library::HpcX, Library::Mvapich2X] {
             for msg in [256usize, 4096, 16 * 1024, 256 * 1024] {
-                let built = lib.build_allgather(grid, msg, &spec).unwrap();
+                let cfg = AlgoConfig::flat(Family::Library(lib));
+                let built = build(&cfg, grid, msg, &spec).unwrap();
                 assert_allgather_correct(&built);
             }
         }
-    }
-
-    #[test]
-    fn mha_default_picks_intra_vs_inter_by_layout() {
-        assert!(matches!(
-            mha_default_allgather(ProcGrid::single_node(8)),
-            AllgatherAlgo::MhaIntra { .. }
-        ));
-        assert!(matches!(
-            mha_default_allgather(ProcGrid::new(4, 8)),
-            AllgatherAlgo::MhaInter(_)
-        ));
     }
 
     #[test]

@@ -435,35 +435,6 @@ pub fn build_composed(
     Ok(ctx.finish())
 }
 
-/// Failure-aware variant of [`build_composed`]: Exchange traffic resolves
-/// `Channel::AllRails` against the rails not listed in `down_rails`. With
-/// no failures the op stream is byte-identical to [`build_composed`].
-///
-/// # Errors
-///
-/// Same as [`build_composed`].
-pub fn build_composed_degraded(
-    topo: &Topology,
-    msg: usize,
-    plan: &ComposePlan,
-    spec: &ClusterSpec,
-    down_rails: &[u8],
-) -> Result<Built, BuildError> {
-    let rails = RailSet::excluding(spec.rails, down_rails);
-    let grid = topo.flatten();
-    let fanouts: Vec<String> = topo.levels().iter().map(|l| l.fanout.to_string()).collect();
-    let name = format!(
-        "composed({};{},rails={}/{})",
-        fanouts.join("x"),
-        plan.name(),
-        rails.len(),
-        rails.total(),
-    );
-    let mut ctx = Ctx::new(grid, msg, name);
-    emit_plan(&mut ctx, topo, plan, Some(spec), Some(&rails))?;
-    Ok(ctx.finish())
-}
-
 /// Emits the offloaded direct-spread gather among `ranks` (a contiguous
 /// same-node block) into the global receive-buffer layout, returning for
 /// each member the ops that filled its copy of the group region. `d` of
@@ -968,19 +939,23 @@ mod tests {
                         offload: Offload::Auto,
                         overlap,
                     };
-                    let legacy =
-                        crate::mha::build_mha_inter(ProcGrid::new(nodes, ppn), msg, cfg, &spec)
-                            .unwrap();
+                    let via_cfg = crate::build(
+                        &crate::AlgoConfig::mha_inter(cfg),
+                        ProcGrid::new(nodes, ppn),
+                        msg,
+                        &spec,
+                    )
+                    .unwrap();
                     let topo = Topology::two_level(nodes, ppn);
                     let composed =
                         build_composed(&topo, msg, &ComposePlan::mha_inter(cfg), &spec).unwrap();
                     assert_eq!(
-                        ops_of(&legacy),
+                        ops_of(&via_cfg),
                         ops_of(&composed),
                         "{inter:?}/overlap={overlap}/{nodes}x{ppn}/{msg}"
                     );
                     assert_eq!(
-                        legacy.sched.fingerprint().0,
+                        via_cfg.sched.fingerprint().0,
                         composed.sched.fingerprint().0,
                         "fingerprint drift at {inter:?}/{nodes}x{ppn}/{msg}"
                     );
@@ -1037,19 +1012,6 @@ mod tests {
             let built = build_composed(&topo, 24, &plan, &spec).unwrap();
             assert_allgather_correct(&built);
         }
-    }
-
-    #[test]
-    fn degraded_composed_build_matches_with_no_failures() {
-        let spec = ClusterSpec::thor();
-        let topo = Topology::from_fanouts(&[4, 2, 2]);
-        let plan = ComposePlan::hierarchical(3, InterAlgo::Ring, true, false, Offload::None);
-        let base = build_composed(&topo, 64 * 1024, &plan, &spec).unwrap();
-        let deg = build_composed_degraded(&topo, 64 * 1024, &plan, &spec, &[]).unwrap();
-        assert_eq!(ops_of(&base), ops_of(&deg));
-        // And an actually degraded 3-level build stays correct.
-        let deg = build_composed_degraded(&topo, 64 * 1024, &plan, &spec, &[0]).unwrap();
-        assert_allgather_correct(&deg);
     }
 
     #[test]

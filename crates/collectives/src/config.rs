@@ -2,13 +2,13 @@
 //! names any Allgather this crate can build, and one [`build`] dispatcher
 //! turns it into a schedule.
 //!
-//! Everything upstream — the campaign runner's cache keys, the offline
-//! autotuner's tuning-table entries (`mha-tune`), the `--tuned` serving
-//! path in the `fig*` binaries — speaks `AlgoConfig`. The historical
-//! `build_*` free functions and [`crate::AllgatherAlgo`] remain as thin
-//! wrappers over [`build`], so their schedules (and the 14 golden
-//! latencies pinned in `tests/golden_latencies.rs`) are bit-identical to
-//! before the unification.
+//! This is the only public way to say which Allgather to build. Everything
+//! upstream — the benchmark binaries, the campaign runner's cache keys,
+//! the offline autotuner's tuning-table entries (`mha-tune`), the traffic
+//! engine's job mix and the conformance oracles — speaks `AlgoConfig`; the
+//! per-family emitters ([`crate::flat`], [`crate::twolevel`],
+//! [`crate::mha`], [`crate::build_composed`]) are what `build` dispatches
+//! to.
 //!
 //! An `AlgoConfig` carries the full design space the repo exposes:
 //!
@@ -140,26 +140,6 @@ impl Default for AlgoConfig {
     }
 }
 
-impl From<crate::AllgatherAlgo> for AlgoConfig {
-    fn from(a: crate::AllgatherAlgo) -> Self {
-        use crate::AllgatherAlgo as A;
-        match a {
-            A::Ring => AlgoConfig::flat(Family::Ring),
-            A::RecursiveDoubling => AlgoConfig::flat(Family::RecursiveDoubling),
-            A::Bruck => AlgoConfig::flat(Family::Bruck),
-            A::DirectSpread => AlgoConfig::flat(Family::DirectSpread),
-            A::SingleLeader => AlgoConfig::flat(Family::SingleLeader),
-            A::MultiLeader { groups } => AlgoConfig::flat(Family::MultiLeader { groups }),
-            A::MhaIntra { offload } => AlgoConfig {
-                family: Family::MhaIntra,
-                offload,
-                ..AlgoConfig::flat(Family::MhaIntra)
-            },
-            A::MhaInter(cfg) => AlgoConfig::mha_inter(cfg),
-        }
-    }
-}
-
 impl AlgoConfig {
     /// A family with every knob at its neutral default.
     pub fn flat(family: Family) -> Self {
@@ -171,6 +151,14 @@ impl AlgoConfig {
             chunk: None,
             stripe_threshold: None,
             down_rails: Vec::new(),
+        }
+    }
+
+    /// The MHA-intra design with the given offload policy.
+    pub fn mha_intra(offload: Offload) -> Self {
+        AlgoConfig {
+            offload,
+            ..AlgoConfig::flat(Family::MhaIntra)
         }
     }
 
@@ -426,8 +414,7 @@ impl AlgoConfig {
 
 /// Builds the schedule `cfg` names, for `grid` and per-rank contribution
 /// `msg`, against `spec` (with the config's stripe override applied) —
-/// the single dispatch point every other build entry point now routes
-/// through.
+/// the crate's single Allgather dispatch point.
 ///
 /// # Errors
 ///
@@ -452,7 +439,8 @@ pub fn build(
         Family::Library(lib) => {
             // The surrogate's selection never yields Family::Library, so
             // this recursion terminates after one hop.
-            build(&lib.select_allgather(grid, msg).into(), grid, msg, spec)
+            let selected = AlgoConfig::flat(lib.select_allgather(grid, msg));
+            build(&selected, grid, msg, spec)
         }
         Family::MhaInter => build_mha_inter_cfg(cfg, grid, msg, spec),
     }
@@ -460,8 +448,8 @@ pub fn build(
 
 /// The MHA-inter arm of [`build`]: the 2-level `[Exchange, Gather]`
 /// composition with the config's chunk and rail knobs applied. With no
-/// chunk and no down rails the schedule (name included) is byte-identical
-/// to the historical `build_mha_inter`.
+/// chunk and no down rails the op stream is byte-identical to
+/// [`crate::build_composed`] on the two-level tree.
 fn build_mha_inter_cfg(
     cfg: &AlgoConfig,
     grid: ProcGrid,
@@ -498,7 +486,6 @@ fn build_mha_inter_cfg(
 mod tests {
     use super::*;
     use crate::flat::testutil::assert_allgather_correct;
-    use crate::AllgatherAlgo;
     use mha_simnet::Simulator;
 
     fn thor() -> ClusterSpec {
@@ -537,44 +524,43 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_reproduces_every_legacy_builder_bit_for_bit() {
+    fn dispatch_reproduces_every_family_emitter_bit_for_bit() {
         let spec = thor();
         let grid = ProcGrid::new(4, 4);
         let msg = 4096;
-        // Direct free-function builds (NOT through AllgatherAlgo::build,
-        // which now delegates here) vs the dispatcher.
-        let legacy: Vec<(AllgatherAlgo, Built)> = vec![
-            (AllgatherAlgo::Ring, crate::flat::build_ring(grid, msg)),
+        // The per-family emitters called directly vs the dispatcher.
+        let direct: Vec<(Family, Built)> = vec![
+            (Family::Ring, crate::flat::build_ring(grid, msg)),
             (
-                AllgatherAlgo::RecursiveDoubling,
+                Family::RecursiveDoubling,
                 crate::flat::build_recursive_doubling(grid, msg).unwrap(),
             ),
-            (AllgatherAlgo::Bruck, crate::flat::build_bruck(grid, msg)),
+            (Family::Bruck, crate::flat::build_bruck(grid, msg)),
             (
-                AllgatherAlgo::DirectSpread,
+                Family::DirectSpread,
                 crate::flat::build_direct_spread(grid, msg),
             ),
             (
-                AllgatherAlgo::SingleLeader,
+                Family::SingleLeader,
                 crate::twolevel::build_single_leader(grid, msg).unwrap(),
             ),
             (
-                AllgatherAlgo::MultiLeader { groups: 2 },
+                Family::MultiLeader { groups: 2 },
                 crate::twolevel::build_multi_leader(grid, msg, 2).unwrap(),
             ),
         ];
-        for (algo, built) in legacy {
-            let via_cfg = build(&AlgoConfig::from(algo), grid, msg, &spec).unwrap();
-            assert_eq!(ops_of(&built), ops_of(&via_cfg), "{}", algo.name());
+        for (family, built) in direct {
+            let via_cfg = build(&AlgoConfig::flat(family), grid, msg, &spec).unwrap();
+            assert_eq!(ops_of(&built), ops_of(&via_cfg), "{}", family.token());
             assert_eq!(
                 built.sched.fingerprint().0,
                 via_cfg.sched.fingerprint().0,
                 "{}",
-                algo.name()
+                family.token()
             );
         }
-        // MHA-inter: pin the dispatcher against the historical emission
-        // path (the composer on the two-level tree) and its name format.
+        // MHA-inter: pin the dispatcher against the composer on the
+        // two-level tree and its name format.
         let cfg = MhaInterConfig::default();
         let composed = crate::compose::build_composed(
             &Topology::two_level(grid.nodes(), grid.ppn()),
@@ -585,14 +571,15 @@ mod tests {
         .unwrap();
         let via_cfg = build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec).unwrap();
         assert_eq!(ops_of(&composed), ops_of(&via_cfg));
-        // Legacy name format: no chunk/rails suffixes at defaults.
+        // No chunk/rails suffixes at defaults.
         let name = via_cfg.sched.name();
         assert!(name.starts_with("mha-inter-ring(d="), "{name}");
         assert!(!name.contains(",seq") && !name.contains(",c=") && !name.contains(",rails="));
-        // Library families match the surrogates' own builds.
+        // Library families build exactly the family their surrogate selects.
         for lib in [Library::HpcX, Library::Mvapich2X] {
             for msg in [256usize, 16 * 1024, 256 * 1024] {
-                let direct = lib.build_allgather(grid, msg, &spec).unwrap();
+                let selected = AlgoConfig::flat(lib.select_allgather(grid, msg));
+                let direct = build(&selected, grid, msg, &spec).unwrap();
                 let via_cfg =
                     build(&AlgoConfig::flat(Family::Library(lib)), grid, msg, &spec).unwrap();
                 assert_eq!(ops_of(&direct), ops_of(&via_cfg), "{}/{msg}", lib.name());
@@ -603,13 +590,90 @@ mod tests {
             crate::mha::build_mha_intra(ProcGrid::single_node(8), msg, Offload::Auto, &spec)
                 .unwrap();
         let via_cfg = build(
-            &AlgoConfig::flat(Family::MhaIntra),
+            &AlgoConfig::mha_intra(Offload::Auto),
             ProcGrid::single_node(8),
             msg,
             &spec,
         )
         .unwrap();
         assert_eq!(ops_of(&direct), ops_of(&via_cfg));
+    }
+
+    #[test]
+    fn valid_for_predicts_build_and_every_build_is_correct() {
+        // The contract the tuner's coercion and the traffic mix rely on:
+        // `valid_for` is exactly `build(..).is_ok()`, every success is a
+        // correct Allgather, and an empty message emits only markers.
+        let spec = thor();
+        let families = [
+            AlgoConfig::flat(Family::Library(Library::HpcX)),
+            AlgoConfig::flat(Family::Library(Library::Mvapich2X)),
+            AlgoConfig::flat(Family::Ring),
+            AlgoConfig::flat(Family::RecursiveDoubling),
+            AlgoConfig::flat(Family::Bruck),
+            AlgoConfig::flat(Family::DirectSpread),
+            AlgoConfig::flat(Family::SingleLeader),
+            AlgoConfig::flat(Family::MultiLeader { groups: 1 }),
+            AlgoConfig::flat(Family::MultiLeader { groups: 2 }),
+            AlgoConfig::flat(Family::MultiLeader { groups: 3 }),
+            AlgoConfig::mha_intra(Offload::Auto),
+            AlgoConfig::mha_intra(Offload::Fixed(2)),
+            AlgoConfig::default(),
+            AlgoConfig::mha_inter(MhaInterConfig {
+                inter: InterAlgo::RecursiveDoubling,
+                ..MhaInterConfig::default()
+            }),
+        ];
+        let grids = [
+            ProcGrid::new(1, 1),
+            ProcGrid::new(1, 3),
+            ProcGrid::new(1, 4),
+            ProcGrid::new(2, 1),
+            ProcGrid::new(3, 1),
+            ProcGrid::new(2, 3),
+            ProcGrid::new(3, 2),
+            ProcGrid::new(4, 4),
+            ProcGrid::new(3, 6),
+        ];
+        for base in families {
+            let knobs = [
+                (vec![], None),
+                (vec![0], None),
+                (vec![], Some(2)),
+                (vec![0], Some(2)),
+            ];
+            for (down_rails, chunk) in knobs {
+                let cfg = AlgoConfig {
+                    down_rails,
+                    chunk,
+                    ..base.clone()
+                };
+                for grid in grids {
+                    for msg in [0usize, 96] {
+                        let built = build(&cfg, grid, msg, &spec);
+                        assert_eq!(
+                            cfg.valid_for(grid),
+                            built.is_ok(),
+                            "{} on {grid:?}: {:?}",
+                            cfg.to_kv(),
+                            built.err()
+                        );
+                        let Ok(built) = built else { continue };
+                        assert_allgather_correct(&built);
+                        if msg == 0 {
+                            assert!(
+                                built.sched.ops().iter().all(|op| matches!(
+                                    op.kind,
+                                    mha_sched::OpKind::Compute { flops: 0, .. }
+                                )),
+                                "{} on {grid:?}: msg=0 should emit only zero-flop markers",
+                                cfg.to_kv()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -686,29 +750,6 @@ mod tests {
         let eff = low.effective_spec(&spec);
         assert_eq!(eff.stripe_threshold, 1024);
         assert_ne!(eff.digest(), spec.digest());
-    }
-
-    #[test]
-    fn degraded_config_matches_legacy_degraded_builder() {
-        let spec = thor();
-        let grid = ProcGrid::new(4, 2);
-        for msg in [16usize, 64 * 1024] {
-            let legacy = crate::mha::build_mha_inter_degraded(
-                grid,
-                msg,
-                MhaInterConfig::default(),
-                &spec,
-                &[0],
-            )
-            .unwrap();
-            let cfg = AlgoConfig {
-                down_rails: vec![0],
-                ..AlgoConfig::default()
-            };
-            let via_cfg = build(&cfg, grid, msg, &spec).unwrap();
-            assert_eq!(ops_of(&legacy), ops_of(&via_cfg), "msg={msg}");
-            assert_eq!(legacy.sched.name(), via_cfg.sched.name());
-        }
     }
 
     #[test]

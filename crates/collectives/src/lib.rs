@@ -8,6 +8,11 @@
 //! pipeline), Ring Allreduce with a pluggable Allgather phase, and the
 //! HPC-X / MVAPICH2-X library surrogates the evaluation compares against.
 //!
+//! There is one way to name an Allgather and one way to build it: an
+//! [`AlgoConfig`] (a [`Family`] plus its knobs) handed to [`build`]. The
+//! per-family emitters under [`flat`], [`twolevel`] and [`mha`] are what
+//! `build` dispatches to.
+//!
 //! Hierarchical families are emitted by one **generic composer**
 //! ([`build_composed`]): a [`ComposePlan`] assigns a [`LevelAlgo`] to each
 //! level of an `mha_sched::Topology` tree (exchange at the top, import
@@ -17,7 +22,6 @@
 
 #![warn(missing_docs)]
 
-mod algo;
 mod allreduce;
 mod alltoall;
 mod baselines;
@@ -32,13 +36,12 @@ mod tuned;
 pub mod tuning;
 pub mod twolevel;
 
-pub use algo::AllgatherAlgo;
 pub use allreduce::{build_ring_allreduce, AllgatherPhase};
 pub use alltoall::{build_direct_alltoall, build_mha_alltoall, AlltoallBuilt};
-pub use baselines::{mha_default_allgather, Library};
+pub use baselines::Library;
 pub use bcast::{build_binomial_bcast, build_mha_bcast, BcastBuilt};
 pub use chunks::{chunk_bounds, chunk_bounds_aligned, chunk_len};
-pub use compose::{build_composed, build_composed_degraded, ComposePlan, LevelAlgo};
+pub use compose::{build_composed, ComposePlan, LevelAlgo};
 pub use config::{build, AlgoConfig, Family};
 pub use ctx::{BuildError, Built};
 pub use tuned::{msg_bucket, TableError, TableKey, TunedTable, TABLE_FORMAT_VERSION};

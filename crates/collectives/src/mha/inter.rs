@@ -18,12 +18,12 @@
 //! chunks starve it (Figure 7) — both fall out of the dependency structure
 //! here, nothing is hard-coded.
 
-use mha_sched::{ProcGrid, RailSet, Topology};
+use mha_sched::{RailSet, Topology};
 use mha_simnet::ClusterSpec;
 
 use crate::compose::{emit_plan, ComposePlan};
-use crate::ctx::{BuildError, Built, Ctx};
-use crate::mha::offload::{resolve_offload, Offload};
+use crate::ctx::{BuildError, Ctx};
+use crate::mha::offload::Offload;
 
 /// The inter-leader exchange algorithm for phase 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,72 +57,15 @@ impl Default for MhaInterConfig {
     }
 }
 
-/// Builds the hierarchical MHA Allgather. Thin wrapper over the unified
-/// [`crate::build`] dispatcher (schedules are bit-identical either way).
-///
-/// # Errors
-///
-/// [`BuildError::RequiresPowerOfTwo`] if `cfg.inter` is Recursive Doubling
-/// and the node count is not a power of two.
-pub fn build_mha_inter(
-    grid: ProcGrid,
-    msg: usize,
-    cfg: MhaInterConfig,
-    spec: &ClusterSpec,
-) -> Result<Built, BuildError> {
-    crate::config::build(&crate::config::AlgoConfig::mha_inter(cfg), grid, msg, spec)
-}
-
-/// Failure-aware variant of [`build_mha_inter`]: phase-2 leader exchanges
-/// resolve `Channel::AllRails` against the surviving-rail set, re-tiling
-/// each node-block stripe over the `H − k` rails not listed in
-/// `down_rails`. With `down_rails` empty the schedule is byte-identical to
-/// [`build_mha_inter`].
-///
-/// # Errors
-///
-/// Same as [`build_mha_inter`].
-pub fn build_mha_inter_degraded(
-    grid: ProcGrid,
-    msg: usize,
-    cfg: MhaInterConfig,
-    spec: &ClusterSpec,
-    down_rails: &[u8],
-) -> Result<Built, BuildError> {
-    let rails = RailSet::excluding(spec.rails, down_rails);
-    let d = resolve_offload(cfg.offload, spec, grid.ppn(), msg);
-    let name = format!(
-        "mha-inter-{}(d={d}{},rails={}/{})",
-        match cfg.inter {
-            InterAlgo::Ring => "ring",
-            InterAlgo::RecursiveDoubling => "rd",
-        },
-        if cfg.overlap { "" } else { ",seq" },
-        rails.len(),
-        rails.total(),
-    );
-    let mut ctx = Ctx::new(grid, msg, name);
-    emit_mha_inter_with_rails(&mut ctx, cfg, spec, &rails)?;
-    Ok(ctx.finish())
-}
-
-/// Emits the hierarchical exchange into an existing context (also used as
-/// the Allgather phase of the MHA-accelerated Ring-Allreduce).
+/// Emits the hierarchical exchange into an existing context with every
+/// rail up — the 2-level `[Exchange, Gather]` instantiation of the generic
+/// composer, used as the Allgather phase of the MHA-accelerated
+/// Ring-Allreduce. Allgather builds go through [`crate::build`] with
+/// [`crate::AlgoConfig::mha_inter`].
 pub(crate) fn emit_mha_inter(
     ctx: &mut Ctx,
     cfg: MhaInterConfig,
     spec: &ClusterSpec,
-) -> Result<(), BuildError> {
-    emit_mha_inter_with_rails(ctx, cfg, spec, &RailSet::full(spec.rails))
-}
-
-/// [`emit_mha_inter`] generalized over the surviving-rail set: the 2-level
-/// `[Exchange, Gather]` instantiation of the generic composer.
-pub(crate) fn emit_mha_inter_with_rails(
-    ctx: &mut Ctx,
-    cfg: MhaInterConfig,
-    spec: &ClusterSpec,
-    rails: &RailSet,
 ) -> Result<(), BuildError> {
     let grid = ctx.grid();
     let topo = Topology::two_level(grid.nodes(), grid.ppn());
@@ -131,19 +74,34 @@ pub(crate) fn emit_mha_inter_with_rails(
         &topo,
         &ComposePlan::mha_inter(cfg),
         Some(spec),
-        Some(rails),
+        Some(&RailSet::full(spec.rails)),
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::Built;
     use crate::flat::testutil::assert_allgather_correct;
-    use mha_sched::Channel;
+    use crate::{build, AlgoConfig};
+    use mha_sched::{Channel, ProcGrid};
     use mha_simnet::Simulator;
 
     fn thor() -> ClusterSpec {
         ClusterSpec::thor()
+    }
+
+    fn build_mha(
+        grid: ProcGrid,
+        msg: usize,
+        cfg: MhaInterConfig,
+        down_rails: &[u8],
+    ) -> Result<Built, BuildError> {
+        let cfg = AlgoConfig {
+            down_rails: down_rails.to_vec(),
+            ..AlgoConfig::mha_inter(cfg)
+        };
+        build(&cfg, grid, msg, &thor())
     }
 
     fn cfg(inter: InterAlgo, overlap: bool) -> MhaInterConfig {
@@ -157,11 +115,11 @@ mod tests {
     #[test]
     fn ring_variant_is_correct() {
         for (nodes, ppn) in [(2, 2), (3, 2), (4, 4), (5, 3), (8, 2), (2, 1)] {
-            let built = build_mha_inter(
+            let built = build_mha(
                 ProcGrid::new(nodes, ppn),
                 16,
                 cfg(InterAlgo::Ring, true),
-                &thor(),
+                &[],
             )
             .unwrap();
             assert_allgather_correct(&built);
@@ -171,11 +129,11 @@ mod tests {
     #[test]
     fn rd_variant_is_correct_for_power_of_two_nodes() {
         for (nodes, ppn) in [(2, 2), (4, 3), (8, 2), (4, 1)] {
-            let built = build_mha_inter(
+            let built = build_mha(
                 ProcGrid::new(nodes, ppn),
                 16,
                 cfg(InterAlgo::RecursiveDoubling, true),
-                &thor(),
+                &[],
             )
             .unwrap();
             assert_allgather_correct(&built);
@@ -185,19 +143,18 @@ mod tests {
     #[test]
     fn sequential_variants_are_also_correct() {
         for inter in [InterAlgo::Ring, InterAlgo::RecursiveDoubling] {
-            let built =
-                build_mha_inter(ProcGrid::new(4, 2), 16, cfg(inter, false), &thor()).unwrap();
+            let built = build_mha(ProcGrid::new(4, 2), 16, cfg(inter, false), &[]).unwrap();
             assert_allgather_correct(&built);
         }
     }
 
     #[test]
     fn rd_rejects_non_power_of_two_nodes() {
-        let err = build_mha_inter(
+        let err = build_mha(
             ProcGrid::new(3, 2),
             8,
             cfg(InterAlgo::RecursiveDoubling, true),
-            &thor(),
+            &[],
         )
         .unwrap_err();
         assert!(matches!(err, BuildError::RequiresPowerOfTwo { .. }));
@@ -205,8 +162,7 @@ mod tests {
 
     #[test]
     fn single_node_degenerates_to_mha_intra() {
-        let built =
-            build_mha_inter(ProcGrid::new(1, 4), 16, cfg(InterAlgo::Ring, true), &thor()).unwrap();
+        let built = build_mha(ProcGrid::new(1, 4), 16, cfg(InterAlgo::Ring, true), &[]).unwrap();
         assert_allgather_correct(&built);
         assert_eq!(built.sched.stats().steps, 4); // intra steps only
     }
@@ -217,8 +173,8 @@ mod tests {
         let sim = Simulator::new(thor()).unwrap();
         let grid = ProcGrid::new(8, 8);
         let msg = 256 * 1024;
-        let over = build_mha_inter(grid, msg, cfg(InterAlgo::Ring, true), &thor()).unwrap();
-        let seq = build_mha_inter(grid, msg, cfg(InterAlgo::Ring, false), &thor()).unwrap();
+        let over = build_mha(grid, msg, cfg(InterAlgo::Ring, true), &[]).unwrap();
+        let seq = build_mha(grid, msg, cfg(InterAlgo::Ring, false), &[]).unwrap();
         let t_over = sim.run(&over.sched).unwrap().latency_us();
         let t_seq = sim.run(&seq.sched).unwrap().latency_us();
         assert!(
@@ -233,9 +189,8 @@ mod tests {
         let sim = Simulator::new(thor()).unwrap();
         let grid = ProcGrid::new(16, 8);
         let msg = 128 * 1024;
-        let ring = build_mha_inter(grid, msg, cfg(InterAlgo::Ring, true), &thor()).unwrap();
-        let rd =
-            build_mha_inter(grid, msg, cfg(InterAlgo::RecursiveDoubling, true), &thor()).unwrap();
+        let ring = build_mha(grid, msg, cfg(InterAlgo::Ring, true), &[]).unwrap();
+        let rd = build_mha(grid, msg, cfg(InterAlgo::RecursiveDoubling, true), &[]).unwrap();
         let t_ring = sim.run(&ring.sched).unwrap().latency_us();
         let t_rd = sim.run(&rd.sched).unwrap().latency_us();
         assert!(t_ring < t_rd, "ring {t_ring} vs rd {t_rd}");
@@ -247,9 +202,8 @@ mod tests {
         let sim = Simulator::new(thor()).unwrap();
         let grid = ProcGrid::new(16, 8);
         let msg = 16;
-        let ring = build_mha_inter(grid, msg, cfg(InterAlgo::Ring, true), &thor()).unwrap();
-        let rd =
-            build_mha_inter(grid, msg, cfg(InterAlgo::RecursiveDoubling, true), &thor()).unwrap();
+        let ring = build_mha(grid, msg, cfg(InterAlgo::Ring, true), &[]).unwrap();
+        let rd = build_mha(grid, msg, cfg(InterAlgo::RecursiveDoubling, true), &[]).unwrap();
         let t_ring = sim.run(&ring.sched).unwrap().latency_us();
         let t_rd = sim.run(&rd.sched).unwrap().latency_us();
         assert!(t_rd < t_ring, "rd {t_rd} vs ring {t_ring}");
@@ -258,14 +212,14 @@ mod tests {
     #[test]
     fn phase2_traffic_is_rail_only() {
         // The hierarchy's point: inter-node traffic never rides CMA.
-        let built = build_mha_inter(
+        let built = build_mha(
             ProcGrid::new(4, 4),
             64,
             MhaInterConfig {
                 offload: Offload::None,
                 ..Default::default()
             },
-            &thor(),
+            &[],
         )
         .unwrap();
         for op in built.sched.ops() {
@@ -287,28 +241,10 @@ mod tests {
     }
 
     #[test]
-    fn degraded_with_no_failures_is_byte_identical() {
-        // Only the schedule name differs; the op stream must not.
-        for inter in [InterAlgo::Ring, InterAlgo::RecursiveDoubling] {
-            for msg in [16usize, 64 * 1024] {
-                let grid = ProcGrid::new(4, 2);
-                let base = build_mha_inter(grid, msg, cfg(inter, true), &thor()).unwrap();
-                let deg =
-                    build_mha_inter_degraded(grid, msg, cfg(inter, true), &thor(), &[]).unwrap();
-                assert_eq!(
-                    format!("{:?}", base.sched.ops()),
-                    format!("{:?}", deg.sched.ops()),
-                    "{inter:?}/{msg}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn degraded_build_avoids_down_rails_and_stays_correct() {
         for inter in [InterAlgo::Ring, InterAlgo::RecursiveDoubling] {
             for msg in [16usize, 64 * 1024] {
-                let built = build_mha_inter_degraded(
+                let built = build_mha(
                     ProcGrid::new(4, 2),
                     msg,
                     MhaInterConfig {
@@ -316,11 +252,12 @@ mod tests {
                         offload: Offload::None,
                         overlap: true,
                     },
-                    &thor(),
                     &[0],
                 )
                 .unwrap();
                 assert_allgather_correct(&built);
+                let name = built.sched.name();
+                assert!(name.ends_with(",rails=1/2)"), "{name}");
                 for op in built.sched.ops() {
                     if let mha_sched::OpKind::Transfer {
                         src_rank,
@@ -347,9 +284,8 @@ mod tests {
         // The builder has to route the traffic somewhere; total outage is
         // the simulator's stall/retry problem, not the scheduler's.
         let grid = ProcGrid::new(2, 2);
-        let base = build_mha_inter(grid, 32, cfg(InterAlgo::Ring, true), &thor()).unwrap();
-        let deg = build_mha_inter_degraded(grid, 32, cfg(InterAlgo::Ring, true), &thor(), &[0, 1])
-            .unwrap();
+        let base = build_mha(grid, 32, cfg(InterAlgo::Ring, true), &[]).unwrap();
+        let deg = build_mha(grid, 32, cfg(InterAlgo::Ring, true), &[0, 1]).unwrap();
         assert_eq!(
             format!("{:?}", base.sched.ops()),
             format!("{:?}", deg.sched.ops())

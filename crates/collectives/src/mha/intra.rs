@@ -20,7 +20,7 @@ use crate::mha::offload::{resolve_offload, Offload};
 /// # Errors
 ///
 /// [`BuildError::BadParameter`] if `grid` spans more than one node — use
-/// [`crate::mha::build_mha_inter`] for multi-node layouts.
+/// [`crate::AlgoConfig::mha_inter`] for multi-node layouts.
 pub fn build_mha_intra(
     grid: ProcGrid,
     msg: usize,

@@ -1,5 +1,12 @@
 //! The paper's multi-HCA aware Allgather designs (Section 3).
 //!
+//! MHA-intra ([`build_mha_intra`]) and MHA-inter are built through
+//! [`crate::build`]: [`crate::AlgoConfig::mha_intra`] and
+//! [`crate::AlgoConfig::mha_inter`] name them, and the config's
+//! `down_rails` field gives the failure-aware MHA-inter exchange over the
+//! surviving rails. This module holds their knobs ([`MhaInterConfig`],
+//! [`Offload`]) and the Eq. 1 offload sizing.
+//!
 //! The 3-level NUMA-aware variant — the paper's stated future work: *"We
 //! can have a 3-level design with the overlapping of intra-socket,
 //! inter-socket, and inter-node communication"* (Section 7) — lives here
@@ -12,7 +19,7 @@ mod intra;
 mod offload;
 
 pub(crate) use inter::emit_mha_inter;
-pub use inter::{build_mha_inter, build_mha_inter_degraded, InterAlgo, MhaInterConfig};
+pub use inter::{InterAlgo, MhaInterConfig};
 pub use intra::build_mha_intra;
 pub use offload::{optimal_offload, resolve_offload, tune_offload, Offload, OffloadSweep};
 
@@ -142,7 +149,7 @@ mod numa3_tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(2, 16);
         let msg = 512 * 1024;
-        let blind = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+        let blind = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let aware = build_mha_numa3(grid, msg, Numa3Config::default(), &spec).unwrap();
         let t_blind = sim.run(&blind.sched).unwrap().latency_us();
         let t_aware = sim.run(&aware.sched).unwrap().latency_us();
@@ -164,7 +171,7 @@ mod numa3_tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(2, 8);
         let msg = 256 * 1024;
-        let blind = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+        let blind = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let aware = build_mha_numa3(grid, msg, Numa3Config::default(), &spec).unwrap();
         let t_blind = sim.run(&blind.sched).unwrap().latency_us();
         let t_aware = sim.run(&aware.sched).unwrap().latency_us();

@@ -201,9 +201,7 @@ mod tests {
         let grid = ProcGrid::new(8, 8);
         let msg = 128 * 1024;
         let ml = build_multi_leader(grid, msg, 2).unwrap();
-        let mha =
-            crate::mha::build_mha_inter(grid, msg, crate::mha::MhaInterConfig::default(), &spec)
-                .unwrap();
+        let mha = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let t_ml = sim.run(&ml.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();
         assert!(

@@ -191,9 +191,7 @@ mod tests {
         let grid = ProcGrid::new(16, 2);
         let msg = 2 << 20;
         let sl = build_single_leader(grid, msg).unwrap();
-        let mha =
-            crate::mha::build_mha_inter(grid, msg, crate::mha::MhaInterConfig::default(), &spec)
-                .unwrap();
+        let mha = crate::build(&crate::AlgoConfig::default(), grid, msg, &spec).unwrap();
         let t_sl = sim.run(&sl.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();
         assert!(t_mha < t_sl * 0.9, "mha {t_mha} vs single-leader {t_sl}");

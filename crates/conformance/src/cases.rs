@@ -1,13 +1,14 @@
 //! Random configuration sampling for the differential oracle.
 //!
-//! Each [`Case`] is a `(family, algorithm, grid, message size)` tuple drawn
-//! so that the algorithm's structural preconditions hold (power-of-two rank
+//! Each [`Case`] is a `(family, config, grid, message size)` tuple drawn
+//! so that the config's structural preconditions hold (power-of-two rank
 //! counts for recursive doubling, `groups | ppn` for multi-leader,
 //! single-node grids for MHA-intra, …) — the oracle tests *correct*
 //! configurations; rejection paths are covered by `tests/failure_modes.rs`.
 
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha_collectives::{build_composed, AllgatherAlgo, BuildError, Built, ComposePlan};
+use mha_collectives::Family as Algo;
+use mha_collectives::{build, build_composed, AlgoConfig, BuildError, Built, ComposePlan};
 use mha_sched::{ProcGrid, Topology};
 use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng};
@@ -47,10 +48,10 @@ impl Family {
 pub struct Case {
     /// The family the algorithm belongs to.
     pub family: Family,
-    /// The allgather algorithm under test ([`Family::Hier`] cases build
-    /// through `tree` instead; `algo` then mirrors the exchange choice for
-    /// reporting only).
-    pub algo: AllgatherAlgo,
+    /// The allgather configuration under test ([`Family::Hier`] cases
+    /// build through `tree` instead; `cfg` then mirrors the exchange
+    /// choice).
+    pub cfg: AlgoConfig,
     /// Process layout (the tree's flattening for [`Family::Hier`]).
     pub grid: ProcGrid,
     /// Per-rank contribution size in bytes.
@@ -62,11 +63,11 @@ pub struct Case {
 
 impl Case {
     /// Builds the case's schedule: through the generic composer when a
-    /// tree is attached, through the algorithm dispatcher otherwise.
+    /// tree is attached, through the `AlgoConfig` dispatcher otherwise.
     pub fn build(&self, spec: &ClusterSpec) -> Result<Built, BuildError> {
         match &self.tree {
             Some((topo, plan)) => build_composed(topo, self.msg, plan, spec),
-            None => self.algo.build(self.grid, self.msg, spec),
+            None => build(&self.cfg, self.grid, self.msg, spec),
         }
     }
 
@@ -83,9 +84,9 @@ impl Case {
             );
         }
         format!(
-            "{:?}/{} {}x{} msg={}",
+            "{:?}/[{}] {}x{} msg={}",
             self.family,
-            self.algo.name(),
+            self.cfg.to_kv(),
             self.grid.nodes(),
             self.grid.ppn(),
             self.msg
@@ -131,7 +132,7 @@ fn sample_hier(rng: &mut StdRng, msg: usize) -> Case {
     let plan = ComposePlan::hierarchical(depth, inter, overlap, import_offload, gather);
     Case {
         family: Family::Hier,
-        algo: AllgatherAlgo::MhaInter(MhaInterConfig {
+        cfg: AlgoConfig::mha_inter(MhaInterConfig {
             inter,
             offload: gather,
             overlap,
@@ -148,39 +149,39 @@ pub fn sample_case(rng: &mut StdRng, family: Family) -> Case {
     if family == Family::Hier {
         return sample_hier(rng, msg);
     }
-    let (algo, grid) = match family {
+    let (cfg, grid) = match family {
         Family::Flat => match rng.gen_range(0..4u32) {
             0 => (
-                AllgatherAlgo::Ring,
+                AlgoConfig::flat(Algo::Ring),
                 ProcGrid::new(rng.gen_range(1..=4), pick(rng, &PPNS)),
             ),
             1 => (
                 // Power-of-two nodes × power-of-two ppn → power-of-two ranks.
-                AllgatherAlgo::RecursiveDoubling,
+                AlgoConfig::flat(Algo::RecursiveDoubling),
                 ProcGrid::new(pick(rng, &[1, 2, 4]), pick(rng, &PPNS)),
             ),
             2 => (
-                AllgatherAlgo::Bruck,
+                AlgoConfig::flat(Algo::Bruck),
                 ProcGrid::new(rng.gen_range(1..=4), pick(rng, &PPNS)),
             ),
             _ => (
-                AllgatherAlgo::DirectSpread,
+                AlgoConfig::flat(Algo::DirectSpread),
                 ProcGrid::new(rng.gen_range(1..=4), pick(rng, &PPNS)),
             ),
         },
         Family::TwoLevel => {
             if rng.gen_range(0..2u32) == 0 {
                 (
-                    AllgatherAlgo::SingleLeader,
+                    AlgoConfig::flat(Algo::SingleLeader),
                     ProcGrid::new(pick(rng, &[1, 2, 4]), pick(rng, &[2, 4, 8])),
                 )
             } else {
                 let ppn = pick(rng, &[2u32, 4, 8]);
                 let divisors: Vec<u32> = (1..=ppn).filter(|g| ppn.is_multiple_of(*g)).collect();
                 (
-                    AllgatherAlgo::MultiLeader {
+                    AlgoConfig::flat(Algo::MultiLeader {
                         groups: pick(rng, &divisors),
-                    },
+                    }),
                     ProcGrid::new(rng.gen_range(1..=4), ppn),
                 )
             }
@@ -193,10 +194,7 @@ pub fn sample_case(rng: &mut StdRng, family: Family) -> Case {
                 } else {
                     Offload::Fixed(rng.gen_range(0..ppn))
                 };
-                (
-                    AllgatherAlgo::MhaIntra { offload },
-                    ProcGrid::single_node(ppn),
-                )
+                (AlgoConfig::mha_intra(offload), ProcGrid::single_node(ppn))
             } else {
                 let inter = if rng.gen_range(0..2u32) == 0 {
                     InterAlgo::Ring
@@ -208,7 +206,7 @@ pub fn sample_case(rng: &mut StdRng, family: Family) -> Case {
                     InterAlgo::RecursiveDoubling => pick(rng, &[2u32, 4]),
                 };
                 (
-                    AllgatherAlgo::MhaInter(MhaInterConfig {
+                    AlgoConfig::mha_inter(MhaInterConfig {
                         inter,
                         offload: Offload::Auto,
                         overlap: rng.gen_range(0..2u32) == 0,
@@ -221,7 +219,7 @@ pub fn sample_case(rng: &mut StdRng, family: Family) -> Case {
     };
     Case {
         family,
-        algo,
+        cfg,
         grid,
         msg,
         tree: None,

@@ -20,7 +20,7 @@ use mha_sched::OpKind;
 /// partition it (no byte missed, no byte written twice).
 ///
 /// Only valid for *plain* Allgather schedules ([`Built`] as produced by
-/// [`mha_collectives::AllgatherAlgo::build`]); Allreduce schedules
+/// [`mha_collectives::build`]); Allreduce schedules
 /// legitimately rewrite receive-buffer ranges while reducing.
 pub fn check_allgather_coverage(built: &Built) -> Result<(), String> {
     let sch = &built.sched;
@@ -77,34 +77,33 @@ pub fn check_allgather_coverage(built: &Built) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_collectives::mha::MhaInterConfig;
-    use mha_collectives::AllgatherAlgo;
+    use mha_collectives::{build, AlgoConfig, Family};
     use mha_sched::ProcGrid;
     use mha_simnet::ClusterSpec;
 
     #[test]
     fn every_family_partitions_the_recv_buffers() {
         let spec = ClusterSpec::thor();
-        for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::RecursiveDoubling,
-            AllgatherAlgo::Bruck,
-            AllgatherAlgo::DirectSpread,
-            AllgatherAlgo::SingleLeader,
-            AllgatherAlgo::MultiLeader { groups: 2 },
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+        for cfg in [
+            AlgoConfig::flat(Family::Ring),
+            AlgoConfig::flat(Family::RecursiveDoubling),
+            AlgoConfig::flat(Family::Bruck),
+            AlgoConfig::flat(Family::DirectSpread),
+            AlgoConfig::flat(Family::SingleLeader),
+            AlgoConfig::flat(Family::MultiLeader { groups: 2 }),
+            AlgoConfig::default(),
         ] {
-            let built = algo.build(ProcGrid::new(2, 4), 96, &spec).unwrap();
-            check_allgather_coverage(&built).unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            let built = build(&cfg, ProcGrid::new(2, 4), 96, &spec).unwrap();
+            check_allgather_coverage(&built)
+                .unwrap_or_else(|e| panic!("{}: {e}", built.sched.name()));
         }
     }
 
     #[test]
     fn a_gap_is_reported() {
         let spec = ClusterSpec::thor();
-        let mut built = AllgatherAlgo::Ring
-            .build(ProcGrid::new(2, 2), 64, &spec)
-            .unwrap();
+        let ring = AlgoConfig::flat(Family::Ring);
+        let mut built = build(&ring, ProcGrid::new(2, 2), 64, &spec).unwrap();
         // Lie about the message size: every rank now "misses" bytes.
         built.msg = 128;
         let err = check_allgather_coverage(&built).unwrap_err();

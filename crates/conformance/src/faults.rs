@@ -16,9 +16,8 @@
 //!   envelope of the α–β model evaluated at `H − k` rails.
 
 use mha_bench::campaign::{run_campaign, simulator_for, CampaignConfig, CampaignPoint, Row};
-use mha_collectives::mha::{
-    build_mha_inter, build_mha_inter_degraded, InterAlgo, MhaInterConfig, Offload,
-};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_exec::Mode;
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
 use mha_sched::{InvariantProbe, ProcGrid};
@@ -241,19 +240,23 @@ pub fn run_fault_oracle(cfg: &FaultOracleConfig) -> FaultOracleReport {
 /// where an α–β bandwidth model is not the right yardstick).
 pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Result<bool, String> {
     let spec = ClusterSpec::thor_with_rails(case.rails);
-    let cfg = MhaInterConfig {
+    let cfg = AlgoConfig::mha_inter(MhaInterConfig {
         inter: case.inter,
         offload: case.offload,
         overlap: true,
-    };
+    });
 
     // Control: the fault-oblivious build stays healthy.
-    let base = build_mha_inter(case.grid, case.msg, cfg, &spec)
+    let base = build(&cfg, case.grid, case.msg, &spec)
         .map_err(|e| format!("baseline build failed: {e:?}"))?;
     verify_built(&base, &spec, threads).map_err(|e| format!("baseline {e}"))?;
 
     // The failure-aware build must be just as correct.
-    let deg = build_mha_inter_degraded(case.grid, case.msg, cfg, &spec, &case.down)
+    let degraded = AlgoConfig {
+        down_rails: case.down.clone(),
+        ..cfg
+    };
+    let deg = build(&degraded, case.grid, case.msg, &spec)
         .map_err(|e| format!("degraded build failed: {e:?}"))?;
     verify_built(&deg, &spec, threads).map_err(|e| format!("degraded {e}"))?;
 

@@ -407,14 +407,13 @@ pub fn random_mutation(rng: &mut StdRng, spec: &SchedSpec) -> Option<Mutation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_collectives::AllgatherAlgo;
+    use mha_collectives::{build, AlgoConfig, Family};
     use mha_simnet::ClusterSpec;
 
     fn ring_target() -> FuzzTarget {
         let spec = ClusterSpec::thor();
-        let built = AllgatherAlgo::Ring
-            .build(ProcGrid::new(2, 2), 64, &spec)
-            .unwrap();
+        let ring = AlgoConfig::flat(Family::Ring);
+        let built = build(&ring, ProcGrid::new(2, 2), 64, &spec).unwrap();
         FuzzTarget::from_built(&built, spec.rails)
     }
 

@@ -1,6 +1,6 @@
 //! The three-way differential oracle: simnet × executor × α–β model.
 //!
-//! For each randomly drawn [`Case`](crate::Case) the oracle checks that
+//! For each randomly drawn [`Case`] the oracle checks that
 //! three independent interpretations of the same frozen schedule agree:
 //!
 //! * the **threaded executor** moves real bytes and lands on MPI_Allgather
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig};
 use mha_exec::{run_threaded_probed, BufferStore, Mode};
 use mha_model::{mha_inter_latency, mha_intra_latency_auto, ModelParams, Phase2};
 use mha_sched::{FrozenSchedule, InvariantProbe, Probe, ProcGrid};
@@ -285,25 +285,23 @@ pub fn check_model_envelope(envelope: f64) -> Vec<String> {
 
     // (name, algorithm, grid, model prediction in seconds)
     type Model<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
-    let series: Vec<(&str, AllgatherAlgo, ProcGrid, Model<'_>)> = vec![
+    let series: Vec<(&str, AlgoConfig, ProcGrid, Model<'_>)> = vec![
         (
             "flat/ring 4x1",
-            AllgatherAlgo::Ring,
+            AlgoConfig::flat(mha_collectives::Family::Ring),
             ProcGrid::new(4, 1),
             // Textbook α–β ring over P ranks: (P−1) fully-striped steps.
             Box::new(|m| 3.0 * (p.rail_startup(m) + m as f64 / (p.bw_h * f64::from(p.h)))),
         ),
         (
             "mha/intra 1x8",
-            AllgatherAlgo::MhaIntra {
-                offload: Offload::Auto,
-            },
+            AlgoConfig::mha_intra(Offload::Auto),
             ProcGrid::single_node(8),
             Box::new(|m| mha_intra_latency_auto(&p, 8, m)),
         ),
         (
             "mha/inter-ring 4x8",
-            AllgatherAlgo::MhaInter(MhaInterConfig {
+            AlgoConfig::mha_inter(MhaInterConfig {
                 inter: InterAlgo::Ring,
                 offload: Offload::Auto,
                 overlap: true,
@@ -314,10 +312,10 @@ pub fn check_model_envelope(envelope: f64) -> Vec<String> {
     ];
 
     let mut failures = Vec::new();
-    for (name, algo, grid, model) in &series {
+    for (name, cfg, grid, model) in &series {
         let mut prev = 0.0f64;
         for &m in &sizes {
-            let built = match algo.build(*grid, m, &spec) {
+            let built = match build(cfg, *grid, m, &spec) {
                 Ok(b) => b,
                 Err(e) => {
                     failures.push(format!("{name} msg={m}: build failed: {e:?}"));
@@ -408,7 +406,7 @@ mod tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let case = Case {
             family: Family::Mha,
-            algo: AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            cfg: AlgoConfig::default(),
             grid: ProcGrid::new(2, 4),
             msg: 512,
             tree: None,

@@ -2,8 +2,7 @@
 //! shrink to verdict-preserving minimal reproductions, and survivors of
 //! random fuzzing are genuinely correct schedules.
 
-use mha_collectives::mha::MhaInterConfig;
-use mha_collectives::AllgatherAlgo;
+use mha_collectives::{build, AlgoConfig, Family};
 use mha_conformance::fuzz::{apply, find_killable_edge_drop, random_mutation};
 use mha_conformance::{judge, seeded_mutants, shrink, FuzzTarget, Verdict};
 use mha_exec::Mode;
@@ -14,18 +13,15 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 fn targets() -> Vec<(String, FuzzTarget)> {
     let spec = ClusterSpec::thor();
     [
-        (AllgatherAlgo::Ring, ProcGrid::new(2, 2)),
-        (AllgatherAlgo::Bruck, ProcGrid::single_node(4)),
-        (
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
-            ProcGrid::new(2, 4),
-        ),
+        (AlgoConfig::flat(Family::Ring), ProcGrid::new(2, 2)),
+        (AlgoConfig::flat(Family::Bruck), ProcGrid::single_node(4)),
+        (AlgoConfig::default(), ProcGrid::new(2, 4)),
     ]
     .into_iter()
-    .map(|(algo, grid)| {
-        let built = algo.build(grid, 64, &spec).unwrap();
+    .map(|(cfg, grid)| {
+        let built = build(&cfg, grid, 64, &spec).unwrap();
         (
-            format!("{} {}x{}", algo.name(), grid.nodes(), grid.ppn()),
+            format!("{} {}x{}", cfg.family.token(), grid.nodes(), grid.ppn()),
             FuzzTarget::from_built(&built, spec.rails),
         )
     })

@@ -5,7 +5,8 @@
 //! message-size range, price each point both ways, and report
 //! predicted-vs-actual pairs plus summary error statistics.
 
-use mha_collectives::mha::{build_mha_inter, build_mha_intra, InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, SimError, Simulator};
 
@@ -75,7 +76,7 @@ pub fn validate_intra(
     let grid = ProcGrid::single_node(l);
     let mut out = Vec::with_capacity(sizes.len());
     for &m in sizes {
-        let built = build_mha_intra(grid, m, Offload::Auto, spec)?;
+        let built = build(&AlgoConfig::mha_intra(Offload::Auto), grid, m, spec)?;
         let actual_us = sim.run(&built.sched)?.latency_us();
         let predicted_us = mha_intra_latency_auto(p, l, m) * 1e6;
         out.push(ValidationPoint {
@@ -112,7 +113,7 @@ pub fn validate_inter(
                 offload: Offload::Auto,
                 overlap: true,
             };
-            let built = build_mha_inter(grid, m, cfg, spec)?;
+            let built = build(&AlgoConfig::mha_inter(cfg), grid, m, spec)?;
             let actual = sim.run(&built.sched)?.latency_us();
             let phase2 = match inter {
                 InterAlgo::Ring => Phase2::Ring,

@@ -438,7 +438,7 @@ pub struct FillStats {
     pub hits: u64,
     /// Components solved by the reference filler (then memoized).
     pub misses: u64,
-    /// Times the memo hit [`MEMO_CAP`] and was flushed.
+    /// Times the memo hit its size cap (`MEMO_CAP` entries) and was flushed.
     pub flushes: u64,
 }
 

@@ -8,6 +8,7 @@
 
 use mha::apps::matvec::{run_matvec, verify_matvec, MatvecConfig};
 use mha::apps::{paper_contestants, Contestant};
+use mha::collectives::{build, AlgoConfig};
 use mha::sched::ProcGrid;
 use mha::simnet::ClusterSpec;
 
@@ -21,9 +22,7 @@ fn main() {
         cols: 80,
         grid: ProcGrid::new(2, 4),
     };
-    let built = mha::collectives::AllgatherAlgo::MhaInter(Default::default())
-        .build(small.grid, small.seg_bytes(), &spec)
-        .unwrap();
+    let built = build(&AlgoConfig::default(), small.grid, small.seg_bytes(), &spec).unwrap();
     let err = verify_matvec(small, &built).unwrap();
     println!("distributed matvec max |error| vs serial reference: {err:.2e}\n");
 

@@ -6,8 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mha::collectives::mha::{build_mha_inter, MhaInterConfig};
-use mha::collectives::Library;
+use mha::collectives::{build, AlgoConfig, Family, Library};
 use mha::exec::{verify_allgather, Mode};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, Simulator};
@@ -20,8 +19,7 @@ fn main() {
     let sim = Simulator::new(spec.clone()).expect("valid cluster spec");
 
     // 1. Compile the collective to a schedule.
-    let mha = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec)
-        .expect("buildable configuration");
+    let mha = build(&AlgoConfig::default(), grid, msg, &spec).expect("buildable configuration");
     println!(
         "built `{}`: {} ops, {} buffers",
         mha.sched.name(),
@@ -43,7 +41,7 @@ fn main() {
     // 4. Price it on the simulated cluster, next to the baselines.
     let t_mha = sim.run(&mha.sched).unwrap().latency_us();
     for lib in [Library::HpcX, Library::Mvapich2X] {
-        let built = lib.build_allgather(grid, msg, &spec).unwrap();
+        let built = build(&AlgoConfig::flat(Family::Library(lib)), grid, msg, &spec).unwrap();
         let t = sim.run(&built.sched).unwrap().latency_us();
         println!(
             "{:>11}: {:>10.1} us  (algorithm: {})",

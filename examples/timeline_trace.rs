@@ -6,8 +6,7 @@
 //! cargo run --release --example timeline_trace
 //! ```
 
-use mha::collectives::mha::{build_mha_inter, MhaInterConfig};
-use mha::collectives::AllgatherAlgo;
+use mha::collectives::{build, AlgoConfig, Family};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, SimConfig, Simulator};
 
@@ -17,14 +16,14 @@ fn main() {
     let grid = ProcGrid::new(2, 2);
     let msg = 1 << 20;
 
-    let ring = AllgatherAlgo::Ring.build(grid, msg, &spec).unwrap();
+    let ring = build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec).unwrap();
     let res = sim
         .run_with(&ring.sched, SimConfig { trace: true })
         .unwrap();
     println!("flat Ring Allgather, 2 nodes x 2 PPN, 1 MB (the paper's Figure 2):");
     println!("{}", res.trace.unwrap().render_ascii(96));
 
-    let mha = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+    let mha = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
     let res = sim.run_with(&mha.sched, SimConfig { trace: true }).unwrap();
     println!("hierarchical MHA-inter on the same problem:");
     println!("{}", res.trace.unwrap().render_ascii(96));

@@ -1,8 +1,9 @@
 //! Offline shim for `proptest` 1.x.
 //!
 //! The build environment has no crates.io access, so this workspace vendors
-//! the subset of proptest it uses: the [`Strategy`] combinators
-//! (`prop_map`, `prop_flat_map`, tuples, ranges, [`Just`], `any::<bool>()`),
+//! the subset of proptest it uses: the [`strategy::Strategy`]
+//! combinators (`prop_map`, `prop_flat_map`, tuples, ranges,
+//! [`strategy::Just`], `any::<bool>()`),
 //! `proptest::collection::{vec, btree_set}`, the `prop_oneof!`,
 //! `prop_assert!`, `prop_assert_eq!` and `proptest!` macros, and
 //! [`test_runner::ProptestConfig`].
@@ -351,7 +352,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -8,7 +8,7 @@
 //! schedule or journal change, re-pin from the bits printed by the
 //! assertion failure.
 
-use mha::collectives::mha::{build_mha_inter, MhaInterConfig};
+use mha::collectives::{build, AlgoConfig};
 use mha::exec::{
     resume_single, run_single, run_single_killed, BufferStore, CompletionJournal, ExecError,
 };
@@ -35,10 +35,10 @@ fn canonical_kill_resume_run_is_bit_identical() {
     const WANT_STORE_HASH: u64 = 0x80c8643ed99954a9;
 
     let spec = ClusterSpec::thor();
-    let built = build_mha_inter(
+    let built = build(
+        &AlgoConfig::default(),
         ProcGrid::new(4, 4),
         64 * 1024,
-        MhaInterConfig::default(),
         &spec,
     )
     .unwrap();

@@ -4,26 +4,26 @@
 //! a user of the library takes.
 
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::{AllgatherAlgo, AllgatherPhase};
+use mha::collectives::{build, AlgoConfig, AllgatherPhase, Family};
 use mha::exec::{verify_allgather, verify_allreduce_sum_f32, Mode};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, Simulator};
 
-fn all_algorithms() -> Vec<AllgatherAlgo> {
+fn all_algorithms() -> Vec<AlgoConfig> {
     vec![
-        AllgatherAlgo::Ring,
-        AllgatherAlgo::RecursiveDoubling,
-        AllgatherAlgo::Bruck,
-        AllgatherAlgo::DirectSpread,
-        AllgatherAlgo::SingleLeader,
-        AllgatherAlgo::MultiLeader { groups: 2 },
-        AllgatherAlgo::MhaInter(MhaInterConfig::default()),
-        AllgatherAlgo::MhaInter(MhaInterConfig {
+        AlgoConfig::flat(Family::Ring),
+        AlgoConfig::flat(Family::RecursiveDoubling),
+        AlgoConfig::flat(Family::Bruck),
+        AlgoConfig::flat(Family::DirectSpread),
+        AlgoConfig::flat(Family::SingleLeader),
+        AlgoConfig::flat(Family::MultiLeader { groups: 2 }),
+        AlgoConfig::default(),
+        AlgoConfig::mha_inter(MhaInterConfig {
             inter: InterAlgo::RecursiveDoubling,
             offload: Offload::Auto,
             overlap: true,
         }),
-        AllgatherAlgo::MhaInter(MhaInterConfig {
+        AlgoConfig::mha_inter(MhaInterConfig {
             inter: InterAlgo::Ring,
             offload: Offload::None,
             overlap: false,
@@ -38,15 +38,14 @@ fn every_allgather_survives_the_full_pipeline() {
     let grid = ProcGrid::new(4, 4);
     let msg = 48;
     for algo in all_algorithms() {
-        let built = algo
-            .build(grid, msg, &spec)
-            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+        let built =
+            build(&algo, grid, msg, &spec).unwrap_or_else(|e| panic!("{}: {e}", algo.to_kv()));
         mha::sched::validate(&built.sched, Some(spec.rails))
-            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            .unwrap_or_else(|e| panic!("{}: {e}", algo.to_kv()));
         let races = mha::sched::check_races(&built.sched);
-        assert!(races.is_empty(), "{}: races {races:?}", algo.name());
+        assert!(races.is_empty(), "{}: races {races:?}", algo.to_kv());
         verify_allgather(&built.sched, &built.send, &built.recv, msg, Mode::Single)
-            .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            .unwrap_or_else(|e| panic!("{}: {e}", algo.to_kv()));
         verify_allgather(
             &built.sched,
             &built.send,
@@ -54,9 +53,9 @@ fn every_allgather_survives_the_full_pipeline() {
             msg,
             Mode::Threaded(6),
         )
-        .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+        .unwrap_or_else(|e| panic!("{}: {e}", algo.to_kv()));
         let res = sim.run(&built.sched).unwrap();
-        assert!(res.makespan > 0.0, "{}", algo.name());
+        assert!(res.makespan > 0.0, "{}", algo.to_kv());
         // Every op completed in finite time and respects dependencies.
         for op in built.sched.ops() {
             for &d in &op.deps {
@@ -75,18 +74,18 @@ fn allgather_volume_invariants_hold_for_flat_algorithms() {
     let msg = 128;
     let r = grid.nranks() as u64;
     for algo in [
-        AllgatherAlgo::Ring,
-        AllgatherAlgo::RecursiveDoubling,
-        AllgatherAlgo::Bruck,
-        AllgatherAlgo::DirectSpread,
+        AlgoConfig::flat(Family::Ring),
+        AlgoConfig::flat(Family::RecursiveDoubling),
+        AlgoConfig::flat(Family::Bruck),
+        AlgoConfig::flat(Family::DirectSpread),
     ] {
-        let built = algo.build(grid, msg, &spec).unwrap();
+        let built = build(&algo, grid, msg, &spec).unwrap();
         let stats = built.sched.stats();
         assert_eq!(
             stats.cma_bytes + stats.rail_bytes,
             r * (r - 1) * msg as u64,
             "{}",
-            algo.name()
+            algo.to_kv()
         );
     }
 }
@@ -122,9 +121,7 @@ fn simulator_and_executor_agree_on_schedule_structure() {
     // The two back-ends must accept exactly the same schedules.
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
-    let built = AllgatherAlgo::MhaInter(MhaInterConfig::default())
-        .build(ProcGrid::new(2, 3), 32, &spec)
-        .unwrap();
+    let built = build(&AlgoConfig::default(), ProcGrid::new(2, 3), 32, &spec).unwrap();
     let store = mha::exec::BufferStore::new(&built.sched);
     mha::exec::run_threaded(&built.sched, &store, 4).unwrap();
     sim.run(&built.sched).unwrap();
@@ -134,9 +131,13 @@ fn simulator_and_executor_agree_on_schedule_structure() {
 fn trace_covers_every_op_and_is_consistent() {
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
-    let built = AllgatherAlgo::Ring
-        .build(ProcGrid::new(2, 2), 1024, &spec)
-        .unwrap();
+    let built = build(
+        &AlgoConfig::flat(Family::Ring),
+        ProcGrid::new(2, 2),
+        1024,
+        &spec,
+    )
+    .unwrap();
     let res = sim
         .run_with(&built.sched, mha::simnet::SimConfig { trace: true })
         .unwrap();

@@ -2,8 +2,8 @@
 //! NUMA-aware design (Section 7 future work), the hierarchical Broadcast,
 //! and the BPMF application.
 
-use mha::collectives::mha::{build_mha_inter, build_mha_numa3, MhaInterConfig, Numa3Config};
-use mha::collectives::{build_binomial_bcast, build_mha_bcast};
+use mha::collectives::mha::{build_mha_numa3, Numa3Config};
+use mha::collectives::{build, build_binomial_bcast, build_mha_bcast, AlgoConfig};
 use mha::exec::{verify_allgather, verify_bcast, Mode};
 use mha::sched::{ProcGrid, RankId};
 use mha::simnet::{kind_breakdown, ClusterSpec, NumaSpec, SimConfig, Simulator};
@@ -27,7 +27,7 @@ fn numa3_full_pipeline_and_comparison() {
     )
     .unwrap();
 
-    let blind = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
+    let blind = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
     let t_aware = sim.run(&aware.sched).unwrap().latency_us();
     let t_blind = sim.run(&blind.sched).unwrap().latency_us();
     assert!(
@@ -43,7 +43,7 @@ fn numa_spec_does_not_perturb_non_numa_runs() {
     let grid = ProcGrid::new(2, 4); // 2 sockets of 2 ranks per node
     let msg = 16 * 1024;
     let spec_plain = ClusterSpec::thor();
-    let built = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec_plain).unwrap();
+    let built = build(&AlgoConfig::default(), grid, msg, &spec_plain).unwrap();
     let t_plain = Simulator::new(spec_plain)
         .unwrap()
         .run(&built.sched)
@@ -53,7 +53,7 @@ fn numa_spec_does_not_perturb_non_numa_runs() {
     // The NUMA run of the *same* schedule is slower or equal — socket
     // memory is scarcer and some hops cross the interconnect.
     let spec_numa = ClusterSpec::thor_numa();
-    let built_numa = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec_numa).unwrap();
+    let built_numa = build(&AlgoConfig::default(), grid, msg, &spec_numa).unwrap();
     let t_numa = Simulator::new(spec_numa)
         .unwrap()
         .run(&built_numa.sched)

@@ -1,8 +1,10 @@
 //! Failure injection and error-path coverage across the stack: bad
 //! configurations must be rejected with precise errors, never mis-executed.
 
-use mha::collectives::mha::{build_mha_inter, build_mha_intra, InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::{build_ring_allreduce, AllgatherAlgo, AllgatherPhase, BuildError};
+use mha::collectives::mha::{build_mha_intra, InterAlgo, MhaInterConfig, Offload};
+use mha::collectives::{
+    build, build_ring_allreduce, AlgoConfig, AllgatherPhase, BuildError, Family,
+};
 use mha::exec::ExecError;
 use mha::sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder, ValidateError};
 use mha::simnet::{ClusterSpec, SimError, Simulator};
@@ -11,21 +13,26 @@ use mha::simnet::{ClusterSpec, SimError, Simulator};
 fn rd_variants_reject_non_powers_of_two() {
     let spec = ClusterSpec::thor();
     assert!(matches!(
-        AllgatherAlgo::RecursiveDoubling.build(ProcGrid::new(3, 2), 8, &spec),
+        build(
+            &AlgoConfig::flat(Family::RecursiveDoubling),
+            ProcGrid::new(3, 2),
+            8,
+            &spec
+        ),
         Err(BuildError::RequiresPowerOfTwo {
             what: "ranks",
             got: 6
         })
     ));
     assert!(matches!(
-        build_mha_inter(
-            ProcGrid::new(5, 2),
-            8,
-            MhaInterConfig {
+        build(
+            &AlgoConfig::mha_inter(MhaInterConfig {
                 inter: InterAlgo::RecursiveDoubling,
                 offload: Offload::Auto,
                 overlap: true,
-            },
+            }),
+            ProcGrid::new(5, 2),
+            8,
             &spec
         ),
         Err(BuildError::RequiresPowerOfTwo {
@@ -34,7 +41,12 @@ fn rd_variants_reject_non_powers_of_two() {
         })
     ));
     assert!(matches!(
-        AllgatherAlgo::SingleLeader.build(ProcGrid::new(6, 2), 8, &spec),
+        build(
+            &AlgoConfig::flat(Family::SingleLeader),
+            ProcGrid::new(6, 2),
+            8,
+            &spec
+        ),
         Err(BuildError::RequiresPowerOfTwo { .. })
     ));
 }
@@ -43,9 +55,13 @@ fn rd_variants_reject_non_powers_of_two() {
 fn multi_leader_rejects_bad_group_counts() {
     let spec = ClusterSpec::thor();
     for groups in [0u32, 3, 7] {
-        let err = AllgatherAlgo::MultiLeader { groups }
-            .build(ProcGrid::new(2, 4), 8, &spec)
-            .unwrap_err();
+        let err = build(
+            &AlgoConfig::flat(Family::MultiLeader { groups }),
+            ProcGrid::new(2, 4),
+            8,
+            &spec,
+        )
+        .unwrap_err();
         assert!(matches!(err, BuildError::BadParameter(_)), "{groups}");
     }
 }
@@ -192,11 +208,11 @@ fn degenerate_layouts_all_work() {
         ProcGrid::new(4, 1),
     ] {
         for algo in [
-            AllgatherAlgo::Ring,
-            AllgatherAlgo::Bruck,
-            AllgatherAlgo::MhaInter(MhaInterConfig::default()),
+            AlgoConfig::flat(Family::Ring),
+            AlgoConfig::flat(Family::Bruck),
+            AlgoConfig::default(),
         ] {
-            let built = algo.build(grid, 16, &spec).unwrap();
+            let built = build(&algo, grid, 16, &spec).unwrap();
             mha::exec::verify_allgather(
                 &built.sched,
                 &built.send,
@@ -215,7 +231,7 @@ fn zero_rail_offload_equals_plain_direct_spread() {
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::single_node(4);
     let mha0 = build_mha_intra(grid, 64, Offload::Fixed(0), &spec).unwrap();
-    let ds = AllgatherAlgo::DirectSpread.build(grid, 64, &spec).unwrap();
+    let ds = build(&AlgoConfig::flat(Family::DirectSpread), grid, 64, &spec).unwrap();
     assert_eq!(mha0.sched.stats().rail_transfers, 0);
     assert_eq!(
         mha0.sched.stats().cma_transfers,

@@ -12,7 +12,8 @@
 
 use proptest::prelude::*;
 
-use mha::collectives::mha::{build_mha_inter_degraded, InterAlgo, MhaInterConfig, Offload};
+use mha::collectives::mha::InterAlgo;
+use mha::collectives::{build, AlgoConfig};
 use mha::exec::{verify_allgather, Mode};
 use mha::sched::{InvariantProbe, ProcGrid};
 use mha::simnet::{ClusterSpec, FaultSpec, Simulator};
@@ -21,14 +22,11 @@ use mha::simnet::{ClusterSpec, FaultSpec, Simulator};
 fn canonical_degraded_rail_run_is_bit_identical() {
     let want = f64::from_bits(0x3f244be42776a2be); // 154.849625 us
     let spec = ClusterSpec::thor();
-    let built = build_mha_inter_degraded(
-        ProcGrid::new(4, 4),
-        64 * 1024,
-        MhaInterConfig::default(),
-        &spec,
-        &[0],
-    )
-    .unwrap();
+    let cfg = AlgoConfig {
+        down_rails: vec![0],
+        ..AlgoConfig::default()
+    };
+    let built = build(&cfg, ProcGrid::new(4, 4), 64 * 1024, &spec).unwrap();
     let sim = Simulator::with_faults(spec, FaultSpec::rail_down_at(0, 0.0)).unwrap();
     let mut audit = InvariantProbe::new();
     let got = sim.run_probed(&built.sched, &mut audit).unwrap().makespan;
@@ -58,17 +56,17 @@ proptest! {
         let spec = ClusterSpec::thor_with_rails(rails);
         let grid = ProcGrid::new(nodes, ppn);
         let down = down_seed % rails;
-        let cfg = MhaInterConfig {
+        let cfg = AlgoConfig {
             // RD needs power-of-two nodes; Ring takes anything.
             inter: if ring || !nodes.is_power_of_two() {
                 InterAlgo::Ring
             } else {
                 InterAlgo::RecursiveDoubling
             },
-            offload: Offload::Auto,
-            overlap: true,
+            down_rails: vec![down],
+            ..AlgoConfig::default()
         };
-        let built = build_mha_inter_degraded(grid, msg, cfg, &spec, &[down]).unwrap();
+        let built = build(&cfg, grid, msg, &spec).unwrap();
         prop_assert!(mha::sched::validate(&built.sched, Some(spec.rails)).is_ok());
         prop_assert!(mha::sched::check_races(&built.sched).is_empty());
         verify_allgather(&built.sched, &built.send, &built.recv, msg, Mode::Single).unwrap();

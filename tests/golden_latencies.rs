@@ -7,8 +7,8 @@
 //! pipeline changed behaviour. After an *intentional* model change,
 //! regenerate them with `cargo run --release -p mha-bench --bin golden_dump`.
 
-use mha::collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::AllgatherAlgo;
+use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha::collectives::{build, AlgoConfig, Family};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, Simulator};
 
@@ -44,9 +44,13 @@ fn measure() -> Vec<(String, f64)> {
     let sim = Simulator::new(spec.clone()).unwrap();
     let mut rows: Vec<(String, f64)> = Vec::new();
 
-    let built = AllgatherAlgo::Ring
-        .build(ProcGrid::new(2, 2), 1 << 20, &spec)
-        .unwrap();
+    let built = build(
+        &AlgoConfig::flat(Family::Ring),
+        ProcGrid::new(2, 2),
+        1 << 20,
+        &spec,
+    )
+    .unwrap();
     rows.push((
         "fig02/ring_2x2_1M".into(),
         sim.run(&built.sched).unwrap().makespan,
@@ -62,7 +66,13 @@ fn measure() -> Vec<(String, f64)> {
                 offload: Offload::Auto,
                 overlap: true,
             };
-            let built = build_mha_inter(ProcGrid::new(16, 32), msg, cfg, &spec).unwrap();
+            let built = build(
+                &AlgoConfig::mha_inter(cfg),
+                ProcGrid::new(16, 32),
+                msg,
+                &spec,
+            )
+            .unwrap();
             rows.push((
                 format!("fig08/{name}_16x32_{msg}"),
                 sim.run(&built.sched).unwrap().makespan,
@@ -71,11 +81,11 @@ fn measure() -> Vec<(String, f64)> {
     }
 
     for (name, algo) in [
-        ("ring", AllgatherAlgo::Ring),
-        ("bruck", AllgatherAlgo::Bruck),
-        ("mha", AllgatherAlgo::MhaInter(MhaInterConfig::default())),
+        ("ring", AlgoConfig::flat(Family::Ring)),
+        ("bruck", AlgoConfig::flat(Family::Bruck)),
+        ("mha", AlgoConfig::default()),
     ] {
-        let built = algo.build(ProcGrid::new(8, 32), 4096, &spec).unwrap();
+        let built = build(&algo, ProcGrid::new(8, 32), 4096, &spec).unwrap();
         rows.push((
             format!("fig12/{name}_8x32_4096"),
             sim.run(&built.sched).unwrap().makespan,
@@ -83,10 +93,12 @@ fn measure() -> Vec<(String, f64)> {
     }
 
     for msg in [256 * 1024usize, 4 << 20] {
-        let built = AllgatherAlgo::MhaIntra {
-            offload: Offload::Auto,
-        }
-        .build(ProcGrid::single_node(16), msg, &spec)
+        let built = build(
+            &AlgoConfig::mha_intra(Offload::Auto),
+            ProcGrid::single_node(16),
+            msg,
+            &spec,
+        )
         .unwrap();
         rows.push((
             format!("fig11/mha_intra_1x16_{msg}"),
@@ -95,10 +107,10 @@ fn measure() -> Vec<(String, f64)> {
     }
 
     for (name, algo) in [
-        ("ring", AllgatherAlgo::Ring),
-        ("mha", AllgatherAlgo::MhaInter(MhaInterConfig::default())),
+        ("ring", AlgoConfig::flat(Family::Ring)),
+        ("mha", AlgoConfig::default()),
     ] {
-        let built = algo.build(ProcGrid::new(16, 32), 16 * 1024, &spec).unwrap();
+        let built = build(&algo, ProcGrid::new(16, 32), 16 * 1024, &spec).unwrap();
         rows.push((
             format!("fig13/{name}_16x32_16384"),
             sim.run(&built.sched).unwrap().makespan,
@@ -106,9 +118,7 @@ fn measure() -> Vec<(String, f64)> {
     }
 
     for msg in [4096usize, 64 * 1024] {
-        let built = AllgatherAlgo::MhaInter(MhaInterConfig::default())
-            .build(ProcGrid::new(32, 32), msg, &spec)
-            .unwrap();
+        let built = build(&AlgoConfig::default(), ProcGrid::new(32, 32), msg, &spec).unwrap();
         rows.push((
             format!("fig14/mha_32x32_{msg}"),
             sim.run(&built.sched).unwrap().makespan,

@@ -3,8 +3,8 @@
 //! quantitative comparison.
 
 use mha::apps::Contestant;
-use mha::collectives::mha::{build_mha_inter, InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::{select_inter_algo, Library};
+use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
+use mha::collectives::{build, select_inter_algo, AlgoConfig, Library};
 use mha::sched::ProcGrid;
 use mha::simnet::{pt2pt_bandwidth_mbps, pt2pt_latency_us, ClusterSpec, Placement, Simulator};
 
@@ -116,14 +116,14 @@ fn fig6_overlap_beats_sequential_phases() {
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(8, 8);
     let msg = 128 * 1024;
-    let overlapped = build_mha_inter(grid, msg, MhaInterConfig::default(), &spec).unwrap();
-    let sequential = build_mha_inter(
-        grid,
-        msg,
-        MhaInterConfig {
+    let overlapped = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
+    let sequential = build(
+        &AlgoConfig::mha_inter(MhaInterConfig {
             overlap: false,
             ..MhaInterConfig::default()
-        },
+        }),
+        grid,
+        msg,
         &spec,
     )
     .unwrap();

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha::collectives::{AllgatherAlgo, AllgatherPhase};
+use mha::collectives::{build, AlgoConfig, AllgatherPhase, Family};
 use mha::exec::{verify_allgather, verify_allreduce_sum_f32, Mode};
 use mha::sched::ProcGrid;
 use mha::simnet::{ClusterSpec, Simulator};
@@ -15,18 +15,18 @@ fn arb_grid() -> impl Strategy<Value = ProcGrid> {
 }
 
 /// Algorithms applicable to any grid.
-fn arb_universal_algo() -> impl Strategy<Value = AllgatherAlgo> {
+fn arb_universal_algo() -> impl Strategy<Value = AlgoConfig> {
     prop_oneof![
-        Just(AllgatherAlgo::Ring),
-        Just(AllgatherAlgo::Bruck),
-        Just(AllgatherAlgo::DirectSpread),
-        Just(AllgatherAlgo::MultiLeader { groups: 1 }),
-        any::<bool>().prop_map(|ov| AllgatherAlgo::MhaInter(MhaInterConfig {
+        Just(AlgoConfig::flat(Family::Ring)),
+        Just(AlgoConfig::flat(Family::Bruck)),
+        Just(AlgoConfig::flat(Family::DirectSpread)),
+        Just(AlgoConfig::flat(Family::MultiLeader { groups: 1 })),
+        any::<bool>().prop_map(|ov| AlgoConfig::mha_inter(MhaInterConfig {
             inter: InterAlgo::Ring,
             offload: Offload::Auto,
             overlap: ov,
         })),
-        (0u32..4).prop_map(|d| AllgatherAlgo::MhaInter(MhaInterConfig {
+        (0u32..4).prop_map(|d| AlgoConfig::mha_inter(MhaInterConfig {
             inter: InterAlgo::Ring,
             offload: Offload::Fixed(d),
             overlap: true,
@@ -44,7 +44,7 @@ proptest! {
         msg in 1usize..200,
     ) {
         let spec = ClusterSpec::thor();
-        let built = algo.build(grid, msg, &spec).unwrap();
+        let built = build(&algo, grid, msg, &spec).unwrap();
         prop_assert!(mha::sched::validate(&built.sched, Some(spec.rails)).is_ok());
         prop_assert!(mha::sched::check_races(&built.sched).is_empty());
         verify_allgather(&built.sched, &built.send, &built.recv, msg, Mode::Threaded(3))
@@ -59,7 +59,7 @@ proptest! {
     ) {
         let spec = ClusterSpec::thor();
         let sim = Simulator::new(spec.clone()).unwrap();
-        let built = algo.build(grid, msg, &spec).unwrap();
+        let built = build(&algo, grid, msg, &spec).unwrap();
         let res = sim.run(&built.sched).unwrap();
         prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
         for op in built.sched.ops() {
@@ -80,9 +80,9 @@ proptest! {
     ) {
         let spec = ClusterSpec::thor();
         let sim = Simulator::new(spec.clone()).unwrap();
-        let algo = AllgatherAlgo::MhaInter(MhaInterConfig::default());
-        let small = algo.build(grid, base, &spec).unwrap();
-        let large = algo.build(grid, base * 4, &spec).unwrap();
+        let algo = AlgoConfig::default();
+        let small = build(&algo, grid, base, &spec).unwrap();
+        let large = build(&algo, grid, base * 4, &spec).unwrap();
         let t_small = sim.run(&small.sched).unwrap().makespan;
         let t_large = sim.run(&large.sched).unwrap().makespan;
         prop_assert!(t_large >= t_small * 0.999, "{t_small} -> {t_large}");
@@ -116,13 +116,13 @@ proptest! {
         let spec = ClusterSpec::thor();
         let r = grid.nranks();
         // Ring and Direct Spread: N - 1 exchange steps (+ self-copy step).
-        for algo in [AllgatherAlgo::Ring, AllgatherAlgo::DirectSpread] {
-            let built = algo.build(grid, msg, &spec).unwrap();
+        for algo in [AlgoConfig::flat(Family::Ring), AlgoConfig::flat(Family::DirectSpread)] {
+            let built = build(&algo, grid, msg, &spec).unwrap();
             prop_assert_eq!(built.sched.stats().steps, r.max(1));
         }
         // RD: log2(N) exchange steps for powers of two.
         if r.is_power_of_two() {
-            let built = AllgatherAlgo::RecursiveDoubling.build(grid, msg, &spec).unwrap();
+            let built = build(&AlgoConfig::flat(Family::RecursiveDoubling), grid, msg, &spec).unwrap();
             prop_assert_eq!(built.sched.stats().steps, r.trailing_zeros() + 1);
         }
     }
@@ -156,7 +156,7 @@ proptest! {
     ) {
         let spec = ClusterSpec::thor();
         let sim = Simulator::new(spec.clone()).unwrap();
-        let built = AllgatherAlgo::Ring.build(grid, msg, &spec).unwrap();
+        let built = build(&AlgoConfig::flat(Family::Ring), grid, msg, &spec).unwrap();
         let a = sim.run(&built.sched).unwrap();
         let b = sim.run(&built.sched).unwrap();
         prop_assert_eq!(a.makespan, b.makespan);

@@ -3,8 +3,7 @@
 //! deterministic, so these hold to float precision; if a model change
 //! moves them, EXPERIMENTS.md must be regenerated and re-audited.
 
-use mha::collectives::mha::{build_mha_inter, MhaInterConfig};
-use mha::collectives::AllgatherAlgo;
+use mha::collectives::{build, AlgoConfig, Family};
 use mha::sched::ProcGrid;
 use mha::simnet::{pt2pt_bandwidth_mbps, ClusterSpec, Placement, Simulator};
 
@@ -40,16 +39,20 @@ fn pinned_collective_latencies() {
     let sim = Simulator::new(spec.clone()).unwrap();
 
     // Figure 2's configuration: flat ring, 2 nodes x 2 PPN, 1 MB.
-    let ring = AllgatherAlgo::Ring
-        .build(ProcGrid::new(2, 2), 1 << 20, &spec)
-        .unwrap();
+    let ring = build(
+        &AlgoConfig::flat(Family::Ring),
+        ProcGrid::new(2, 2),
+        1 << 20,
+        &spec,
+    )
+    .unwrap();
     close(sim.run(&ring.sched).unwrap().latency_us(), 369.334965034965);
 
     // The quickstart configuration: MHA-inter ring, 4 nodes x 8 PPN, 64 KB.
-    let mha = build_mha_inter(
+    let mha = build(
+        &AlgoConfig::default(),
         ProcGrid::new(4, 8),
         64 * 1024,
-        MhaInterConfig::default(),
         &spec,
     )
     .unwrap();
