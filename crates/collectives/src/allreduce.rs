@@ -92,8 +92,7 @@ pub fn build_ring_allreduce(
                 let chunk_idx = (src + 2 * r - 1 - s) % r;
                 let (src_r, dst_r) = (RankId(src), RankId(dst));
                 let ch = ctx.channel_between(src_r, dst_r);
-                let mut deps = vec![arrival[src as usize]];
-                deps.extend(ctx.cur.deps_of(dst_r));
+                let deps = ctx.cur.deps_with(dst_r, &[arrival[src as usize]]);
                 let t = ctx.b.transfer(
                     src_r,
                     dst_r,

@@ -23,7 +23,7 @@
 //! roles compose unchanged. Emission depends only on the tree *shape*;
 //! link speeds feed models and cache keys.
 
-use mha_sched::{BufId, Channel, GroupId, Loc, OpId, OpKind, RailSet, RankId, Topology};
+use mha_sched::{BufId, Channel, DepList, GroupId, Loc, OpId, OpKind, RailSet, RankId, Topology};
 use mha_simnet::ClusterSpec;
 
 use crate::chunks::chunk_bounds;
@@ -463,7 +463,7 @@ pub(crate) fn gather_into(
                 // order deps); the NIC moves it while the CPU works through
                 // its CMA chain. In Allreduce phase B it additionally waits
                 // for the origin's contribution to exist.
-                let deps = ctx.ready_deps(peer);
+                let deps = DepList::from(ctx.ready_deps(peer));
                 let t = ctx.b.transfer(
                     peer,
                     me,
@@ -477,8 +477,7 @@ pub(crate) fn gather_into(
                 ops.push(t);
             } else {
                 // CPU path: CMA fetches chained in the rank's program order.
-                let mut deps = ctx.cur.deps_of(me);
-                deps.extend(ctx.ready_deps(peer));
+                let deps = ctx.cur.deps_with(me, ctx.ready_deps(peer));
                 let t = ctx
                     .b
                     .transfer(peer, me, src, dst, msg, Channel::Cma, &deps, step_base + i);
@@ -563,7 +562,7 @@ pub(crate) fn leader_chunk_transfer(
         },
         &parts,
         step,
-        "stripe-join",
+        Some("stripe-join"),
     )
 }
 
@@ -644,8 +643,9 @@ fn emit_hier(
                     } else {
                         Channel::Cma // pays the level's interconnect once
                     };
-                    let mut deps = region_done[(first_child + other) as usize].clone();
-                    deps.extend(ctx.cur.deps_of(me));
+                    let deps = ctx
+                        .cur
+                        .deps_with(me, &region_done[(first_child + other) as usize]);
                     let import = ctx.b.transfer(
                         peer,
                         me,
@@ -748,8 +748,10 @@ fn emit_hier(
             let np = pieces.len();
             // avail[nd][p]: ops guaranteeing piece p of the block node nd
             // sends this step.
-            let mut avail: Vec<Vec<Vec<OpId>>> =
-                region_done.into_iter().map(|d| vec![d; np]).collect();
+            let mut avail: Vec<Vec<DepList>> = region_done
+                .iter()
+                .map(|d| vec![DepList::from(&d[..]); np])
+                .collect();
             let mut prev_recv: Vec<Vec<Option<OpId>>> = vec![vec![None; np]; n as usize];
             for s in 0..n - 1 {
                 let mut next_avail = Vec::with_capacity(n as usize);
@@ -762,7 +764,7 @@ fn emit_hier(
                     let mut nd_recv = Vec::with_capacity(np);
                     for (p, &(pstart, plen)) in pieces.iter().enumerate() {
                         let mut deps = avail[sender as usize][p].clone();
-                        deps.extend(prev_recv[nd as usize][p]);
+                        deps.extend_from_slice(prev_recv[nd as usize][p].as_slice());
                         let start = block_node * gs1 + pstart;
                         let t = leader_chunk_transfer(
                             ctx,
@@ -782,7 +784,7 @@ fn emit_hier(
                             nblocks: plen,
                             op: t,
                         });
-                        nd_avail.push(vec![t]);
+                        nd_avail.push(DepList::from(&[t][..]));
                         nd_recv.push(Some(t));
                     }
                     next_avail.push(nd_avail);
@@ -810,8 +812,8 @@ fn emit_hier(
                 for nd in 0..n {
                     let partner = nd ^ dist;
                     let pbase = partner & !(dist - 1);
-                    let mut deps = net_cur[partner as usize].clone();
-                    deps.extend(net_cur[nd as usize].iter().copied());
+                    let mut deps = DepList::from(&net_cur[partner as usize][..]);
+                    deps.extend_from_slice(&net_cur[nd as usize]);
                     let (lsrc, ldst) = (leader(partner), leader(nd));
                     let mut got = Vec::with_capacity(pieces.len());
                     for &(pstart, plen) in &pieces {
@@ -861,19 +863,16 @@ fn emit_hier(
             };
             let off = arr.start_block as usize * msg;
             let len = arr.nblocks as usize * msg;
-            let mut publish: Vec<OpId> = Vec::with_capacity(nseg as usize);
+            // The node leader's publish of this chunk, once emitted.
+            let mut head: Option<OpId> = None;
             for c in 0..nseg {
                 let actor = RankId(node.0 * gs1 + c * seg_size);
-                let (src, dep): (Loc, Vec<OpId>) = if c == 0 {
-                    (
+                let (src, dep) = match head {
+                    None => (
                         Loc::new(ctx.recv[actor.index()], off),
                         ctx.cur.deps_with(actor, gate),
-                    )
-                } else {
-                    (
-                        Loc::new(shm[nd][0], off),
-                        ctx.cur.deps_with(actor, &[publish[0]]),
-                    )
+                    ),
+                    Some(h) => (Loc::new(shm[nd][0], off), ctx.cur.deps_with(actor, &[h])),
                 };
                 let cin = ctx.b.copy(
                     actor,
@@ -884,7 +883,7 @@ fn emit_hier(
                     2000 + idx as u32,
                 );
                 ctx.cur.advance(actor, cin);
-                publish.push(cin);
+                head.get_or_insert(cin);
                 // The relayed chunk also completes the relaying leader's
                 // own receive buffer.
                 if c > 0 {

@@ -36,7 +36,7 @@ pub(crate) struct Ctx {
     /// buffer, produced by earlier ops — readiness is [`Ctx::ready_deps`].
     contrib_in_recv: bool,
     /// Per-rank op that produced the contribution (contrib-in-recv mode).
-    ready: Vec<Vec<OpId>>,
+    ready: Vec<Option<OpId>>,
 }
 
 impl Ctx {
@@ -62,7 +62,7 @@ impl Ctx {
             recv,
             msg,
             contrib_in_recv: false,
-            ready: vec![Vec::new(); nranks as usize],
+            ready: vec![None; nranks as usize],
         }
     }
 
@@ -90,21 +90,21 @@ impl Ctx {
             recv,
             msg: chunk,
             contrib_in_recv: true,
-            ready: vec![Vec::new(); nranks as usize],
+            ready: vec![None; nranks as usize],
         }
     }
 
     /// Records that `op` completed `rank`'s contribution (contrib-in-recv
     /// mode only).
     pub fn set_ready(&mut self, rank: RankId, op: OpId) {
-        self.ready[rank.index()] = vec![op];
+        self.ready[rank.index()] = Some(op);
     }
 
     /// Dependencies a transfer must honour before reading `rank`'s
     /// contribution "from the origin". Empty for plain Allgather (send
     /// buffers are ready at t = 0).
-    pub fn ready_deps(&self, rank: RankId) -> Vec<OpId> {
-        self.ready[rank.index()].clone()
+    pub fn ready_deps(&self, rank: RankId) -> &[OpId] {
+        self.ready[rank.index()].as_slice()
     }
 
     /// The grid under construction.
@@ -151,14 +151,14 @@ impl Ctx {
                     actor: rank,
                     flops: 0,
                 },
-                &deps,
+                deps,
                 step,
-                "sync",
+                Some("sync"),
             )
         } else {
             let src = self.send_loc(rank);
             let dst = self.recv_block(rank, rank.0);
-            self.b.copy(rank, src, dst, self.msg, &deps, step)
+            self.b.copy(rank, src, dst, self.msg, deps, step)
         };
         self.cur.advance(rank, op);
         op
@@ -184,12 +184,11 @@ impl Ctx {
     pub fn emit_degenerate(&mut self) {
         debug_assert!(self.is_degenerate());
         for r in self.grid().ranks() {
-            let deps = self.cur.deps_of(r);
             let op = self.b.push(
                 mha_sched::OpKind::Compute { actor: r, flops: 0 },
-                &deps,
+                self.cur.deps_of(r),
                 0,
-                "empty",
+                Some("empty"),
             );
             self.cur.advance(r, op);
         }

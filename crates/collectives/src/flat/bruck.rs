@@ -57,11 +57,7 @@ pub(crate) fn emit_bruck(ctx: &mut Ctx) {
             let peer = (me + dist) % r;
             let (src_r, dst_r) = (RankId(peer), RankId(me));
             let ch = ctx.channel_between(src_r, dst_r);
-            let deps = {
-                let mut d = ctx.cur.deps_of(dst_r);
-                d.extend(ctx.cur.deps_of(src_r));
-                d
-            };
+            let deps = ctx.cur.deps_with(dst_r, ctx.cur.deps_of(src_r));
             let t = ctx.b.transfer(
                 src_r,
                 dst_r,
@@ -91,7 +87,7 @@ pub(crate) fn emit_bruck(ctx: &mut Ctx) {
             Loc::new(tmp[rank as usize], 0),
             ctx.recv_block(rid, rank),
             head * msg,
-            &deps,
+            deps,
             step,
         );
         ctx.cur.advance(rid, c1);
@@ -102,7 +98,7 @@ pub(crate) fn emit_bruck(ctx: &mut Ctx) {
                 Loc::new(tmp[rank as usize], head * msg),
                 ctx.recv_block(rid, 0),
                 rank as usize * msg,
-                &deps,
+                deps,
                 step,
             );
             ctx.cur.advance(rid, c2);

@@ -34,8 +34,7 @@ pub(crate) fn emit_direct_spread(ctx: &mut Ctx) {
             // Blocks come straight from the origin's contribution (ready at
             // t = 0 for a plain Allgather): order on the receiver's own
             // step loop, plus the origin's readiness in Allreduce phase B.
-            let mut deps = ctx.cur.deps_of(dst_r);
-            deps.extend(ctx.ready_deps(src_r));
+            let deps = ctx.cur.deps_with(dst_r, ctx.ready_deps(src_r));
             let t = ctx.b.transfer(
                 src_r,
                 dst_r,
@@ -77,7 +76,7 @@ mod tests {
         let built = build_direct_spread(ProcGrid::new(1, 5), 8);
         for op in built.sched.ops() {
             if let mha_sched::OpKind::Transfer { dst_rank, .. } = &op.kind {
-                for &d in &op.deps {
+                for &d in built.sched.deps(op.id) {
                     let dep = built.sched.op(d);
                     let actor = match &dep.kind {
                         mha_sched::OpKind::Transfer { dst_rank, .. } => *dst_rank,

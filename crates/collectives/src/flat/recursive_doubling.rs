@@ -50,11 +50,7 @@ pub(crate) fn emit_recursive_doubling(ctx: &mut Ctx) {
             let (src_r, dst_r) = (RankId(partner), RankId(me));
             let ch = ctx.channel_between(src_r, dst_r);
             // The sendrecv blocks both sides: depend on both cursors.
-            let deps = {
-                let mut d = ctx.cur.deps_of(dst_r);
-                d.extend(ctx.cur.deps_of(src_r));
-                d
-            };
+            let deps = ctx.cur.deps_with(dst_r, ctx.cur.deps_of(src_r));
             let t = ctx.b.transfer(
                 src_r,
                 dst_r,

@@ -42,9 +42,8 @@ pub(crate) fn emit_ring(ctx: &mut Ctx) {
             let ch = ctx.channel_between(src_r, dst_r);
             // Data availability at the sender plus both ranks' step loop
             // (MPI sendrecv blocks sender and receiver alike).
-            let mut deps = vec![arrival[src as usize]];
-            deps.extend(ctx.cur.deps_of(dst_r));
-            deps.extend(ctx.cur.deps_of(src_r));
+            let mut deps = ctx.cur.deps_with(dst_r, ctx.cur.deps_of(src_r));
+            deps.push(arrival[src as usize]);
             let t = ctx.b.transfer(
                 src_r,
                 dst_r,

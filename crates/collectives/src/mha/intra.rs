@@ -88,7 +88,11 @@ mod tests {
                 ..
             } = op.kind
             {
-                assert!(op.deps.is_empty(), "HCA transfer {:?} has deps", op.id);
+                assert!(
+                    built.sched.deps(op.id).is_empty(),
+                    "HCA transfer {:?} has deps",
+                    op.id
+                );
             }
         }
     }

@@ -68,7 +68,7 @@ pub(crate) fn emit_multi_leader(ctx: &mut Ctx, groups: u32) {
             let rank = RankId(lead.0 + j);
             let deps = ctx.cur.deps_of(rank);
             let dst = Loc::new(shm[gg as usize], rank.index() * msg);
-            let op = ctx.b.copy(rank, ctx.send_loc(rank), dst, msg, &deps, 0);
+            let op = ctx.b.copy(rank, ctx.send_loc(rank), dst, msg, deps, 0);
             ctx.cur.advance(rank, op);
             deposits.push(op);
         }
@@ -98,9 +98,8 @@ pub(crate) fn emit_multi_leader(ctx: &mut Ctx, groups: u32) {
                 let (lsrc, ldst) = (leader(sender), leader(gg));
                 let ch = ctx.channel_between(lsrc, ldst);
                 let off = group_first_block(group_block) as usize * msg;
-                let mut deps = vec![avail[sender as usize]];
-                deps.extend(ctx.cur.deps_of(ldst));
-                deps.extend(ctx.cur.deps_of(lsrc));
+                let mut deps = ctx.cur.deps_with(ldst, ctx.cur.deps_of(lsrc));
+                deps.push(avail[sender as usize]);
                 let t = ctx.b.transfer(
                     lsrc,
                     ldst,
@@ -129,7 +128,7 @@ pub(crate) fn emit_multi_leader(ctx: &mut Ctx, groups: u32) {
             Loc::new(ctx.recv[lead.index()], 0),
             Loc::new(shm[gg as usize], 0),
             total,
-            &deps,
+            deps,
             2000,
         );
         ctx.cur.advance(lead, publish);

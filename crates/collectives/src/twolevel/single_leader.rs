@@ -9,7 +9,7 @@
 //! Recursive Doubling, whose doubling chunk sizes erode the overlap that
 //! Ring would preserve (and no HCA offload is used in phase 1).
 
-use mha_sched::{Channel, Loc, OpId, ProcGrid};
+use mha_sched::{Channel, DepList, Loc, OpId, ProcGrid};
 
 use crate::ctx::{BuildError, Built, Ctx};
 
@@ -61,7 +61,7 @@ pub(crate) fn emit_single_leader(ctx: &mut Ctx) {
             let deps = ctx.cur.deps_of(rank);
             let src = ctx.send_loc(rank);
             let dst = Loc::new(shm[node.index()], rank.index() * msg);
-            let op = ctx.b.copy(rank, src, dst, msg, &deps, 0);
+            let op = ctx.b.copy(rank, src, dst, msg, deps, 0);
             ctx.cur.advance(rank, op);
             deposits.push(op);
         }
@@ -71,7 +71,7 @@ pub(crate) fn emit_single_leader(ctx: &mut Ctx) {
     // ---- Phase 2: RD between leaders, shm-resident. ----------------------
     // arrivals[node]: (start_block, nblocks, op) per received chunk.
     let mut arrivals: Vec<Vec<(u32, u32, OpId)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut net_cur: Vec<Vec<OpId>> = node_staged.clone();
+    let mut net_cur: Vec<DepList> = node_staged.iter().map(|d| DepList::from(&d[..])).collect();
     let steps = n.trailing_zeros();
     for k in 0..steps {
         let dist = 1u32 << k;
@@ -80,7 +80,7 @@ pub(crate) fn emit_single_leader(ctx: &mut Ctx) {
             let partner = nd ^ dist;
             let pbase = partner & !(dist - 1);
             let mut deps = net_cur[partner as usize].clone();
-            deps.extend(net_cur[nd as usize].iter().copied());
+            deps.extend_from_slice(&net_cur[nd as usize]);
             let lsrc = grid.leader_of(mha_sched::NodeId(partner));
             let ldst = grid.leader_of(mha_sched::NodeId(nd));
             let off = (pbase * l) as usize * msg;
@@ -96,7 +96,7 @@ pub(crate) fn emit_single_leader(ctx: &mut Ctx) {
                 1000 + k,
             );
             arrivals[nd as usize].push((pbase * l, dist * l, t));
-            next_cur[nd as usize] = vec![t];
+            next_cur[nd as usize] = DepList::from(&[t][..]);
         }
         net_cur = next_cur;
     }

@@ -41,8 +41,8 @@ pub struct OpSpec {
     pub deps: Vec<OpId>,
     /// Algorithm step (kept for trace fidelity).
     pub step: u32,
-    /// Human-readable label.
-    pub label: String,
+    /// Fixed trace name in place of the derived label, if any.
+    pub marker: Option<&'static str>,
 }
 
 impl SchedSpec {
@@ -57,9 +57,9 @@ impl SchedSpec {
                 .iter()
                 .map(|op| OpSpec {
                     kind: op.kind.clone(),
-                    deps: op.deps.clone(),
+                    deps: sch.deps(op.id).to_vec(),
                     step: op.step,
-                    label: op.label.clone(),
+                    marker: op.marker,
                 })
                 .collect(),
         }
@@ -81,7 +81,7 @@ impl SchedSpec {
             assert_eq!(id.index(), i, "buffer ids must survive the round trip");
         }
         for op in &self.ops {
-            b.push(op.kind.clone(), &op.deps, op.step, op.label.clone());
+            b.push(op.kind.clone(), &op.deps, op.step, op.marker);
         }
         b.finish()
     }

@@ -228,14 +228,15 @@ pub fn check_case(
     run_threaded_probed(sch, &store, threads, &mut stamps)
         .map_err(|e| format!("probed exec: {e:?}"))?;
     for op in 0..sch.n_ops() as u32 {
-        for &p in sch.preds(op) {
-            let (ps, os) = (result.op_end[p as usize], result.op_end[op as usize]);
+        for p in sch.preds(op) {
+            let p = p.index();
+            let (ps, os) = (result.op_end[p], result.op_end[op as usize]);
             if ps > os {
                 return Err(format!(
                     "simnet finished {op} at {os} before pred {p} at {ps}"
                 ));
             }
-            let (pe, oe) = (stamps.end[p as usize], stamps.end[op as usize]);
+            let (pe, oe) = (stamps.end[p], stamps.end[op as usize]);
             if pe > oe {
                 return Err(format!(
                     "executor finished {op} at {oe} before pred {p} at {pe}"
@@ -265,10 +266,10 @@ pub fn critical_path(sch: &FrozenSchedule, op_end: &[f64]) -> Vec<u32> {
     while let Some(&p) = sch
         .preds(cur as u32)
         .iter()
-        .max_by(|a, b| op_end[**a as usize].total_cmp(&op_end[**b as usize]))
+        .max_by(|a, b| op_end[a.index()].total_cmp(&op_end[b.index()]))
     {
-        chain.push(p);
-        cur = p as usize;
+        chain.push(p.0);
+        cur = p.index();
     }
     chain.reverse();
     chain

@@ -123,7 +123,7 @@ fn dependency_incomplete_journals_are_rejected_typed() {
         let Some(op) = (0..sch.n_ops() as u32).find(|&i| !sch.preds(i).is_empty()) else {
             continue;
         };
-        let dep = sch.preds(op)[0];
+        let dep = sch.preds(op)[0].0;
         let journal = CompletionJournal::from_entries(sch.n_ops(), vec![op]);
         let err = journal.validate(sch).unwrap_err();
         assert_eq!(

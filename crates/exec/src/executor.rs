@@ -2,8 +2,8 @@
 //!
 //! Two interpreters of the frozen IR with identical semantics:
 //!
-//! * [`run_single`] — deterministic, sequential, in the frozen topological
-//!   order. The reference implementation.
+//! * [`run_single`] — deterministic, sequential, in op id order (a
+//!   topological order). The reference implementation.
 //! * [`run_threaded`] — a dependency-driven worker pool: readiness comes
 //!   from the shared [`mha_sched::AtomicReadySet`] driver (the same
 //!   indegree-counter runtime the simulator uses); any worker may claim any
@@ -146,12 +146,12 @@ fn execute_op(kind: &OpKind, store: &BufferStore) {
     }
 }
 
-/// Executes `sch` sequentially in the frozen topological order.
+/// Executes `sch` sequentially in op id order, which is a topological
+/// order (dependencies always point backwards).
 pub fn run_single(sch: &FrozenSchedule, store: &BufferStore) -> Result<(), ExecError> {
     mha_sched::validate(sch, None)?;
-    let ops = sch.ops();
-    for &i in sch.topo_order() {
-        execute_op(&ops[i as usize].kind, store);
+    for op in sch.ops() {
+        execute_op(&op.kind, store);
     }
     Ok(())
 }
@@ -167,7 +167,7 @@ pub fn run_single_probed(
     probe.begin_run(sch, "exec-single");
     let t0 = Instant::now();
     let ops = sch.ops();
-    for &i in sch.topo_order() {
+    for i in 0..sch.n_ops() as u32 {
         let t = t0.elapsed().as_secs_f64();
         probe.op_ready(i, t);
         probe.op_start(i, t);
@@ -238,7 +238,7 @@ fn run_single_limited(
     }
     let mut retired = entries.len();
     let ops = sch.ops();
-    for &i in sch.topo_order() {
+    for i in 0..n as u32 {
         if done[i as usize] {
             continue;
         }

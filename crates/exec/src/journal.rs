@@ -154,8 +154,8 @@ impl CompletionJournal {
             if seen[op as usize] {
                 return Err(JournalError::Duplicate { op });
             }
-            if let Some(&dep) = sch.preds(op).iter().find(|&&p| !seen[p as usize]) {
-                return Err(JournalError::DepIncomplete { op, dep });
+            if let Some(&dep) = sch.preds(op).iter().find(|&&p| !seen[p.index()]) {
+                return Err(JournalError::DepIncomplete { op, dep: dep.0 });
             }
             seen[op as usize] = true;
         }

@@ -16,6 +16,9 @@ pub struct ScheduleBuilder {
     grid: ProcGrid,
     buffers: Vec<BufferDecl>,
     ops: Vec<Op>,
+    /// Flat dependency list: see [`Schedule::deps`].
+    dep_off: Vec<u32>,
+    deps: Vec<OpId>,
     name: String,
     release: Vec<f64>,
 }
@@ -27,6 +30,8 @@ impl ScheduleBuilder {
             grid,
             buffers: Vec::new(),
             ops: Vec::new(),
+            dep_off: vec![0],
+            deps: Vec::new(),
             name: name.into(),
             release: Vec::new(),
         }
@@ -130,7 +135,10 @@ impl ScheduleBuilder {
         id
     }
 
-    /// Adds an op with explicit dependencies, step tag and label.
+    /// Adds an op with explicit dependencies and step tag. `marker` names
+    /// the op in traces in place of the label derived from its kind (the
+    /// zero-flop `sync` markers, for instance); `None` keeps the derived
+    /// label. Duplicate dependencies are dropped and the rest sorted.
     ///
     /// # Panics
     ///
@@ -141,7 +149,7 @@ impl ScheduleBuilder {
         kind: OpKind,
         deps: &[OpId],
         step: u32,
-        label: impl Into<String>,
+        marker: Option<&'static str>,
     ) -> OpId {
         let id = OpId::from(self.ops.len());
         for &d in deps {
@@ -150,15 +158,26 @@ impl ScheduleBuilder {
                 "op {id} depends on {d}, which does not exist yet (forward deps are forbidden)"
             );
         }
-        let mut dep_vec = deps.to_vec();
-        dep_vec.sort_unstable();
-        dep_vec.dedup();
+        // Sort and dedup in place at the tail of the flat list.
+        let start = self.deps.len();
+        self.deps.extend_from_slice(deps);
+        let tail = &mut self.deps[start..];
+        tail.sort_unstable();
+        let mut kept = 0;
+        for i in 0..tail.len() {
+            if kept == 0 || tail[i] != tail[kept - 1] {
+                tail[kept] = tail[i];
+                kept += 1;
+            }
+        }
+        self.deps.truncate(start + kept);
+        self.dep_off
+            .push(u32::try_from(self.deps.len()).expect("dependency count overflows u32"));
         self.ops.push(Op {
             id,
             kind,
-            deps: dep_vec,
             step,
-            label: label.into(),
+            marker,
         });
         id
     }
@@ -176,7 +195,6 @@ impl ScheduleBuilder {
         deps: &[OpId],
         step: u32,
     ) -> OpId {
-        let label = format!("{src_rank}->{dst_rank}");
         self.push(
             OpKind::Transfer {
                 src_rank,
@@ -188,7 +206,7 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            label,
+            None,
         )
     }
 
@@ -211,7 +229,7 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            format!("copy@{actor}"),
+            None,
         )
     }
 
@@ -244,18 +262,13 @@ impl ScheduleBuilder {
             },
             deps,
             step,
-            format!("red@{actor}"),
+            None,
         )
     }
 
     /// Convenience: a pure-compute op.
     pub fn compute(&mut self, actor: RankId, flops: u64, deps: &[OpId], step: u32) -> OpId {
-        self.push(
-            OpKind::Compute { actor, flops },
-            deps,
-            step,
-            format!("comp@{actor}"),
-        )
+        self.push(OpKind::Compute { actor, flops }, deps, step, None)
     }
 
     /// Finalizes the schedule.
@@ -264,7 +277,15 @@ impl ScheduleBuilder {
         if !self.release.is_empty() {
             self.release.resize(self.ops.len(), 0.0);
         }
-        Schedule::from_parts(self.grid, self.buffers, self.ops, self.name, self.release)
+        Schedule::from_parts(
+            self.grid,
+            self.buffers,
+            self.ops,
+            self.dep_off,
+            self.deps,
+            self.name,
+            self.release,
+        )
     }
 }
 
@@ -287,15 +308,15 @@ impl RankCursors {
     }
 
     /// The rank's previous op, if any, as a dependency list.
-    pub fn deps_of(&self, rank: RankId) -> Vec<OpId> {
-        self.last[rank.index()].into_iter().collect()
+    pub fn deps_of(&self, rank: RankId) -> &[OpId] {
+        self.last[rank.index()].as_slice()
     }
 
     /// Dependencies = the rank's previous op plus `extra`.
-    pub fn deps_with(&self, rank: RankId, extra: &[OpId]) -> Vec<OpId> {
-        let mut v = self.deps_of(rank);
-        v.extend_from_slice(extra);
-        v
+    pub fn deps_with(&self, rank: RankId, extra: &[OpId]) -> DepList {
+        let mut d = DepList::from(self.deps_of(rank));
+        d.extend_from_slice(extra);
+        d
     }
 
     /// Records `op` as the rank's latest.
@@ -306,6 +327,78 @@ impl RankCursors {
     /// The rank's latest op.
     pub fn last(&self, rank: RankId) -> Option<OpId> {
         self.last[rank.index()]
+    }
+}
+
+/// A short dependency list assembled without the heap: up to
+/// [`DepList::INLINE`] ids are stored inline and only a longer list spills
+/// into a `Vec`. Emitters gather an op's dependencies from several sources
+/// (data arrival, both ranks' program order) in one of these, so building a
+/// schedule makes no heap allocation per op. Derefs to `[OpId]`.
+#[derive(Debug, Clone)]
+pub struct DepList {
+    len: usize,
+    inline: [OpId; DepList::INLINE],
+    spill: Vec<OpId>,
+}
+
+impl DepList {
+    /// Ids held without a heap allocation.
+    pub const INLINE: usize = 4;
+
+    /// An empty list.
+    pub fn new() -> Self {
+        DepList {
+            len: 0,
+            inline: [OpId(0); DepList::INLINE],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Appends `id`.
+    pub fn push(&mut self, id: OpId) {
+        if self.len < Self::INLINE {
+            self.inline[self.len] = id;
+        } else {
+            if self.len == Self::INLINE {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(id);
+        }
+        self.len += 1;
+    }
+
+    /// Appends every id of `ids`.
+    pub fn extend_from_slice(&mut self, ids: &[OpId]) {
+        for &id in ids {
+            self.push(id);
+        }
+    }
+}
+
+impl Default for DepList {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl From<&[OpId]> for DepList {
+    fn from(ids: &[OpId]) -> Self {
+        let mut d = DepList::new();
+        d.extend_from_slice(ids);
+        d
+    }
+}
+
+impl std::ops::Deref for DepList {
+    type Target = [OpId];
+
+    fn deref(&self) -> &[OpId] {
+        if self.len <= Self::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
     }
 }
 
@@ -320,7 +413,7 @@ mod tests {
         let c = b.compute(RankId(0), 1, &[], 0);
         let d = b.compute(RankId(1), 1, &[c, a, c], 1);
         let sch = b.finish();
-        assert_eq!(sch.op(d).deps, vec![a, c]);
+        assert_eq!(sch.deps(d), &[a, c]);
     }
 
     #[test]
@@ -360,14 +453,23 @@ mod tests {
         let mut b = ScheduleBuilder::new(grid, "t");
         let mut cur = RankCursors::new(&grid);
         assert!(cur.deps_of(RankId(0)).is_empty());
-        let a = b.compute(RankId(0), 1, &cur.deps_of(RankId(0)), 0);
+        let a = b.compute(RankId(0), 1, cur.deps_of(RankId(0)), 0);
         cur.advance(RankId(0), a);
-        assert_eq!(cur.deps_of(RankId(0)), vec![a]);
+        assert_eq!(cur.deps_of(RankId(0)), &[a]);
         assert_eq!(cur.last(RankId(1)), None);
         let mixed = cur.deps_with(RankId(0), &[a]);
-        assert_eq!(mixed, vec![a, a]); // push() dedups later
+        assert_eq!(&*mixed, &[a, a]); // push() dedups later
         let c = b.compute(RankId(0), 1, &mixed, 1);
-        assert_eq!(b.finish().op(c).deps, vec![a]);
+        assert_eq!(b.finish().deps(c), &[a]);
+    }
+
+    #[test]
+    fn dep_list_spills_past_its_inline_capacity() {
+        let ids: Vec<OpId> = (0..9u32).map(OpId).collect();
+        for n in 0..ids.len() {
+            let d = DepList::from(&ids[..n]);
+            assert_eq!(&*d, &ids[..n]);
+        }
     }
 
     #[test]

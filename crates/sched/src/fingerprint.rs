@@ -198,8 +198,9 @@ impl FrozenSchedule {
                 }
             }
             fp.push_u32(op.step);
-            fp.push_usize(op.deps.len());
-            for d in &op.deps {
+            let deps = self.deps(op.id);
+            fp.push_usize(deps.len());
+            for d in deps {
                 fp.push_u32(d.0);
             }
         }

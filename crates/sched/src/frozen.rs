@@ -12,9 +12,13 @@
 //!   `succ[succ_off[i]..succ_off[i+1]]`, in the same order the ad-hoc
 //!   adjacency used to produce them (so event ordering — and therefore
 //!   simulated timing — is bit-identical to the pre-CSR engine);
-//! * `pred_off`/`pred`: the transposed view (an op's dependencies);
-//! * `indegree`, `roots`, `topo`: the Kahn bootstrap state every readiness
-//!   driver needs (see [`crate::runtime`]);
+//! * the predecessor view (an op's dependencies) is the schedule's own flat
+//!   dependency list ([`Schedule::deps`]), moved in with it rather than
+//!   copied;
+//! * `indegree`, `roots`: the Kahn bootstrap state every readiness driver
+//!   needs (see [`crate::runtime`]). No topological order is stored: the
+//!   builder only accepts backward dependencies, so op ids `0..n_ops()`
+//!   already are one;
 //! * `rows`: a dense per-op summary ([`OpRow`]) — kind class, bytes, step,
 //!   lane rank — so probes and trace sinks classify ops without matching on
 //!   [`OpKind`] themselves.
@@ -24,6 +28,7 @@
 
 use std::ops::Deref;
 
+use crate::ids::OpId;
 use crate::op::{Channel, OpKind};
 use crate::schedule::Schedule;
 
@@ -80,7 +85,8 @@ pub struct OpRow {
 }
 
 /// An immutable, execution-ready schedule: the original [`Schedule`] plus
-/// CSR adjacency, indegrees, a topological order and the dense op table.
+/// CSR successor adjacency, indegrees and the dense op table. Op ids
+/// `0..n_ops()` are a topological order.
 ///
 /// Produced by [`Schedule::freeze`]; consumed by `mha-simnet`'s engine and
 /// `mha-exec`'s executors via the readiness drivers in [`crate::runtime`].
@@ -89,11 +95,8 @@ pub struct FrozenSchedule {
     sched: Schedule,
     succ_off: Vec<u32>,
     succ: Vec<u32>,
-    pred_off: Vec<u32>,
-    pred: Vec<u32>,
     indegree: Vec<u32>,
     roots: Vec<u32>,
-    topo: Vec<u32>,
     rows: Vec<OpRow>,
     /// Rail count this schedule last validated cleanly against (see
     /// [`FrozenSchedule::validate_for`]).
@@ -126,62 +129,52 @@ fn row_of(kind: &OpKind, step: u32) -> OpRow {
 }
 
 impl Schedule {
-    /// Compiles the schedule into its frozen execution form. O(ops + edges).
+    /// Compiles the schedule into its frozen execution form. O(ops + edges),
+    /// with a fixed number of allocations whatever the op count.
     pub fn freeze(self) -> FrozenSchedule {
         let n = self.ops().len();
+        let n_edges = self.dep_lists().1.len();
 
-        let mut indegree = vec![0u32; n];
-        let mut succ_cnt = vec![0u32; n];
-        let mut pred_off = vec![0u32; n + 1];
+        let mut indegree = Vec::with_capacity(n);
+        let mut succ_off = vec![0u32; n + 1];
         let mut rows = Vec::with_capacity(n);
-        let mut edges = 0usize;
+        let mut n_roots = 0;
         for (i, op) in self.ops().iter().enumerate() {
             debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
-            indegree[i] = op.deps.len() as u32;
-            pred_off[i + 1] = pred_off[i] + op.deps.len() as u32;
-            edges += op.deps.len();
-            for d in &op.deps {
+            let preds = self.deps(op.id);
+            indegree.push(preds.len() as u32);
+            n_roots += usize::from(preds.is_empty());
+            for d in preds {
                 debug_assert!(d.index() < i, "dependencies must point backwards");
-                succ_cnt[d.index()] += 1;
+                succ_off[d.index() + 1] += 1;
             }
             rows.push(row_of(&op.kind, op.step));
         }
-
-        let mut succ_off = vec![0u32; n + 1];
         for i in 0..n {
-            succ_off[i + 1] = succ_off[i] + succ_cnt[i];
+            succ_off[i + 1] += succ_off[i];
         }
         // Fill successor edges in global creation order, which reproduces
         // exactly the per-node ordering of the former `Vec<Vec<OpId>>`
         // adjacency (each dep pushes the depending op in id order).
         let mut cursor: Vec<u32> = succ_off[..n].to_vec();
-        let mut succ = vec![0u32; edges];
-        let mut pred = Vec::with_capacity(edges);
+        let mut succ = vec![0u32; n_edges];
         for op in self.ops() {
-            for d in &op.deps {
-                let di = d.index();
-                succ[cursor[di] as usize] = op.id.0;
-                cursor[di] += 1;
-                pred.push(d.0);
+            for d in self.deps(op.id) {
+                let c = &mut cursor[d.index()];
+                succ[*c as usize] = op.id.0;
+                *c += 1;
             }
         }
 
-        let roots: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
-            .collect();
-        // The builder only accepts backward-pointing dependencies, so
-        // creation order *is* a topological order.
-        let topo: Vec<u32> = (0..n as u32).collect();
+        let mut roots = Vec::with_capacity(n_roots);
+        roots.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0));
 
         FrozenSchedule {
             sched: self,
             succ_off,
             succ,
-            pred_off,
-            pred,
             indegree,
             roots,
-            topo,
             rows,
             validated: std::sync::OnceLock::new(),
         }
@@ -208,11 +201,10 @@ impl FrozenSchedule {
         &self.succ[a as usize..b as usize]
     }
 
-    /// Dependencies of `op` (same order as `Op::deps`).
+    /// Dependencies of `op`: [`Schedule::deps`] by dense index.
     #[inline]
-    pub fn preds(&self, op: u32) -> &[u32] {
-        let (a, b) = (self.pred_off[op as usize], self.pred_off[op as usize + 1]);
-        &self.pred[a as usize..b as usize]
+    pub fn preds(&self, op: u32) -> &[OpId] {
+        self.sched.deps(OpId(op))
     }
 
     /// Dependency count of `op`.
@@ -231,12 +223,6 @@ impl FrozenSchedule {
     #[inline]
     pub fn roots(&self) -> &[u32] {
         &self.roots
-    }
-
-    /// A topological order of the ops (creation order, by construction).
-    #[inline]
-    pub fn topo_order(&self) -> &[u32] {
-        &self.topo
     }
 
     /// The dense per-op summary table.
@@ -316,7 +302,7 @@ mod tests {
             },
             &[l, r],
             2,
-            "t",
+            None,
         );
         b.finish().freeze()
     }
@@ -330,11 +316,10 @@ mod tests {
         assert_eq!(fs.succs(1), &[3]);
         assert_eq!(fs.succs(2), &[3]);
         assert_eq!(fs.succs(3), &[] as &[u32]);
-        assert_eq!(fs.preds(3), &[1, 2]);
-        assert_eq!(fs.preds(0), &[] as &[u32]);
+        assert_eq!(fs.preds(3), &[OpId(1), OpId(2)]);
+        assert!(fs.preds(0).is_empty());
         assert_eq!(fs.indegrees(), &[0, 1, 1, 2]);
         assert_eq!(fs.roots(), &[0]);
-        assert_eq!(fs.topo_order(), &[0, 1, 2, 3]);
     }
 
     #[test]

@@ -31,6 +31,7 @@
 use std::fmt;
 
 use crate::frozen::FrozenSchedule;
+use crate::ids::OpId;
 use crate::probe::Probe;
 
 /// Absolute slack (bytes) allowed between a flow's declared size and the
@@ -181,7 +182,7 @@ pub struct InvariantProbe {
     schedule: String,
     // Frozen DAG predecessors, copied as offsets + flat list.
     pred_off: Vec<u32>,
-    pred_list: Vec<u32>,
+    pred_list: Vec<OpId>,
     // Per-op observed spans.
     start: Vec<f64>,
     end: Vec<f64>,
@@ -497,7 +498,7 @@ impl Probe for InvariantProbe {
             }
             let (lo, hi) = (self.pred_off[op] as usize, self.pred_off[op + 1] as usize);
             for k in lo..hi {
-                let p = self.pred_list[k] as usize;
+                let p = self.pred_list[k].index();
                 let pe = self.end[p];
                 if pe.is_nan() {
                     continue; // already reported as MissingSpan

@@ -12,8 +12,9 @@
 //! * [`validate`]/[`check_races`] which prove a schedule is structurally
 //!   sound and deterministic under any interleaving,
 //! * [`Schedule::freeze`] → [`FrozenSchedule`], the execution-ready form:
-//!   CSR predecessor/successor adjacency, indegrees, a topological order and
-//!   a dense per-op table, shared by every interpreter,
+//!   CSR successor adjacency beside the schedule's flat predecessor list,
+//!   indegrees and a dense per-op table, shared by every interpreter (op
+//!   ids are a topological order),
 //! * [`runtime`], the indegree-counter readiness drivers ([`ReadySet`],
 //!   [`AtomicReadySet`]) both backends schedule with, and
 //! * [`probe`], the pluggable observability seam ([`Probe`] sinks: JSONL
@@ -58,14 +59,14 @@ mod topology;
 mod validate;
 
 pub use buffer::{BufKind, BufferDecl, Loc};
-pub use builder::{RankCursors, ScheduleBuilder};
+pub use builder::{DepList, RankCursors, ScheduleBuilder};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use frozen::{FrozenSchedule, OpClass, OpRow};
 pub use grid::ProcGrid;
 pub use ids::{BufId, GroupId, NodeId, OpId, RankId};
 pub use invariant::{InvariantProbe, Violation};
 pub use merge::{merge_parts, MergeError, MergePart, Merged};
-pub use op::{Channel, DType, Op, OpKind, RailSet, RedOp};
+pub use op::{Channel, DType, Op, OpKind, OpLabel, RailSet, RedOp};
 pub use probe::{
     intersection_length, union_length, JsonlProbe, NullProbe, Probe, ResourceUtil, RunSummary,
     SummaryProbe, Tee,

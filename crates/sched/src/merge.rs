@@ -116,10 +116,8 @@ impl std::error::Error for MergeError {}
 /// Ops of `sch` no other op depends on — the part's completion frontier.
 fn sinks(sch: &Schedule) -> Vec<u32> {
     let mut has_succ = vec![false; sch.ops().len()];
-    for op in sch.ops() {
-        for d in &op.deps {
-            has_succ[d.index()] = true;
-        }
+    for &d in sch.dep_lists().1 {
+        has_succ[d.index()] = true;
     }
     (0..sch.ops().len() as u32)
         .filter(|&i| !has_succ[i as usize])
@@ -150,7 +148,11 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
     let n_ops: usize = parts.iter().map(|p| p.sched.ops().len()).sum();
     let n_bufs: usize = parts.iter().map(|p| p.sched.buffers().len()).sum();
     let mut buffers = Vec::with_capacity(n_bufs);
+    let n_deps: usize = parts.iter().map(|p| p.sched.dep_lists().1.len()).sum();
     let mut ops = Vec::with_capacity(n_ops);
+    let mut dep_off = Vec::with_capacity(n_ops + 1);
+    dep_off.push(0u32);
+    let mut deps = Vec::with_capacity(n_deps);
     let mut release = vec![0.0f64; n_ops];
     let mut any_release = false;
     let mut spans = Vec::with_capacity(parts.len());
@@ -180,13 +182,15 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
 
         for op in p.sched.ops() {
             let gid = OpId(op.id.0 + op_off);
-            let mut deps: Vec<OpId> = op.deps.iter().map(|d| OpId(d.0 + op_off)).collect();
-            let is_root = deps.is_empty();
+            let own = p.sched.deps(op.id);
+            let is_root = own.is_empty();
+            deps.extend(own.iter().map(|d| OpId(d.0 + op_off)));
             if is_root {
                 if let Some(a) = p.after {
                     deps.extend_from_slice(&part_sinks[a]);
                 }
             }
+            dep_off.push(u32::try_from(deps.len()).expect("dependency count overflows u32"));
             let mut rel = p.sched.release_of(op.id);
             if is_root {
                 rel += p.release;
@@ -198,7 +202,6 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
 
             let mut op = op.clone();
             op.id = gid;
-            op.deps = deps;
             op.kind = match op.kind {
                 OpKind::Transfer {
                     src_rank,
@@ -257,6 +260,8 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
         cluster,
         buffers,
         ops,
+        dep_off,
+        deps,
         name,
         if any_release { release } else { Vec::new() },
     );
@@ -343,7 +348,7 @@ mod tests {
         assert_eq!(sch.ops().len(), 4);
         assert_eq!(sch.buffers().len(), 6);
         // Part b's copy depends on part b's transfer, not part a's.
-        assert_eq!(sch.ops()[3].deps, vec![OpId(2)]);
+        assert_eq!(sch.deps(OpId(3)), &[OpId(2)]);
         match &sch.ops()[2].kind {
             OpKind::Transfer { src, dst, .. } => {
                 assert_eq!(src.buf, BufId(3));
@@ -382,7 +387,7 @@ mod tests {
         let sch = &m.schedule;
         // Part a's sink is its copy (op 1); part b's root (op 2) now
         // depends on it, with the think time as a relative release.
-        assert_eq!(sch.ops()[2].deps, vec![OpId(1)]);
+        assert_eq!(sch.deps(OpId(2)), &[OpId(1)]);
         assert_eq!(sch.release_of(OpId(2)), 5e-4);
         assert!(crate::validate(sch, Some(2)).is_ok());
     }

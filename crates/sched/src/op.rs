@@ -235,25 +235,56 @@ impl OpKind {
 }
 
 /// An operation plus its DAG bookkeeping.
+///
+/// An op owns no heap memory: its dependencies live in the schedule's flat
+/// predecessor list ([`crate::Schedule::deps`]) and its label is rendered
+/// from the kind on demand ([`Op::label`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
     /// Dense identifier (creation order; dependencies always point backwards).
     pub id: OpId,
     /// What the op does.
     pub kind: OpKind,
-    /// Operations that must complete before this one starts.
-    pub deps: Vec<OpId>,
     /// Algorithm step this op belongs to (for step-count assertions, traces
     /// and the Fig. 2-style timeline). Zero-based; `u32::MAX` = unassigned.
     pub step: u32,
-    /// Human-readable label.
-    pub label: String,
+    /// A fixed name (e.g. `sync`) shown in place of the label derived from
+    /// the kind; `None` for ops made by the builder's typed constructors.
+    pub marker: Option<&'static str>,
 }
 
 impl Op {
     /// Whether a step was assigned.
     pub fn has_step(&self) -> bool {
         self.step != u32::MAX
+    }
+
+    /// Human-readable label: the marker if the op has one, otherwise
+    /// rendered from the kind — `r3->r0` for a transfer, `copy@r0`,
+    /// `red@r1` and `comp@r2` for the CPU kinds.
+    pub fn label(&self) -> OpLabel<'_> {
+        OpLabel(self)
+    }
+}
+
+/// An op's label, rendered through [`std::fmt::Display`] without storing
+/// text (see [`Op::label`]).
+#[derive(Debug, Clone, Copy)]
+pub struct OpLabel<'a>(&'a Op);
+
+impl std::fmt::Display for OpLabel<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let Some(m) = self.0.marker {
+            return f.write_str(m);
+        }
+        match self.0.kind {
+            OpKind::Transfer {
+                src_rank, dst_rank, ..
+            } => write!(f, "{src_rank}->{dst_rank}"),
+            OpKind::Copy { actor, .. } => write!(f, "copy@{actor}"),
+            OpKind::Reduce { actor, .. } => write!(f, "red@{actor}"),
+            OpKind::Compute { actor, .. } => write!(f, "comp@{actor}"),
+        }
     }
 }
 
@@ -326,6 +357,51 @@ mod tests {
         };
         assert_eq!(comp.bytes(), 0);
         assert_eq!(comp.kind_name(), "compute");
+    }
+
+    #[test]
+    fn labels_render_the_former_strings() {
+        let op = |kind, marker| Op {
+            id: OpId(0),
+            kind,
+            step: 0,
+            marker,
+        };
+        let transfer = |channel| OpKind::Transfer {
+            src_rank: RankId(3),
+            dst_rank: RankId(0),
+            src: loc(),
+            dst: loc(),
+            len: 8,
+            channel,
+        };
+        let label = |kind| op(kind, None).label().to_string();
+        assert_eq!(label(transfer(Channel::Cma)), "r3->r0");
+        assert_eq!(label(transfer(Channel::Rail(1))), "r3->r0");
+        let copy = OpKind::Copy {
+            actor: RankId(0),
+            src: loc(),
+            dst: loc(),
+            len: 8,
+        };
+        assert_eq!(label(copy), "copy@r0");
+        let reduce = OpKind::Reduce {
+            actor: RankId(1),
+            acc: loc(),
+            operand: loc(),
+            len: 8,
+            dtype: DType::F32,
+            op: RedOp::Sum,
+        };
+        assert_eq!(label(reduce), "red@r1");
+        let comp = || OpKind::Compute {
+            actor: RankId(2),
+            flops: 0,
+        };
+        assert_eq!(label(comp()), "comp@r2");
+        for m in ["sync", "empty", "stripe-join"] {
+            assert_eq!(op(comp(), Some(m)).label().to_string(), m);
+        }
     }
 
     #[test]

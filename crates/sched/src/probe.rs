@@ -272,7 +272,7 @@ impl<W: Write> Probe for JsonlProbe<W> {
                 row.bytes,
                 step,
                 row.rank,
-                json_escape(&fs.ops()[i].label)
+                json_escape(&fs.ops()[i].label().to_string())
             ));
         }
     }

@@ -120,8 +120,9 @@ pub fn validate_placement(
 /// own node `n`, returning a schedule over the `cluster` grid. Rank `r`
 /// (job node `n`, local index `l`) becomes cluster rank
 /// `nodes[n] * ppn + l`; buffer owners are remapped the same way and
-/// everything else — ops, dependencies, lengths, channels, steps, labels,
-/// release delays — is carried over unchanged.
+/// everything else — ops, dependencies, lengths, channels, steps, markers,
+/// release delays — is carried over unchanged. Op labels are derived from
+/// the remapped kinds, so a relocated transfer names its cluster ranks.
 pub fn relocate_onto(
     sch: &Schedule,
     cluster: ProcGrid,
@@ -205,19 +206,21 @@ pub fn relocate_onto(
         })
         .collect();
 
-    let release = (0..sch.ops().len())
-        .map(|i| sch.release_of(crate::ids::OpId::from(i)))
-        .collect::<Vec<_>>();
     let release = if sch.has_releases() {
-        release
+        (0..sch.ops().len())
+            .map(|i| sch.release_of(crate::ids::OpId::from(i)))
+            .collect()
     } else {
         Vec::new()
     };
+    let (dep_off, deps) = sch.dep_lists();
 
     Ok(Schedule::from_parts(
         cluster,
         buffers,
         ops,
+        dep_off.to_vec(),
+        deps.to_vec(),
         sch.name().to_string(),
         release,
     ))
@@ -273,10 +276,20 @@ mod tests {
         assert_eq!(out.buffers()[1].kind, BufKind::Private(RankId(6)));
         assert_eq!(out.buffers()[2].kind, BufKind::NodeShared(NodeId(3)));
         // Structure is untouched.
-        assert_eq!(out.ops()[1].deps, vec![OpId(0)]);
+        assert_eq!(out.deps(OpId(1)), &[OpId(0)]);
         assert_eq!(out.release_of(OpId(0)), 2.5e-6);
         assert_eq!(out.release_of(OpId(1)), 0.0);
         assert!(crate::validate(&out, Some(2)).is_ok());
+    }
+
+    #[test]
+    fn relocated_labels_name_cluster_ranks() {
+        let sch = job();
+        assert_eq!(sch.ops()[0].label().to_string(), "r0->r2");
+        assert_eq!(sch.ops()[1].label().to_string(), "copy@r2");
+        let out = relocate_onto(&sch, ProcGrid::new(8, 2), &[5, 3]).unwrap();
+        assert_eq!(out.ops()[0].label().to_string(), "r10->r6");
+        assert_eq!(out.ops()[1].label().to_string(), "copy@r6");
     }
 
     #[test]
@@ -284,6 +297,7 @@ mod tests {
         let sch = job();
         let out = relocate_onto(&sch, *sch.grid(), &[0, 1]).unwrap();
         assert_eq!(format!("{:?}", out.ops()), format!("{:?}", sch.ops()));
+        assert_eq!(out.dep_lists(), sch.dep_lists());
         assert_eq!(
             format!("{:?}", out.buffers()),
             format!("{:?}", sch.buffers())

@@ -108,7 +108,7 @@ fn seed_frontier(fs: &FrozenSchedule, completed: &[u32]) -> (Vec<u32>, Vec<u32>)
     let mut indeg = fs.indegrees().to_vec();
     for &c in completed {
         debug_assert!(
-            fs.preds(c).iter().all(|&p| done[p as usize]),
+            fs.preds(c).iter().all(|&p| done[p.index()]),
             "completed set is not dependency-closed at op {c}"
         );
         for &s in fs.succs(c) {
@@ -214,7 +214,7 @@ mod tests {
             p
         };
         for op in fs.ops() {
-            for d in &op.deps {
+            for d in fs.deps(op.id) {
                 assert!(
                     pos[d.index()] < pos[op.id.index()],
                     "{d} must precede {}",

@@ -39,6 +39,11 @@ pub struct Schedule {
     grid: ProcGrid,
     buffers: Vec<BufferDecl>,
     ops: Vec<Op>,
+    /// Every op's dependencies as one flat list (CSR): op `i` depends on
+    /// `deps[dep_off[i]..dep_off[i + 1]]`, sorted ascending and deduped.
+    /// [`Schedule::freeze`] keeps this as the frozen predecessor view.
+    dep_off: Vec<u32>,
+    deps: Vec<OpId>,
     /// Human-readable name of the algorithm that produced this schedule.
     name: String,
     /// Per-op release delays in seconds (empty ⇒ all zero): op `i` may not
@@ -56,17 +61,37 @@ impl Schedule {
         grid: ProcGrid,
         buffers: Vec<BufferDecl>,
         ops: Vec<Op>,
+        dep_off: Vec<u32>,
+        deps: Vec<OpId>,
         name: String,
         release: Vec<f64>,
     ) -> Self {
         debug_assert!(release.is_empty() || release.len() == ops.len());
+        debug_assert_eq!(dep_off.len(), ops.len() + 1);
+        debug_assert_eq!(dep_off.last().map(|&e| e as usize), Some(deps.len()));
         Schedule {
             grid,
             buffers,
             ops,
+            dep_off,
+            deps,
             name,
             release,
         }
+    }
+
+    /// The operations `id` depends on, ascending and without duplicates.
+    #[inline]
+    pub fn deps(&self, id: OpId) -> &[OpId] {
+        let i = id.index();
+        &self.deps[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
+    }
+
+    /// The flat dependency list: offsets (one per op, plus a final end)
+    /// and the concatenated per-op lists they index.
+    #[inline]
+    pub(crate) fn dep_lists(&self) -> (&[u32], &[OpId]) {
+        (&self.dep_off, &self.deps)
     }
 
     /// The release delay of `id` in seconds — `0.0` unless a delay was set
@@ -142,7 +167,13 @@ impl Schedule {
         // ordered because deps always point backwards).
         let mut depth = vec![0usize; self.ops.len()];
         for op in &self.ops {
-            let d = op.deps.iter().map(|p| depth[p.index()]).max().unwrap_or(0) + 1;
+            let d = self
+                .deps(op.id)
+                .iter()
+                .map(|p| depth[p.index()])
+                .max()
+                .unwrap_or(0)
+                + 1;
             depth[op.id.index()] = d;
             s.critical_path = s.critical_path.max(d);
             if op.has_step() {
@@ -189,12 +220,12 @@ impl Schedule {
                 out,
                 "  {} [label=\"{}\\n{} {}B s{}\"];",
                 op.id.index(),
-                op.label,
+                op.label(),
                 op.kind.kind_name(),
                 op.kind.bytes(),
                 if op.has_step() { op.step as i64 } else { -1 },
             );
-            for &d in &op.deps {
+            for &d in self.deps(op.id) {
                 let _ = writeln!(out, "  {} -> {};", d.index(), op.id.index());
             }
         }
@@ -226,7 +257,7 @@ mod tests {
             },
             &[],
             0,
-            "t",
+            None,
         );
         b.push(
             OpKind::Copy {
@@ -237,7 +268,7 @@ mod tests {
             },
             &[t],
             1,
-            "c",
+            None,
         );
         b.finish()
     }
@@ -300,7 +331,7 @@ mod tests {
             },
             &[],
             u32::MAX, // unassigned
-            "x",
+            None,
         );
         let stats = b.finish().stats();
         assert_eq!(stats.steps, 0);

@@ -283,7 +283,7 @@ impl Reach {
             // Split at the current op's row to borrow ancestor rows immutably.
             let (prev, cur) = bits.split_at_mut(i * words);
             let row = &mut cur[..words];
-            for &d in &op.deps {
+            for &d in sch.deps(op.id) {
                 let j = d.index();
                 row[j / 64] |= 1 << (j % 64);
                 let drow = &prev[j * words..(j + 1) * words];

@@ -1951,7 +1951,7 @@ mod tests {
         let sch = b.finish().freeze();
         let r = sim().run(&sch).unwrap();
         for op in sch.ops() {
-            for &d in &op.deps {
+            for &d in sch.deps(op.id) {
                 assert!(r.op_end[d.index()] <= r.op_end[op.id.index()]);
             }
         }

@@ -97,7 +97,7 @@ impl Trace {
                 SpanMeta {
                     lane: lane_of(&op.kind),
                     kind: op.kind.kind_name(),
-                    label: op.label.clone(),
+                    label: op.label().to_string(),
                     step: op.has_step().then_some(op.step),
                     bytes: op.kind.bytes(),
                 }

@@ -58,7 +58,7 @@ fn every_allgather_survives_the_full_pipeline() {
         assert!(res.makespan > 0.0, "{}", algo.to_kv());
         // Every op completed in finite time and respects dependencies.
         for op in built.sched.ops() {
-            for &d in &op.deps {
+            for &d in built.sched.deps(op.id) {
                 assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
             }
         }

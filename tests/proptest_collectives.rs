@@ -63,7 +63,7 @@ proptest! {
         let res = sim.run(&built.sched).unwrap();
         prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
         for op in built.sched.ops() {
-            for &d in &op.deps {
+            for &d in built.sched.deps(op.id) {
                 prop_assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
             }
         }
