@@ -95,9 +95,10 @@ fn bench_component_recompute(c: &mut Criterion) {
 
 /// Incremental replay vs from-scratch solving on the engine's dominant
 /// workload: the *same* small component recomputed over and over (a ring
-/// step re-creates one contention pattern thousands of times). Scratch
-/// mode re-runs progressive filling; the memoized path is a hash probe
-/// plus a copy.
+/// step re-creates one contention pattern thousands of times). The
+/// reference `WaterFiller::fill_with` re-runs progressive filling; the
+/// memoized `fill_view` builds the canonical key, then a hash probe plus a
+/// copy.
 fn bench_incremental_replay(c: &mut Criterion) {
     let mut g = c.benchmark_group("waterfill_incremental");
     let mut rng = StdRng::seed_from_u64(11);
@@ -121,25 +122,27 @@ fn bench_incremental_replay(c: &mut Criterion) {
             .zip(&flow_caps)
             .map(|(s, &cap)| FlowSpec { cap, resources: s })
             .collect();
-        for (mode, memo) in [("replay", true), ("scratch", false)] {
-            g.bench_with_input(BenchmarkId::new(mode, comp), &specs, |b, specs| {
-                let mut filler = IncrementalFiller::new();
-                filler.reset(nres);
-                let mut rates = Vec::new();
-                b.iter(|| {
-                    filler
-                        .fill_view(
-                            specs.len(),
-                            |i| specs[i],
-                            |r| caps[r.index()],
-                            &mut rates,
-                            memo,
-                        )
-                        .unwrap();
-                    std::hint::black_box(rates.len())
-                })
-            });
-        }
+        g.bench_with_input(BenchmarkId::new("replay", comp), &specs, |b, specs| {
+            let mut filler = IncrementalFiller::new();
+            filler.reset(nres);
+            let mut rates = Vec::new();
+            b.iter(|| {
+                filler
+                    .fill_view(specs.len(), |i| specs[i], |r| caps[r.index()], &mut rates)
+                    .unwrap();
+                std::hint::black_box(rates.len())
+            })
+        });
+        g.bench_with_input(BenchmarkId::new("scratch", comp), &specs, |b, specs| {
+            let mut filler = WaterFiller::new();
+            let mut rates = Vec::new();
+            b.iter(|| {
+                filler
+                    .fill_with(specs.len(), |i| specs[i], |r| caps[r.index()], &mut rates)
+                    .unwrap();
+                std::hint::black_box(rates.len())
+            })
+        });
     }
     g.finish();
 }

@@ -56,4 +56,4 @@ pub use traffic::{
     TrafficOracleReport,
 };
 pub use tuned::{run_tuned_oracle, TunedOracleConfig, TunedOracleReport};
-pub use waterfill::{run_waterfill_oracle, WaterfillOracleConfig, WaterfillOracleReport};
+pub use waterfill::{run_waterfill_oracle, WaterfillOracleReport};

@@ -1,20 +1,14 @@
-//! The waterfill-equivalence acceptance bar: ≥ 100 random schedules —
-//! a third of them under random rail-fault timelines — simulated by both
-//! the incremental and the scratch engine with zero bitwise divergence.
+//! The pinned engine oracle: 120 random schedules — a third of them under
+//! random rail-fault timelines — each bit-identical to the output certified
+//! against an independent reference engine.
 
-use mha_conformance::{run_waterfill_oracle, WaterfillOracleConfig};
+use mha_conformance::run_waterfill_oracle;
 
 #[test]
-fn incremental_engine_matches_scratch_on_random_schedules() {
-    let cfg = WaterfillOracleConfig::from_env();
-    assert!(cfg.cases >= 100, "acceptance bar requires >= 100 cases");
-    let report = run_waterfill_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases, "every sampled case must build");
-    assert!(
-        report.faulted >= cfg.cases / 4,
-        "too few faulted cases: {}",
-        report.faulted
-    );
+fn engine_matches_certified_pins_on_random_schedules() {
+    let report = run_waterfill_oracle();
+    assert_eq!(report.cases, 120, "every sampled case must build");
+    assert_eq!(report.faulted, 40, "every third case runs faulted");
     assert!(
         report.is_clean(),
         "{} divergence(s):\n{}",

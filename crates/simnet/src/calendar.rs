@@ -21,9 +21,9 @@
 //! bucket's front entry if it belongs to the current (or an earlier) cell.
 //! Because `cell(t)` is monotone in `t` and pushes behind the cursor
 //! rewind it, pops come out in exactly the total order `(time, seq)` — the
-//! same order the `BinaryHeap` it replaces produced, so the swap cannot
-//! perturb the simulation. Bucket geometry (count, width) only ever
-//! affects speed, never order.
+//! order of a binary min-heap over the same keys, which the tests use as
+//! the model. Bucket geometry (count, width) only ever affects speed,
+//! never order.
 //!
 //! Typical costs: O(1) push, O(1) pop, O(bucket occupancy) keyed delete.
 //! A fully empty year falls back to a global min-scan that re-anchors the
@@ -328,7 +328,7 @@ impl<T> CalendarQueue<T> {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BTreeSet, BinaryHeap};
 
     fn xorshift(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
@@ -379,6 +379,71 @@ mod tests {
             assert!(cal.pop().is_none());
             assert_eq!(cal.len(), 0);
         }
+    }
+
+    /// Random interleaved pushes, pops and keyed removals of random live
+    /// entries must match a sorted-set model exactly — the engine's
+    /// cancellation path. Rounds are large enough to grow the bucket array
+    /// and retune the width, so removal is exercised across rebuilds; a
+    /// key that was already popped or removed must miss.
+    #[test]
+    fn push_pop_remove_match_a_sorted_set_model() {
+        let mut seed = 0x0dd_ba11_cafe_f00du64;
+        let mut rebuilt = false;
+        let mut retuned = false;
+        for round in 0..20 {
+            let mut cal = CalendarQueue::new();
+            let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+            let mut gone: Vec<(f64, u64)> = Vec::new();
+            let mut seq = 0u64;
+            let mut now = 0.0f64;
+            for _ in 0..1500 {
+                for _ in 0..1 + xorshift(&mut seed) % 4 {
+                    let scale = 10f64.powi((xorshift(&mut seed) % 7) as i32 - 3);
+                    let t = now + (xorshift(&mut seed) % 1000) as f64 * 1e-9 * scale;
+                    seq += 1;
+                    cal.push(t, seq, seq);
+                    model.insert((t.to_bits(), seq));
+                }
+                rebuilt |= cal.nbits > MIN_BITS;
+                retuned |= cal.width != 1e-6;
+                match xorshift(&mut seed) % 4 {
+                    0 if !model.is_empty() => {
+                        // Remove a random live entry.
+                        let k = (xorshift(&mut seed) % model.len() as u64) as usize;
+                        let (tb, s) = *model.iter().nth(k).expect("k < len");
+                        model.remove(&(tb, s));
+                        let t = f64::from_bits(tb);
+                        assert!(cal.remove(t, s), "round {round}: live ({t}, {s}) missing");
+                        gone.push((t, s));
+                    }
+                    1 if !gone.is_empty() => {
+                        let (t, s) = gone[(xorshift(&mut seed) % gone.len() as u64) as usize];
+                        assert!(!cal.remove(t, s), "round {round}: dead ({t}, {s}) removed");
+                    }
+                    _ => {
+                        let got = cal.pop().map(|(t, s, item)| {
+                            assert_eq!(item, s);
+                            (t.to_bits(), s)
+                        });
+                        let want = model.pop_first();
+                        assert_eq!(got, want, "round {round}");
+                        if let Some((tb, s)) = got {
+                            now = f64::from_bits(tb);
+                            gone.push((now, s));
+                        }
+                    }
+                }
+                assert_eq!(cal.len(), model.len(), "round {round}");
+            }
+            while let Some(want) = model.pop_first() {
+                let (t, s, _) = cal.pop().expect("calendar ran dry early");
+                assert_eq!((t.to_bits(), s), want, "round {round} drain");
+            }
+            assert!(cal.pop().is_none());
+        }
+        assert!(rebuilt, "no round grew the bucket array");
+        assert!(retuned, "no round retuned the bucket width");
     }
 
     /// Massive exact-time ties — the collective-schedule signature — must

@@ -216,16 +216,16 @@ struct Flow {
     rate: f64,
     last_update: f64,
     /// Completion prediction computed at the last rate change
-    /// (`now + remaining / rate` at that instant). The incremental
-    /// scheduler reuses this stored value verbatim when re-queueing an
-    /// unchanged flow, so prediction times never drift from what the
-    /// push-per-change baseline would have queued.
+    /// (`now + remaining / rate` at that instant). The argmin scheduler
+    /// reuses this stored value verbatim when re-queueing an unchanged
+    /// flow, so prediction times never drift from what queueing every
+    /// prediction at its rate change (push-per-change) would have queued.
     t_fin: f64,
     /// Sequence number reserved for the current prediction at the last
-    /// rate change — the seq the push-per-change baseline would have
-    /// stamped on its `Finish` event. The argmin scheduler queues under
-    /// this original `(t_fin, pred_seq)` key, so same-instant events pop
-    /// in exactly the baseline's order (bit-identity by construction).
+    /// rate change — the seq push-per-change would have stamped on its
+    /// `Finish` event. The argmin scheduler queues under this original
+    /// `(t_fin, pred_seq)` key, so same-instant events pop in exactly
+    /// push-per-change order (bit-identity by construction).
     pred_seq: u64,
     version: u64,
     alive: bool,
@@ -251,38 +251,6 @@ enum Ev {
     Retry { flow: u32, version: u64 },
 }
 
-/// A heap entry for the scratch-mode event queue: min-order on
-/// `(time, seq)`, exactly the pre-overhaul engine's ordering. The
-/// incremental engine uses the [`CalendarQueue`] instead; keeping the
-/// original `BinaryHeap` alive for scratch mode makes the
-/// incremental-vs-scratch equivalence oracle compare two *independent*
-/// queue mechanisms, and makes benchmark ratios against scratch mode an
-/// honest new-engine-vs-old-engine measurement.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEv {
-    time: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl Eq for HeapEv {}
-
-impl PartialOrd for HeapEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Relative tolerance when deciding whether a flow's rate changed enough to
 /// reschedule its completion event.
 const RATE_EPS: f64 = 1e-12;
@@ -302,12 +270,8 @@ struct EngineState {
     res_stamp: Vec<u64>,
     flow_stamp: Vec<u64>,
     epoch: u64,
-    /// Incremental-mode event queue (keyed cancellation, O(1) ops).
+    /// The event queue (keyed cancellation, O(1) ops).
     cal: CalendarQueue<Ev>,
-    /// Scratch-mode event queue: the pre-overhaul `BinaryHeap`, kept as
-    /// the faithful baseline. Exactly one of the two queues is in use per
-    /// run, chosen by [`EngineState::incremental`] at reset.
-    heap: std::collections::BinaryHeap<HeapEv>,
     seq: u64,
     /// Pending `Finish` prediction per flow slot, as its `(time, seq)`
     /// calendar key (`seq == 0` = none; live seqs start at 1). Lets a
@@ -318,11 +282,6 @@ struct EngineState {
     /// Pending `Retry` per flow slot, same convention. A live flow holds at
     /// most one of the two: running ⇒ one `Finish`, stalled ⇒ one `Retry`.
     retry_ev: Vec<(f64, u64)>,
-    /// Resolved [`incremental_enabled`] for this run: gates both keyed
-    /// event cancellation and the memo cache. Off = the faithful
-    /// recompute-from-scratch baseline (stale events pop and are
-    /// version-checked away, every component is re-solved).
-    incremental: bool,
     filler: IncrementalFiller,
     rates: Vec<f64>,
     active_flows: usize,
@@ -347,8 +306,7 @@ struct EngineState {
     /// Union-find parents over `comp_res`, grouping the component into
     /// connected sub-groups for argmin prediction scheduling.
     uf: Vec<u32>,
-    /// Canonical component descriptor assembled during the DFS (incremental
-    /// mode): `[n, per comp flow (cap bits, degree, (res_lidx, w bits)…),
+    /// Canonical component descriptor assembled during the DFS: `[n, per comp flow (cap bits, degree, (res_lidx, w bits)…),
     /// per comp_res effective-capacity bits]` — the
     /// [`IncrementalFiller::fill_keyed`] memo key.
     key: Vec<u64>,
@@ -364,7 +322,7 @@ impl EngineState {
     /// Rewinds the state to what a freshly-constructed engine would hold
     /// for a cluster with `n_res` resources, keeping every allocation —
     /// the flow table (including each flow's inner resource vector), the
-    /// per-resource registries, the event heap and the water-fill scratch.
+    /// per-resource registries, the event queue and the water-fill scratch.
     ///
     /// Flow slots are reset to version 0 and `free_flows` is primed in
     /// descending order, so a warm run pops slots 0, 1, 2, … — exactly the
@@ -401,12 +359,10 @@ impl EngineState {
         self.flow_stamp.resize(self.flows.len(), 0);
         self.epoch = 0;
         self.cal.clear();
-        self.heap.clear();
         self.finish_ev.clear();
         self.finish_ev.resize(self.flows.len(), (0.0, 0));
         self.retry_ev.clear();
         self.retry_ev.resize(self.flows.len(), (0.0, 0));
-        self.incremental = incremental_enabled();
         self.filler.reset(n_res);
         self.seq = 0;
         self.active_flows = 0;
@@ -419,82 +375,40 @@ impl EngineState {
 
     fn push_event(&mut self, time: f64, ev: Ev) {
         self.seq += 1;
-        if self.incremental {
-            self.cal.push(time, self.seq, ev);
-        } else {
-            self.heap.push(HeapEv {
-                time,
-                seq: self.seq,
-                ev,
-            });
-        }
-    }
-
-    /// Removes and returns the earliest pending event from whichever
-    /// queue this run uses.
-    fn pop_event(&mut self) -> Option<(f64, u64, Ev)> {
-        if self.incremental {
-            self.cal.pop()
-        } else {
-            self.heap.pop().map(|h| (h.time, h.seq, h.ev))
-        }
+        self.cal.push(time, self.seq, ev);
     }
 
     /// Schedules flow `fi`'s completion prediction, remembering its
     /// calendar key so a later reschedule can cancel it.
     fn push_finish(&mut self, time: f64, fi: u32, version: u64) {
         self.seq += 1;
-        if self.incremental {
-            self.finish_ev[fi as usize] = (time, self.seq);
-            self.cal
-                .push(time, self.seq, Ev::Finish { flow: fi, version });
-        } else {
-            let ev = Ev::Finish { flow: fi, version };
-            self.heap.push(HeapEv {
-                time,
-                seq: self.seq,
-                ev,
-            });
-        }
+        self.push_finish_keyed(time, self.seq, fi, version);
     }
 
-    /// Re-queues flow `fi`'s stored prediction under its reserved key,
-    /// burning no new sequence number — the seq was reserved when the rate
-    /// changed, so pop order matches the push-per-change baseline exactly.
+    /// Queues flow `fi`'s prediction under the given key, burning no new
+    /// sequence number — a deferred prediction re-uses the seq reserved
+    /// when its rate changed, so pop order matches push-per-change.
     fn push_finish_keyed(&mut self, time: f64, seq: u64, fi: u32, version: u64) {
-        debug_assert!(self.incremental);
         self.finish_ev[fi as usize] = (time, seq);
         self.cal.push(time, seq, Ev::Finish { flow: fi, version });
     }
 
-    /// Deletes flow `fi`'s pending `Finish`, if any. No-op in scratch mode
-    /// (the version check catches the stale pop instead).
+    /// Deletes flow `fi`'s pending `Finish`, if any.
     fn cancel_finish(&mut self, fi: u32) {
-        if self.incremental {
-            let (t, s) = self.finish_ev[fi as usize];
-            if s != 0 {
-                let found = self.cal.remove(t, s);
-                debug_assert!(found, "finish slot pointed at a missing event");
-                self.finish_ev[fi as usize] = (0.0, 0);
-            }
+        let (t, s) = self.finish_ev[fi as usize];
+        if s != 0 {
+            let found = self.cal.remove(t, s);
+            debug_assert!(found, "finish slot pointed at a missing event");
+            self.finish_ev[fi as usize] = (0.0, 0);
         }
     }
 
     /// Schedules flow `fi`'s retry timeout, remembering its calendar key.
     fn push_retry(&mut self, time: f64, fi: u32, version: u64) {
         self.seq += 1;
-        if self.incremental {
-            self.retry_ev[fi as usize] = (time, self.seq);
-            self.cal
-                .push(time, self.seq, Ev::Retry { flow: fi, version });
-        } else {
-            let ev = Ev::Retry { flow: fi, version };
-            self.heap.push(HeapEv {
-                time,
-                seq: self.seq,
-                ev,
-            });
-        }
+        self.retry_ev[fi as usize] = (time, self.seq);
+        self.cal
+            .push(time, self.seq, Ev::Retry { flow: fi, version });
     }
 
     /// Recomputes max-min rates over the connected component reachable from
@@ -509,7 +423,6 @@ impl EngineState {
     ) -> Result<(), SimError> {
         self.epoch += 1;
         let e = self.epoch;
-        let inc = self.incremental;
         // Scratch vectors live in the state (allocation-free after warm-up)
         // but are taken out so the traversal below can borrow `self` freely.
         let mut comp = std::mem::take(&mut self.comp);
@@ -518,18 +431,14 @@ impl EngineState {
         stack.clear();
         let mut uf = std::mem::take(&mut self.uf);
         self.comp_res.clear();
-        if inc {
-            uf.clear();
-            self.key.clear();
-            self.key.push(0); // patched to comp.len() after the DFS
-        }
+        uf.clear();
+        self.key.clear();
+        self.key.push(0); // patched to comp.len() after the DFS
         for &r in seed_resources {
             if self.res_stamp[r.index()] != e {
                 self.res_stamp[r.index()] = e;
                 self.res_lidx[r.index()] = self.comp_res.len() as u32;
-                if inc {
-                    uf.push(self.comp_res.len() as u32);
-                }
+                uf.push(self.comp_res.len() as u32);
                 self.comp_res.push(r);
                 stack.push(r);
             }
@@ -538,10 +447,10 @@ impl EngineState {
         // extra jobs into the traversal while the flow is already in cache:
         // settling byte accounting up to `now` (`comp` is built in this same
         // visit order, so per-resource accumulation order — and hence every
-        // rounded sum — is unchanged), and in incremental mode the canonical
-        // memo key for the filler plus a union-find over the component's
-        // resources, grouping it into the connected sub-groups the argmin
-        // scheduler below works per.
+        // rounded sum — is unchanged), the canonical memo key for the
+        // filler, and a union-find over the component's resources, grouping
+        // it into the connected sub-groups the argmin scheduler below works
+        // per.
         while let Some(r) = stack.pop() {
             for &fi in &self.res_flows[r.index()] {
                 if self.flow_stamp[fi as usize] == e {
@@ -559,10 +468,8 @@ impl EngineState {
                 f.remaining -= moved;
                 f.last_update = now;
                 let f = &self.flows[fi as usize];
-                if inc {
-                    self.key.push(f.cap.to_bits());
-                    self.key.push(f.resources.len() as u64);
-                }
+                self.key.push(f.cap.to_bits());
+                self.key.push(f.resources.len() as u64);
                 let mut root = u32::MAX;
                 for &(r2, w) in &f.resources {
                     if moved > 0.0 {
@@ -571,23 +478,19 @@ impl EngineState {
                     if self.res_stamp[r2.index()] != e {
                         self.res_stamp[r2.index()] = e;
                         self.res_lidx[r2.index()] = self.comp_res.len() as u32;
-                        if inc {
-                            uf.push(self.comp_res.len() as u32);
-                        }
+                        uf.push(self.comp_res.len() as u32);
                         self.comp_res.push(r2);
                         stack.push(r2);
                     }
-                    if inc {
-                        let li = self.res_lidx[r2.index()];
-                        self.key.push(u64::from(li));
-                        self.key.push(w.to_bits());
-                        if root == u32::MAX {
-                            root = Self::uf_find(&mut uf, li);
-                        } else {
-                            let b = Self::uf_find(&mut uf, li);
-                            if b != root {
-                                uf[b as usize] = root;
-                            }
+                    let li = self.res_lidx[r2.index()];
+                    self.key.push(u64::from(li));
+                    self.key.push(w.to_bits());
+                    if root == u32::MAX {
+                        root = Self::uf_find(&mut uf, li);
+                    } else {
+                        let b = Self::uf_find(&mut uf, li);
+                        if b != root {
+                            uf[b as usize] = root;
                         }
                     }
                 }
@@ -599,20 +502,17 @@ impl EngineState {
             self.uf = uf;
             return Ok(());
         }
-        if inc {
-            self.key[0] = comp.len() as u64;
-            for &r in &self.comp_res {
-                self.key
-                    .push((rmap.capacity(r) * self.cap_scale[r.index()]).to_bits());
-            }
+        self.key[0] = comp.len() as u64;
+        for &r in &self.comp_res {
+            self.key
+                .push((rmap.capacity(r) * self.cap_scale[r.index()]).to_bits());
         }
 
         // Water-fill the component, handing the filler a view straight into
-        // the flow table — no per-call spec vector. Incremental mode probes
-        // the filler's memo with the key assembled during the DFS (recurring
-        // component shapes — every step of a ring, every symmetric node —
-        // replay a stored solution bit-identically); scratch mode re-solves
-        // from scratch every time.
+        // the flow table — no per-call spec vector — and probing its memo
+        // with the key assembled during the DFS (recurring component shapes
+        // — every step of a ring, every symmetric node — replay a stored
+        // solution bit-identically).
         let filled = {
             let flows = &self.flows;
             let cap_scale = &self.cap_scale;
@@ -624,22 +524,17 @@ impl EngineState {
                 }
             };
             let capacity = |r: ResourceId| rmap.capacity(r) * cap_scale[r.index()];
-            if inc {
-                let res_lidx = &self.res_lidx;
-                let comp_res = &self.comp_res;
-                self.filler.fill_keyed(
-                    &self.key,
-                    comp.len(),
-                    flow_view,
-                    capacity,
-                    |r| res_lidx[r.index()],
-                    |li| comp_res[li as usize],
-                    &mut self.rates,
-                )
-            } else {
-                self.filler
-                    .fill_view(comp.len(), flow_view, capacity, &mut self.rates, false)
-            }
+            let res_lidx = &self.res_lidx;
+            let comp_res = &self.comp_res;
+            self.filler.fill_keyed(
+                &self.key,
+                comp.len(),
+                flow_view,
+                capacity,
+                |r| res_lidx[r.index()],
+                |li| comp_res[li as usize],
+                &mut self.rates,
+            )
         };
         let touched = match filled {
             Ok(t) => t,
@@ -653,9 +548,9 @@ impl EngineState {
         };
         probe.waterfill(now, comp.len(), touched);
 
-        // Rate updates, fused with the argmin accumulation: incremental
-        // mode queues ONE prediction per connected sub-group — its argmin
-        // stored `(t_fin, pred_seq)`. Any valid `Finish` pop recomputes over
+        // Rate updates, fused with the argmin accumulation: queue ONE
+        // prediction per connected sub-group — its argmin stored
+        // `(t_fin, pred_seq)`. Any valid `Finish` pop recomputes over
         // the popped flow's whole sub-group, so predictions for later
         // finishers are recreated then — queueing them all now would only
         // produce events that get cancelled or superseded first. This turns
@@ -666,11 +561,9 @@ impl EngineState {
         // among same-instant events, everything — to push-per-change.
         let mut best = std::mem::take(&mut self.group_best);
         let mut keeps = std::mem::take(&mut self.keeps);
-        if inc {
-            best.clear();
-            best.resize(self.comp_res.len(), (u128::MAX, u32::MAX));
-            keeps.clear();
-        }
+        best.clear();
+        best.resize(self.comp_res.len(), (u128::MAX, u32::MAX));
+        keeps.clear();
         for (k, &fi) in comp.iter().enumerate() {
             let new_rate = self.rates[k];
             let f = &mut self.flows[fi as usize];
@@ -696,7 +589,7 @@ impl EngineState {
             f.stalled = false;
             f.retries = 0;
             // Queue bookkeeping stays inline under the single `f` borrow
-            // (`seq`, `finish_ev`, `cal`, `heap` are all disjoint fields) —
+            // (`seq`, `finish_ev`, `retry_ev`, `cal` are disjoint fields) —
             // re-indexing the flow table or bouncing through `&mut self`
             // helpers costs real time at ~7 changed flows per event.
             if changed {
@@ -705,44 +598,31 @@ impl EngineState {
                 let t_fin = now + f.remaining / new_rate;
                 f.t_fin = t_fin;
                 probe.flow_rate(f.op, fi, new_rate, now);
-                if inc {
-                    if was_stalled {
-                        let slot = &mut self.retry_ev[fi as usize];
-                        if slot.1 != 0 {
-                            let (t, s) = *slot;
-                            *slot = (0.0, 0);
-                            let found = self.cal.remove(t, s);
-                            debug_assert!(found, "retry slot pointed at a missing event");
-                        }
-                    }
-                    // Queueing is deferred to the argmin pass below. Burn
-                    // the sequence number the baseline would have stamped
-                    // on this prediction and reserve it for the (possible)
-                    // later push, then drop the superseded event — a
-                    // surviving slot always means "time, seq and version
-                    // unchanged since push".
-                    self.seq += 1;
-                    f.pred_seq = self.seq;
-                    let slot = &mut self.finish_ev[fi as usize];
+                if was_stalled {
+                    let slot = &mut self.retry_ev[fi as usize];
                     if slot.1 != 0 {
                         let (t, s) = *slot;
                         *slot = (0.0, 0);
                         let found = self.cal.remove(t, s);
-                        debug_assert!(found, "finish slot pointed at a missing event");
+                        debug_assert!(found, "retry slot pointed at a missing event");
                     }
-                } else {
-                    self.seq += 1;
-                    let ev = Ev::Finish {
-                        flow: fi,
-                        version: f.version,
-                    };
-                    self.heap.push(HeapEv {
-                        time: t_fin,
-                        seq: self.seq,
-                        ev,
-                    });
                 }
-            } else if inc && self.finish_ev[fi as usize].1 != 0 {
+                // Queueing is deferred to the argmin pass below. Burn the
+                // sequence number push-per-change would have stamped on
+                // this prediction and reserve it for the (possible) later
+                // push, then drop the superseded event — a surviving slot
+                // always means "time, seq and version unchanged since
+                // push".
+                self.seq += 1;
+                f.pred_seq = self.seq;
+                let slot = &mut self.finish_ev[fi as usize];
+                if slot.1 != 0 {
+                    let (t, s) = *slot;
+                    *slot = (0.0, 0);
+                    let found = self.cal.remove(t, s);
+                    debug_assert!(found, "finish slot pointed at a missing event");
+                }
+            } else if self.finish_ev[fi as usize].1 != 0 {
                 // Unchanged flow with a live queued prediction: it keeps
                 // its event (and queue position) unless the pass below
                 // finds its sub-group's argmin moved elsewhere. Stalled
@@ -750,40 +630,36 @@ impl EngineState {
                 // just cancelled.
                 keeps.push(fi);
             }
-            if inc {
-                if let Some(&(r0, _)) = f.resources.first() {
-                    let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
-                    // `t_fin` is non-negative, so the bit pattern orders
-                    // like the float. Exact time ties MUST break by the
-                    // reserved sequence number — that is the order the
-                    // baseline pops same-instant predictions in.
-                    let cand = (u128::from(f.t_fin.to_bits()) << 64) | u128::from(f.pred_seq);
-                    if (cand, fi) < best[g] {
-                        best[g] = (cand, fi);
-                    }
+            if let Some(&(r0, _)) = f.resources.first() {
+                let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
+                // `t_fin` is non-negative, so the bit pattern orders like
+                // the float. Exact time ties MUST break by the reserved
+                // sequence number — that is the order push-per-change pops
+                // same-instant predictions in.
+                let cand = (u128::from(f.t_fin.to_bits()) << 64) | u128::from(f.pred_seq);
+                if (cand, fi) < best[g] {
+                    best[g] = (cand, fi);
                 }
             }
         }
-        if inc {
-            // Queue each sub-group's argmin (push order across groups is
-            // irrelevant — the queue sorts by key) and drop the queued
-            // prediction of any unchanged flow the argmin moved away from.
-            for &(_, fi) in &best {
-                if fi != u32::MAX && self.finish_ev[fi as usize].1 == 0 {
-                    let f = &self.flows[fi as usize];
-                    let (t_fin, seq, version) = (f.t_fin, f.pred_seq, f.version);
-                    self.push_finish_keyed(t_fin, seq, fi, version);
-                }
-            }
-            for &fi in &keeps {
+        // Queue each sub-group's argmin (push order across groups is
+        // irrelevant — the queue sorts by key) and drop the queued
+        // prediction of any unchanged flow the argmin moved away from.
+        for &(_, fi) in &best {
+            if fi != u32::MAX && self.finish_ev[fi as usize].1 == 0 {
                 let f = &self.flows[fi as usize];
-                let Some(&(r0, _)) = f.resources.first() else {
-                    continue;
-                };
-                let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
-                if best[g].1 != fi {
-                    self.cancel_finish(fi);
-                }
+                let (t_fin, seq, version) = (f.t_fin, f.pred_seq, f.version);
+                self.push_finish_keyed(t_fin, seq, fi, version);
+            }
+        }
+        for &fi in &keeps {
+            let f = &self.flows[fi as usize];
+            let Some(&(r0, _)) = f.resources.first() else {
+                continue;
+            };
+            let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
+            if best[g].1 != fi {
+                self.cancel_finish(fi);
             }
         }
         self.keeps = keeps;
@@ -805,7 +681,7 @@ impl EngineState {
     }
 }
 
-/// Reusable engine memory: the event heap, flow table (with each flow's
+/// Reusable engine memory: the event queue, flow table (with each flow's
 /// inner resource vector), per-resource flow registries, readiness driver,
 /// water-fill scratch, flow-spec emission buffers and the resource map.
 ///
@@ -884,49 +760,6 @@ pub fn set_check_enabled(v: Option<bool>) {
         Some(true) => 2,
     };
     CHECK_OVERRIDE.store(code, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Programmatic override of the incremental allocator: 0 = none (fall back
-/// to the cached `MHA_SCRATCH_FILL` read), 1 = forced scratch, 2 = forced
-/// incremental.
-static INCR_OVERRIDE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
-
-/// Whether the incremental max-min allocator (memoized component replay +
-/// keyed stale-event cancellation) is on. It is on by default and
-/// **behavior-invisible**: every simulation result is bit-identical either
-/// way — only speed changes. The scratch path exists as the
-/// differential-testing reference (the conformance `waterfill` oracle runs
-/// both and compares bits).
-///
-/// Resolution order mirrors [`check_enabled`]: the programmatic override
-/// ([`set_incremental_enabled`]) wins; otherwise incremental unless the
-/// `MHA_SCRATCH_FILL` environment variable is set (to anything other than
-/// empty or `0`), read once per process and cached.
-pub fn incremental_enabled() -> bool {
-    match INCR_OVERRIDE.load(std::sync::atomic::Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => {
-            static SCRATCH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            !*SCRATCH.get_or_init(|| {
-                std::env::var("MHA_SCRATCH_FILL").is_ok_and(|v| !v.is_empty() && v != "0")
-            })
-        }
-    }
-}
-
-/// Forces the incremental allocator on (`Some(true)`), off — i.e. scratch
-/// mode — (`Some(false)`), or back to the cached `MHA_SCRATCH_FILL`
-/// environment read (`None`). Thread-safe; the mode is sampled once per
-/// run, and both modes produce bit-identical results, so flipping this
-/// concurrently with other runs only affects their speed.
-pub fn set_incremental_enabled(v: Option<bool>) {
-    let code = match v {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    INCR_OVERRIDE.store(code, std::sync::atomic::Ordering::SeqCst);
 }
 
 /// A discrete-event simulator for one cluster specification.
@@ -1122,9 +955,9 @@ impl Simulator {
             self.faults.as_ref().map_or(0.0, |f| f.retry_timeout),
         );
 
-        // Fault boundaries enter the heap before the roots so a fault at
+        // Fault boundaries enter the queue before the roots so a fault at
         // t=0 rescales capacities before any same-instant op start. Without
-        // a fault timeline no events are pushed and the heap order is
+        // a fault timeline no events are pushed and the queue order is
         // byte-identical to the fault-free engine.
         fault_events.clear();
         if let Some(faults) = &self.faults {
@@ -1150,10 +983,10 @@ impl Simulator {
         let mut makespan = 0.0f64;
 
         // `events` counts *processed* events: pops that survive their
-        // staleness checks. (Incremental mode deletes superseded events
-        // instead of popping them, so counting raw pops would make the
-        // diagnostic depend on the allocator mode.)
-        while let Some((time, seq, ev)) = st.pop_event() {
+        // staleness checks. (Superseded events are normally deleted by
+        // key; the version checks below guard against a missed
+        // cancellation.)
+        while let Some((time, seq, ev)) = st.cal.pop() {
             match ev {
                 Ev::Start { op } => {
                     events += 1;
@@ -2740,38 +2573,54 @@ mod tests {
         }
     }
 
-    /// The incremental engine (calendar queue + keyed memo + argmin
-    /// rescheduling) and the scratch engine (binary heap, re-solve every
-    /// component) must agree bit-for-bit on every observable — on a mixed
-    /// striped/CMA schedule and on a faulty one exercising stall/retry.
+    /// The engine's output on a mixed striped/CMA schedule and on a
+    /// flapping rail exercising stall/retry, pinned bit-for-bit: makespan,
+    /// event count and every `op_end`. The pins were certified at commit
+    /// 572bd33, the last to carry an independent binary-heap,
+    /// re-solve-every-component engine, which produced the same bits. A
+    /// warm arena — slot recycling and the calendar's learned geometry
+    /// persisting across runs — must reproduce the cold run exactly.
     #[test]
-    fn incremental_and_scratch_engines_agree_bit_for_bit() {
-        let run_both = |f: &dyn Fn() -> SimResult, what: &str| {
-            set_incremental_enabled(Some(true));
-            let inc = f();
-            set_incremental_enabled(Some(false));
-            let scr = f();
-            set_incremental_enabled(None);
-            assert_bits_eq(&inc, &scr, what);
-        };
+    fn engine_matches_pinned_bits_cold_and_warm() {
+        fn assert_pinned(r: &SimResult, makespan: u64, events: u64, op_end: &[u64], what: &str) {
+            assert_eq!(r.makespan.to_bits(), makespan, "{what}: makespan");
+            assert_eq!(r.events, events, "{what}: event count");
+            let got: Vec<u64> = r.op_end.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, op_end, "{what}: op_end");
+        }
         let sch = mixed_sched();
         let s = sim();
-        run_both(&|| s.run(&sch).unwrap(), "mixed schedule");
+        let cold = s.run(&sch).unwrap();
+        assert_pinned(
+            &cold,
+            0x3efc_b78d_6722_eb83,
+            12,
+            &[
+                0x3efa_ae6d_fdf6_516c,
+                0x3efc_b78d_6722_eb83,
+                0x3efa_ae6d_fdf6_516c,
+                0x3efc_b78d_6722_eb83,
+                0x3ef9_d3e8_2c54_34de,
+            ],
+            "mixed schedule",
+        );
 
         let fsch = rail_sch(1 << 20, Channel::AllRails);
         let mut faults = FaultSpec::flap(0, 50e-6, 120e-6);
         faults.retry_timeout = 10e-6;
         let fs = Simulator::with_faults(ClusterSpec::thor(), faults).unwrap();
-        run_both(&|| fs.run(&fsch).unwrap(), "flapping rail");
+        assert_pinned(
+            &fs.run(&fsch).unwrap(),
+            0x3f08_cb3e_ef15_0d19,
+            5,
+            &[0x3f08_cb3e_ef15_0d19],
+            "flapping rail",
+        );
 
-        // And through a shared warm arena, where slot recycling and the
-        // calendar's learned geometry persist across runs.
         let mut arena = EngineArena::new();
-        set_incremental_enabled(Some(true));
-        let inc = s.run_in(&sch, &mut arena).unwrap();
-        set_incremental_enabled(Some(false));
-        let scr = s.run_in(&sch, &mut arena).unwrap();
-        set_incremental_enabled(None);
-        assert_bits_eq(&inc, &scr, "warm arena");
+        for pass in 0..2 {
+            let warm = s.run_in(&sch, &mut arena).unwrap();
+            assert_bits_eq(&warm, &cold, &format!("warm arena pass {pass}"));
+        }
     }
 }

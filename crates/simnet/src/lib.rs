@@ -46,8 +46,7 @@ mod trace;
 mod waterfill;
 
 pub use engine::{
-    check_enabled, incremental_enabled, set_check_enabled, set_incremental_enabled, EngineArena,
-    SimConfig, SimError, SimResult, Simulator,
+    check_enabled, set_check_enabled, EngineArena, SimConfig, SimError, SimResult, Simulator,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, DEFAULT_RETRY_TIMEOUT};
 pub use metrics::{kind_breakdown, phase_breakdown, KindBreakdown};

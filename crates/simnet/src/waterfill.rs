@@ -459,9 +459,10 @@ pub struct FillStats {
 ///   level actually moved — the `touched` count surfaced through
 ///   [`mha_sched::Probe::waterfill`].
 ///
-/// Both caches are behavior-invisible by construction: disabling them
-/// (`MHA_SCRATCH_FILL=1`, see [`crate::set_incremental_enabled`]) changes
-/// only speed. The conformance waterfill oracle asserts exactly that.
+/// Both caches are behavior-invisible by construction: a replay returns the
+/// reference filler's bits. The `waterfill_eq` differential tests check
+/// every memo path (miss, hit, and a hit relabelled onto other global
+/// resources) against [`WaterFiller::fill_with`], component by component.
 #[derive(Debug, Default)]
 pub struct IncrementalFiller {
     scratch: WaterFiller,
@@ -472,7 +473,7 @@ pub struct IncrementalFiller {
     // per fill in O(component).
     lstamp: Vec<u64>,
     lidx: Vec<u32>,
-    lres: Vec<u32>,
+    lres: Vec<ResourceId>,
     epoch: u64,
     key: Vec<u64>,
     cache: HashMap<Box<[u64]>, CacheEntry, BuildHasherDefault<Fnv>>,
@@ -504,97 +505,63 @@ impl IncrementalFiller {
     }
 
     /// Computes max-min rates for a component presented as a view (same
-    /// contract as [`WaterFiller::fill_with`]). Returns the number of
-    /// component resources whose persistent saturation level changed.
+    /// contract as [`WaterFiller::fill_with`]) through the memo. Returns
+    /// the number of component resources whose persistent saturation level
+    /// changed.
     ///
-    /// With `use_memo` false this is exactly the reference filler (plus
-    /// level tracking) — the differential-testing baseline.
+    /// Builds the canonical descriptor — flows in order (cap bits, degree,
+    /// then (local resource index, weight bits) pairs), then each distinct
+    /// resource's effective capacity bits in first-appearance order — and
+    /// hands it to [`IncrementalFiller::fill_keyed`].
     pub fn fill_view<'a>(
         &mut self,
         n: usize,
         mut flow: impl FnMut(usize) -> FlowSpec<'a>,
         mut capacity: impl FnMut(ResourceId) -> f64,
         rates: &mut Vec<f64>,
-        use_memo: bool,
     ) -> Result<usize, FillError> {
-        if n == 0 {
-            rates.clear();
-            return Ok(0);
-        }
-        if !use_memo || n > MEMO_MAX_FLOWS {
-            self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
-            return Ok(self.absorb_scratch_levels());
-        }
-
-        // Canonical descriptor: flows in order (cap bits, degree, then
-        // (local resource index, weight bits) pairs), then each distinct
-        // resource's effective capacity bits in first-appearance order —
-        // precisely the inputs the reference fill consumes.
         self.epoch += 1;
-        self.key.clear();
-        self.lres.clear();
-        self.key.push(n as u64);
+        let mut key = std::mem::take(&mut self.key);
+        let mut lres = std::mem::take(&mut self.lres);
+        key.clear();
+        lres.clear();
+        key.push(n as u64);
         for fi in 0..n {
             let f = flow(fi);
-            self.key.push(f.cap.to_bits());
-            self.key.push(f.resources.len() as u64);
+            key.push(f.cap.to_bits());
+            key.push(f.resources.len() as u64);
             for &(r, w) in f.resources {
                 let gi = r.index();
                 if gi >= self.lstamp.len() {
                     self.lstamp.resize(gi + 1, 0);
                     self.lidx.resize(gi + 1, 0);
                 }
-                let li = if self.lstamp[gi] == self.epoch {
-                    self.lidx[gi]
-                } else {
+                if self.lstamp[gi] != self.epoch {
                     self.lstamp[gi] = self.epoch;
-                    let li = self.lres.len() as u32;
-                    self.lidx[gi] = li;
-                    self.lres.push(r.0);
-                    li
-                };
-                self.key.push(u64::from(li));
-                self.key.push(w.to_bits());
-            }
-        }
-        for &g in &self.lres {
-            self.key.push(capacity(ResourceId(g)).to_bits());
-        }
-
-        if let Some(entry) = self.cache.get(self.key.as_slice()) {
-            // Replay. The stored key was compared word-for-word by the
-            // map, so this cannot be a hash collision.
-            self.stats.hits += 1;
-            rates.clear();
-            rates.extend_from_slice(&entry.rates);
-            let mut touched = 0;
-            for (k, &g) in self.lres.iter().enumerate() {
-                let new = entry.levels[k];
-                let slot = &mut self.levels[g as usize];
-                if slot.to_bits() != new.to_bits() {
-                    *slot = new;
-                    touched += 1;
+                    self.lidx[gi] = lres.len() as u32;
+                    lres.push(r);
                 }
+                key.push(u64::from(self.lidx[gi]));
+                key.push(w.to_bits());
             }
-            return Ok(touched);
         }
-
-        self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
-        self.stats.misses += 1;
-        debug_assert_eq!(self.scratch.local_resources().len(), self.lres.len());
-        if self.cache.len() >= MEMO_CAP {
-            self.cache.clear();
-            self.stats.flushes += 1;
+        for &r in &lres {
+            key.push(capacity(r).to_bits());
         }
-        self.cache.insert(
-            self.key.clone().into_boxed_slice(),
-            CacheEntry {
-                rates: rates.as_slice().into(),
-                levels: self.scratch.levels().into(),
-                lidx: (0..self.lres.len() as u32).collect(),
-            },
+        let lidx = std::mem::take(&mut self.lidx);
+        let filled = self.fill_keyed(
+            &key,
+            n,
+            flow,
+            capacity,
+            |r| lidx[r.index()],
+            |li| lres[li as usize],
+            rates,
         );
-        Ok(self.absorb_scratch_levels())
+        self.key = key;
+        self.lres = lres;
+        self.lidx = lidx;
+        filled
     }
 
     /// Memoized fill over a *caller-prebuilt* canonical descriptor — the
@@ -608,12 +575,13 @@ impl IncrementalFiller {
     /// effective capacity bits)` under a caller-chosen local numbering;
     /// `lidx_of(r)` maps a global resource to that numbering and
     /// `ids_of(li)` back to the *current* occurrence's global resource.
-    /// Touched-level semantics are identical to
-    /// [`IncrementalFiller::fill_view`].
+    /// [`IncrementalFiller::fill_view`] is this call with the descriptor
+    /// built for the caller.
     ///
-    /// Keys from this entry point and from [`IncrementalFiller::fill_view`]
-    /// use different local numberings, so a single instance must stick to
-    /// one of the two memoized entry points.
+    /// Memo entries store levels against local indices, so keys built
+    /// under different numberings can share one memo: equal keys describe
+    /// the same component up to relabelling, and `ids_of` places a replay
+    /// on the current occurrence's resources.
     #[allow(clippy::too_many_arguments)] // mirrors the key layout, item by item
     pub fn fill_keyed<'a>(
         &mut self,
@@ -1067,7 +1035,6 @@ mod tests {
             |i| flows[i],
             |r| caps[r.index()],
             &mut miss_rates,
-            true,
         )
         .unwrap();
         assert_eq!(inc.stats().misses, 1);
@@ -1077,7 +1044,6 @@ mod tests {
             |i| flows[i],
             |r| caps[r.index()],
             &mut hit_rates,
-            true,
         )
         .unwrap();
         assert_eq!(inc.stats().hits, 1);
@@ -1103,18 +1069,16 @@ mod tests {
         inc.reset(1);
         let mut rates = Vec::new();
         let t1 = inc
-            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates, true)
+            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates)
             .unwrap();
         assert_eq!(t1, 1, "R0 saturates, its level moves");
         let t2 = inc
-            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates, true)
+            .fill_view(2, |i| flows[i], |_| 10.0, &mut rates)
             .unwrap();
         assert_eq!(t2, 0, "identical refill touches nothing");
         // A capacity change (fault rescale) moves it again — and misses
         // the memo, because capacity bits are part of the descriptor.
-        let t3 = inc
-            .fill_view(2, |i| flows[i], |_| 5.0, &mut rates, true)
-            .unwrap();
+        let t3 = inc.fill_view(2, |i| flows[i], |_| 5.0, &mut rates).unwrap();
         assert_eq!(t3, 1);
         assert_eq!(inc.stats().misses, 2);
     }
@@ -1137,7 +1101,6 @@ mod tests {
             },
             |_| 10.0,
             &mut rates,
-            true,
         )
         .unwrap();
         assert!((rates[0] - 5.0).abs() < 1e-9, "{rates:?}");
@@ -1149,7 +1112,6 @@ mod tests {
             },
             |_| 10.0,
             &mut rates,
-            true,
         )
         .unwrap();
         assert!((rates[0] - 10.0).abs() < 1e-9, "{rates:?}");

@@ -5,8 +5,9 @@
 //! invariant: a memoized replay returns *exactly* the floats the reference
 //! `fill_with` would compute for the same component. These tests attack
 //! that invariant with seeded random components (including shapes that
-//! collide in the memo on purpose), EPS-boundary near-ties, and
-//! state-leakage probes across interleaved components and runs.
+//! collide in the memo on purpose), one shape replayed onto a disjoint set
+//! of resources, EPS-boundary near-ties, and state-leakage probes across
+//! interleaved components and runs.
 
 use mha_simnet::{FlowSpec, IncrementalFiller, ResourceId, WaterFiller};
 
@@ -122,19 +123,99 @@ fn five_hundred_random_components_match_scratch_bit_for_bit() {
         let want = scratch_rates(&c);
         for pass in 0..2 {
             let specs = c.specs();
-            inc.fill_view(
-                specs.len(),
-                |i| specs[i],
-                |r| c.capacity(r),
-                &mut rates,
-                true,
-            )
-            .unwrap();
+            inc.fill_view(specs.len(), |i| specs[i], |r| c.capacity(r), &mut rates)
+                .unwrap();
             assert_rates_eq(&rates, &want, &format!("case {case} pass {pass}"));
         }
     }
     let stats = inc.stats();
     assert!(stats.hits >= 500, "every second pass must hit the memo");
+}
+
+/// One component shape placed on two disjoint sets of global resources:
+/// the second fill shares the first's canonical key, so it must replay the
+/// memoized solution — the reference bits — and report its `touched`
+/// levels against the *second* set's resources, which are still at their
+/// unsaturated reset value.
+#[test]
+fn relabelled_component_replays_onto_its_own_resources() {
+    let mut rng = Rng(0x7e1a_be11);
+    let c = Component::random(&mut rng);
+    let want = scratch_rates(&c);
+    let mut saturated = WaterFiller::new();
+    let mut rates = Vec::new();
+    saturated
+        .fill(&c.specs(), |r| c.capacity(r), &mut rates)
+        .unwrap();
+    let n_sat = saturated.levels().iter().filter(|l| l.is_finite()).count();
+    assert!(
+        n_sat > 0,
+        "a max-min component saturates at least one resource"
+    );
+
+    // Second placement: resource r becomes r + OFFSET, same capacities.
+    const OFFSET: u32 = 100;
+    let moved: Vec<Vec<(ResourceId, f64)>> = c
+        .flows
+        .iter()
+        .map(|(_, rs)| {
+            rs.iter()
+                .map(|&(r, w)| (ResourceId(r.0 + OFFSET), w))
+                .collect()
+        })
+        .collect();
+    let moved_specs: Vec<FlowSpec<'_>> = c
+        .flows
+        .iter()
+        .zip(&moved)
+        .map(|((cap, _), rs)| FlowSpec {
+            cap: *cap,
+            resources: rs,
+        })
+        .collect();
+    let moved_capacity = |r: ResourceId| c.capacity(ResourceId(r.0 - OFFSET));
+
+    let mut inc = IncrementalFiller::new();
+    inc.reset(2 * OFFSET as usize);
+    let specs = c.specs();
+    let first = inc
+        .fill_view(specs.len(), |i| specs[i], |r| c.capacity(r), &mut rates)
+        .unwrap();
+    assert_rates_eq(&rates, &want, "first placement");
+    assert_eq!(first, n_sat, "first placement: touched");
+    assert_eq!(inc.stats().misses, 1);
+
+    let second = inc
+        .fill_view(
+            moved_specs.len(),
+            |i| moved_specs[i],
+            moved_capacity,
+            &mut rates,
+        )
+        .unwrap();
+    assert_eq!(
+        inc.stats().hits,
+        1,
+        "the relabelled shape must hit the memo"
+    );
+    assert_rates_eq(&rates, &want, "relabelled replay");
+    assert_eq!(second, n_sat, "relabelled replay: touched");
+
+    // The replay wrote the second set's levels: repeating either placement
+    // now moves nothing.
+    let again = inc
+        .fill_view(
+            moved_specs.len(),
+            |i| moved_specs[i],
+            moved_capacity,
+            &mut rates,
+        )
+        .unwrap();
+    assert_eq!(again, 0, "second set already holds the replayed levels");
+    let again = inc
+        .fill_view(specs.len(), |i| specs[i], |r| c.capacity(r), &mut rates)
+        .unwrap();
+    assert_eq!(again, 0, "first set was left untouched by the replay");
 }
 
 /// Near-tie determinism at the EPS boundary: resources whose saturation
@@ -186,7 +267,7 @@ fn eps_boundary_ties_are_deterministic() {
         inc.reset(2);
         for pass in 0..2 {
             let mut rates = Vec::new();
-            inc.fill_view(flows.len(), |i| flows[i], capacity, &mut rates, true)
+            inc.fill_view(flows.len(), |i| flows[i], capacity, &mut rates)
                 .unwrap();
             assert_rates_eq(&rates, &reference, &format!("delta {delta:e} memo {pass}"));
         }
@@ -216,14 +297,8 @@ fn no_state_leaks_across_interleaved_components_and_resets() {
         for &ci in &order {
             let c = &components[ci];
             let specs = c.specs();
-            inc.fill_view(
-                specs.len(),
-                |i| specs[i],
-                |r| c.capacity(r),
-                &mut rates,
-                true,
-            )
-            .unwrap();
+            inc.fill_view(specs.len(), |i| specs[i], |r| c.capacity(r), &mut rates)
+                .unwrap();
             assert_rates_eq(&rates, &want[ci], &format!("round {round} component {ci}"));
         }
         inc.reset(16);
