@@ -4,8 +4,8 @@
 //! topology tree and keyed by the full tree digest. Each 3-level cell is
 //! also validated against the per-level α–β model
 //! ([`mha_model::composed_latency`]): the simulated makespan must stay
-//! within the `MHA_MODEL_ENVELOPE` (default 2×) envelope of the
-//! prediction, so the sweep doubles as a model-conformance gate.
+//! within the 2× envelope of the prediction (the conformance crate's
+//! model envelope), so the sweep doubles as a model-conformance gate.
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
@@ -49,10 +49,7 @@ fn main() {
     }
     let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
 
-    let envelope: f64 = std::env::var("MHA_MODEL_ENVELOPE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2.0);
+    let envelope = 2.0f64;
     let p = ModelParams::from_spec(&spec);
     let mut t = Table::new(
         "Composer-built 3-level NUMA-aware vs 2-level NUMA-blind, 4 nodes x 16 PPN \

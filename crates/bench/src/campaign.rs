@@ -281,16 +281,16 @@ impl CampaignConfig {
     /// `MHA_CAMPAIGN_CACHE`, `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`.
     pub fn from_env() -> Self {
         let mut cfg = CampaignConfig::default();
-        if let Some(w) = env_parse::<usize>("MHA_CAMPAIGN_WORKERS") {
+        if let Some(w) = parse_env::<usize>("MHA_CAMPAIGN_WORKERS") {
             cfg.workers = w.max(1);
         }
         if let Ok(v) = std::env::var("MHA_CAMPAIGN_CACHE") {
             cfg.cache = !matches!(v.trim(), "0" | "false" | "off" | "no");
         }
-        if let Some(r) = env_parse::<u32>("MHA_CAMPAIGN_REPS") {
+        if let Some(r) = parse_env::<u32>("MHA_CAMPAIGN_REPS") {
             cfg.reps = r.max(1);
         }
-        if let Some(s) = env_parse::<u64>("MHA_CAMPAIGN_SEED") {
+        if let Some(s) = parse_env::<u64>("MHA_CAMPAIGN_SEED") {
             cfg.seed = s;
         }
         cfg
@@ -309,7 +309,7 @@ impl CampaignConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 

@@ -6,6 +6,8 @@
 //! single-node grids for MHA-intra, …) — the oracle tests *correct*
 //! configurations; rejection paths are covered by `tests/failure_modes.rs`.
 
+use std::fmt;
+
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::Family as Algo;
 use mha_collectives::{build, build_composed, AlgoConfig, BuildError, Built, ComposePlan};
@@ -32,13 +34,13 @@ impl Family {
     /// All families, in a fixed order (used for round-robin coverage).
     pub const ALL: [Family; 4] = [Family::Flat, Family::TwoLevel, Family::Mha, Family::Hier];
 
-    /// Dense index into per-family counters.
-    pub fn index(self) -> usize {
+    /// The family's tally label in the differential oracle's report.
+    pub fn name(self) -> &'static str {
         match self {
-            Family::Flat => 0,
-            Family::TwoLevel => 1,
-            Family::Mha => 2,
-            Family::Hier => 3,
+            Family::Flat => "flat",
+            Family::TwoLevel => "two-level",
+            Family::Mha => "mha",
+            Family::Hier => "hier",
         }
     }
 }
@@ -70,12 +72,15 @@ impl Case {
             None => build(&self.cfg, self.grid, self.msg, spec),
         }
     }
+}
 
-    /// A short, greppable description for disagreement reports.
-    pub fn describe(&self) -> String {
+/// A short, greppable description for disagreement reports.
+impl fmt::Display for Case {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some((topo, plan)) = &self.tree {
             let shape: Vec<String> = topo.levels().iter().map(|l| l.fanout.to_string()).collect();
-            return format!(
+            return write!(
+                f,
                 "{:?}/{} tree={} msg={}",
                 self.family,
                 plan.name(),
@@ -83,7 +88,8 @@ impl Case {
                 self.msg
             );
         }
-        format!(
+        write!(
+            f,
             "{:?}/[{}] {}x{} msg={}",
             self.family,
             self.cfg.to_kv(),
@@ -97,7 +103,8 @@ impl Case {
 const MSGS: [usize; 4] = [64, 256, 1024, 4096];
 const PPNS: [u32; 4] = [1, 2, 4, 8];
 
-fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
+/// A uniform draw from `xs` (one `gen_range` call).
+pub(crate) fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
     xs[rng.gen_range(0..xs.len())]
 }
 
@@ -239,7 +246,7 @@ mod tests {
         for i in 0..120 {
             let case = sample_case(&mut rng, Family::ALL[i % Family::ALL.len()]);
             case.build(&spec)
-                .unwrap_or_else(|e| panic!("{} failed to build: {e:?}", case.describe()));
+                .unwrap_or_else(|e| panic!("{case} failed to build: {e:?}"));
         }
     }
 }

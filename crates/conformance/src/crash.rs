@@ -15,58 +15,43 @@
 //!   ([`FaultSpec::node_crash`]): the run must stay invariant-clean and
 //!   the makespan must absorb the full recovery penalty.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use std::fmt;
+
 use mha_exec::{
     resume_single, resume_threaded, run_single, run_single_killed, run_threaded_killed,
     BufferStore, CompletionJournal, ExecError, KillPlan,
 };
 use mha_sched::{FrozenSchedule, InvariantProbe};
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
 use crate::cases::{sample_case, Case, Family};
+use crate::oracle::THREADS;
+use crate::runner::Oracle;
 
-/// Crash-oracle knobs (all overridable from the environment).
-#[derive(Debug, Clone)]
-pub struct CrashOracleConfig {
-    /// Number of random crash cases (`MHA_CRASH_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_CRASH_SEED`); the sweep is deterministic given it.
-    pub seed: u64,
-    /// Worker threads for the kill-harness runs (`MHA_CRASH_THREADS`).
-    pub threads: usize,
-}
+/// The crash oracle: seeded kill schedules, the four families
+/// round-robin, each checked executed ([`check_crash_case`]) then modeled
+/// ([`check_modeled_crash`]). Passing cases are tallied `"recovered"`.
+pub struct Crash;
 
-impl Default for CrashOracleConfig {
-    fn default() -> Self {
-        CrashOracleConfig {
-            cases: 100,
-            seed: 0xDEAD,
-            threads: 4,
+impl Oracle for Crash {
+    const NAME: &'static str = "crash";
+    const SEED: u64 = 0xDEAD;
+    const DEFAULT_CASES: usize = 100;
+    type Case = CrashCase;
+
+    fn sample(&self, rng: &mut StdRng, i: usize) -> CrashCase {
+        CrashCase {
+            case: sample_case(rng, Family::ALL[i % Family::ALL.len()]),
+            kill_seed: rng.gen_range(0..u64::MAX),
         }
     }
-}
 
-impl CrashOracleConfig {
-    /// The default configuration with `MHA_CRASH_CASES`, `MHA_CRASH_SEED`
-    /// and `MHA_CRASH_THREADS` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = CrashOracleConfig::default();
-        if let Some(v) = env_parse("MHA_CRASH_CASES") {
-            cfg.cases = v;
-        }
-        if let Some(v) = env_parse("MHA_CRASH_SEED") {
-            cfg.seed = v;
-        }
-        if let Some(v) = env_parse("MHA_CRASH_THREADS") {
-            cfg.threads = v;
-        }
-        cfg
+    fn check(&self, crash: &CrashCase) -> Result<&'static str, String> {
+        check_crash_case(crash, THREADS)?;
+        check_modeled_crash(crash)?;
+        Ok("recovered")
     }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// One randomly drawn crash case: a collective configuration plus the seed
@@ -80,30 +65,22 @@ pub struct CrashCase {
     pub kill_seed: u64,
 }
 
-impl CrashCase {
-    /// A short, greppable description for disagreement reports.
-    pub fn describe(&self) -> String {
-        format!("{} kill_seed={:#x}", self.case.describe(), self.kill_seed)
-    }
-}
-
-/// Draws one crash case from `family`.
-pub fn sample_crash_case(rng: &mut StdRng, family: Family) -> CrashCase {
-    CrashCase {
-        case: sample_case(rng, family),
-        kill_seed: rng.gen_range(0..u64::MAX),
+/// A short, greppable description for disagreement reports.
+impl fmt::Display for CrashCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} kill_seed={:#x}", self.case, self.kill_seed)
     }
 }
 
 /// All buffer contents, in buffer-id order — the byte-exact recovery
 /// oracle compares entire stores, not just the receive buffers, so a
 /// resumed run may not even scribble differently on scratch space.
-fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
+pub fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
     sch.buffers().iter().map(|b| store.read_all(b.id)).collect()
 }
 
 /// A store with every rank's send buffer filled with its distinct pattern.
-fn seeded_store(sch: &FrozenSchedule, built: &mha_collectives::Built) -> BufferStore {
+pub fn seeded_store(sch: &FrozenSchedule, built: &mha_collectives::Built) -> BufferStore {
     let store = BufferStore::new(sch);
     for (rank, &buf) in built.send.iter().enumerate() {
         store.fill(buf, 0, &mha_exec::rank_pattern(rank, built.msg));
@@ -236,75 +213,16 @@ pub fn check_modeled_crash(crash: &CrashCase) -> Result<(), String> {
     Ok(())
 }
 
-/// The outcome of a crash-oracle sweep.
-#[derive(Debug)]
-pub struct CrashOracleReport {
-    /// Crash cases checked.
-    pub cases: usize,
-    /// Human-readable description of every disagreement (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl CrashOracleReport {
-    /// Whether every kill schedule recovered byte-identically.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Runs the crash-oracle sweep: `cfg.cases` seeded kill schedules,
-/// round-robin across the four families.
-///
-/// Cases are pre-sampled sequentially from the seeded RNG, fanned across
-/// the campaign worker pool (`MHA_CAMPAIGN_WORKERS`), and reassembled in
-/// case order — the report is independent of pool width.
-pub fn run_crash_oracle(cfg: &CrashOracleConfig) -> CrashOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cases: Vec<CrashCase> = (0..cfg.cases)
-        .map(|i| sample_crash_case(&mut rng, Family::ALL[i % Family::ALL.len()]))
-        .collect();
-
-    let threads = cfg.threads;
-    let points: Vec<CampaignPoint> = cases
-        .into_iter()
-        .map(|crash| {
-            let label = crash.describe();
-            CampaignPoint::custom(label, move |_seed| {
-                let checked =
-                    check_crash_case(&crash, threads).and_then(|()| check_modeled_crash(&crash));
-                Ok(vec![match checked {
-                    Ok(()) => Row::new("ok", vec![1.0]),
-                    Err(e) => Row::note(crash.describe(), e),
-                }])
-            })
-        })
-        .collect();
-    let mut pool = CampaignConfig::from_env();
-    pool.reps = 1;
-    let report = run_campaign(&points, &pool).expect("crash-oracle pool failed");
-
-    let mut disagreements = Vec::new();
-    for pr in &report.results {
-        for row in &pr.rows {
-            if let Some(e) = &row.note {
-                disagreements.push(format!("crash case {} [{}]: {e}", pr.point, row.label));
-            }
-        }
-    }
-    CrashOracleReport {
-        cases: cfg.cases,
-        disagreements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn a_single_crash_case_recovers_on_both_sides() {
         let mut rng = StdRng::seed_from_u64(1);
-        let crash = sample_crash_case(&mut rng, Family::Mha);
+        let crash = Crash.sample(&mut rng, 2);
+        assert_eq!(crash.case.family, Family::Mha);
         check_crash_case(&crash, 4).unwrap();
         check_modeled_crash(&crash).unwrap();
     }
@@ -312,16 +230,15 @@ mod tests {
     #[test]
     fn every_family_survives_a_crash() {
         let mut rng = StdRng::seed_from_u64(11);
-        for family in Family::ALL {
-            let crash = sample_crash_case(&mut rng, family);
-            check_crash_case(&crash, 3).unwrap_or_else(|e| panic!("{}: {e}", crash.describe()));
+        for i in 0..Family::ALL.len() {
+            let crash = Crash.sample(&mut rng, i);
+            check_crash_case(&crash, 3).unwrap_or_else(|e| panic!("{crash}: {e}"));
         }
     }
 
     #[test]
     fn config_defaults_meet_the_acceptance_bar() {
-        let cfg = CrashOracleConfig::default();
-        assert!(cfg.cases >= 100);
-        assert_eq!(cfg.seed, 0xDEAD);
+        const { assert!(Crash::DEFAULT_CASES >= 100) };
+        assert_eq!(Crash::SEED, 0xDEAD);
     }
 }

@@ -15,91 +15,65 @@
 //!   simulated latency with `k` failed rails is within a multiplicative
 //!   envelope of the α–β model evaluated at `H − k` rails.
 
-use mha_bench::campaign::{run_campaign, simulator_for, CampaignConfig, CampaignPoint, Row};
+use std::fmt;
+
+use mha_bench::campaign::simulator_for;
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
-use mha_exec::Mode;
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
 use mha_sched::{InvariantProbe, ProcGrid};
 use mha_simnet::{ClusterSpec, FaultSpec};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
-/// Structural + executor checks shared by both builds of a fault case.
-fn verify_built(
-    built: &mha_collectives::Built,
-    spec: &ClusterSpec,
-    threads: usize,
-) -> Result<(), String> {
-    mha_sched::validate(&built.sched, Some(spec.rails)).map_err(|e| format!("validate: {e}"))?;
-    let races = mha_sched::check_races(&built.sched);
-    if !races.is_empty() {
-        return Err(format!("{} races, first on {}", races.len(), races[0].buf));
-    }
-    mha_exec::verify_allgather(
-        &built.sched,
-        &built.send,
-        &built.recv,
-        built.msg,
-        Mode::Single,
-    )
-    .map_err(|e| format!("verify single: {e:?}"))?;
-    mha_exec::verify_allgather(
-        &built.sched,
-        &built.send,
-        &built.recv,
-        built.msg,
-        Mode::Threaded(threads),
-    )
-    .map_err(|e| format!("verify threaded: {e:?}"))?;
-    Ok(())
-}
+use crate::cases::pick;
+use crate::oracle::{verify_built, ENVELOPE};
+use crate::runner::Oracle;
 
-/// Fault-oracle knobs (all overridable from the environment).
-#[derive(Debug, Clone)]
-pub struct FaultOracleConfig {
-    /// Number of random fault cases (`MHA_FAULT_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_FAULT_SEED`); the sweep is deterministic given it.
-    pub seed: u64,
-    /// Degraded latency must lie within `[model / envelope,
-    /// model · envelope]` of the α–β prediction at `H − k` rails
-    /// (`MHA_FAULT_ENVELOPE`).
-    pub envelope: f64,
-    /// Worker threads for the thread-pool verification runs.
-    pub threads: usize,
-}
+/// The fault oracle: random rail-fault cases, each checked by
+/// [`check_fault_case`]. Passing cases are tallied `"envelope"` when the
+/// degradation envelope was evaluated and `"startup"` when the message
+/// was too small for it.
+pub struct Faults;
 
-impl Default for FaultOracleConfig {
-    fn default() -> Self {
-        FaultOracleConfig {
-            cases: 100,
-            seed: 0xFA17,
-            envelope: 2.0,
-            threads: 4,
+impl Oracle for Faults {
+    const NAME: &'static str = "faults";
+    const SEED: u64 = 0xFA17;
+    const DEFAULT_CASES: usize = 100;
+    type Case = FaultCase;
+
+    /// Node counts stay powers of two so both phase-2 patterns are
+    /// always buildable.
+    fn sample(&self, rng: &mut StdRng, _i: usize) -> FaultCase {
+        let rails = pick(rng, &[2u8, 4, 8]);
+        let k = rng.gen_range(0..rails) as usize;
+        let mut all: Vec<u8> = (0..rails).collect();
+        for i in 0..k {
+            let j = rng.gen_range(i..all.len());
+            all.swap(i, j);
+        }
+        let mut down = all[..k].to_vec();
+        down.sort_unstable();
+        FaultCase {
+            rails,
+            down,
+            grid: ProcGrid::new(pick(rng, &[2u32, 4]), pick(rng, &[1u32, 2, 4])),
+            msg: pick(rng, &[1024usize, 16 * 1024, 64 * 1024]),
+            inter: if rng.gen_range(0..2u32) == 0 {
+                InterAlgo::Ring
+            } else {
+                InterAlgo::RecursiveDoubling
+            },
+            offload: if rng.gen_range(0..2u32) == 0 {
+                Offload::Auto
+            } else {
+                Offload::None
+            },
         }
     }
-}
 
-impl FaultOracleConfig {
-    /// The default configuration with `MHA_FAULT_CASES`, `MHA_FAULT_SEED`
-    /// and `MHA_FAULT_ENVELOPE` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = FaultOracleConfig::default();
-        if let Some(v) = env_parse("MHA_FAULT_CASES") {
-            cfg.cases = v;
-        }
-        if let Some(v) = env_parse("MHA_FAULT_SEED") {
-            cfg.seed = v;
-        }
-        if let Some(v) = env_parse("MHA_FAULT_ENVELOPE") {
-            cfg.envelope = v;
-        }
-        cfg
+    fn check(&self, case: &FaultCase) -> Result<&'static str, String> {
+        check_fault_case(case)
     }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// One randomly drawn fault case.
@@ -119,10 +93,11 @@ pub struct FaultCase {
     pub offload: Offload,
 }
 
-impl FaultCase {
-    /// A short, greppable description for disagreement reports.
-    pub fn describe(&self) -> String {
-        format!(
+/// A short, greppable description for disagreement reports.
+impl fmt::Display for FaultCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{:?} {}x{} msg={} rails={} down={:?}",
             self.inter,
             self.grid.nodes(),
@@ -134,111 +109,11 @@ impl FaultCase {
     }
 }
 
-fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
-    xs[rng.gen_range(0..xs.len())]
-}
-
-/// Draws one fault case. Node counts stay powers of two so both phase-2
-/// patterns are always buildable.
-pub fn sample_fault_case(rng: &mut StdRng) -> FaultCase {
-    let rails = pick(rng, &[2u8, 4, 8]);
-    let k = rng.gen_range(0..rails) as usize;
-    let mut all: Vec<u8> = (0..rails).collect();
-    for i in 0..k {
-        let j = rng.gen_range(i..all.len());
-        all.swap(i, j);
-    }
-    let mut down = all[..k].to_vec();
-    down.sort_unstable();
-    FaultCase {
-        rails,
-        down,
-        grid: ProcGrid::new(pick(rng, &[2u32, 4]), pick(rng, &[1u32, 2, 4])),
-        msg: pick(rng, &[1024usize, 16 * 1024, 64 * 1024]),
-        inter: if rng.gen_range(0..2u32) == 0 {
-            InterAlgo::Ring
-        } else {
-            InterAlgo::RecursiveDoubling
-        },
-        offload: if rng.gen_range(0..2u32) == 0 {
-            Offload::Auto
-        } else {
-            Offload::None
-        },
-    }
-}
-
-/// The outcome of a fault-oracle sweep.
-#[derive(Debug)]
-pub struct FaultOracleReport {
-    /// Fault cases checked.
-    pub cases: usize,
-    /// Cases whose degradation envelope was checked (bandwidth-regime
-    /// messages only).
-    pub envelope_checked: usize,
-    /// Human-readable description of every disagreement (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl FaultOracleReport {
-    /// Whether the sweep found no disagreement.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Runs the fault-oracle sweep: `cfg.cases` random fault cases.
-///
-/// Cases are pre-sampled sequentially from the seeded RNG, fanned across
-/// the campaign worker pool (`MHA_CAMPAIGN_WORKERS`), and reassembled in
-/// case order — the report is independent of pool width.
-pub fn run_fault_oracle(cfg: &FaultOracleConfig) -> FaultOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cases: Vec<FaultCase> = (0..cfg.cases)
-        .map(|_| sample_fault_case(&mut rng))
-        .collect();
-
-    let envelope = cfg.envelope;
-    let threads = cfg.threads;
-    let points: Vec<CampaignPoint> = cases
-        .into_iter()
-        .map(|case| {
-            let label = case.describe();
-            CampaignPoint::custom(label, move |_seed| {
-                Ok(vec![match check_fault_case(&case, envelope, threads) {
-                    Ok(checked) => Row::new("ok", vec![if checked { 1.0 } else { 0.0 }]),
-                    Err(e) => Row::note(case.describe(), e),
-                }])
-            })
-        })
-        .collect();
-    let mut pool = CampaignConfig::from_env();
-    pool.reps = 1;
-    let report = run_campaign(&points, &pool).expect("fault-oracle pool failed");
-
-    let mut disagreements = Vec::new();
-    let mut envelope_checked = 0;
-    for pr in &report.results {
-        for row in &pr.rows {
-            match &row.note {
-                Some(e) => {
-                    disagreements.push(format!("fault case {} [{}]: {e}", pr.point, row.label))
-                }
-                None => envelope_checked += row.values[0] as usize,
-            }
-        }
-    }
-    FaultOracleReport {
-        cases: cfg.cases,
-        envelope_checked,
-        disagreements,
-    }
-}
-
-/// Checks one fault case; returns whether the degradation envelope was
-/// evaluated (it is skipped in the startup-dominated small-message regime,
-/// where an α–β bandwidth model is not the right yardstick).
-pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Result<bool, String> {
+/// Checks one fault case; returns `"envelope"` when the degradation
+/// envelope was evaluated and `"startup"` when it was skipped (in the
+/// startup-dominated small-message regime an α–β bandwidth model is not
+/// the right yardstick).
+pub fn check_fault_case(case: &FaultCase) -> Result<&'static str, String> {
     let spec = ClusterSpec::thor_with_rails(case.rails);
     let cfg = AlgoConfig::mha_inter(MhaInterConfig {
         inter: case.inter,
@@ -249,7 +124,7 @@ pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Resu
     // Control: the fault-oblivious build stays healthy.
     let base = build(&cfg, case.grid, case.msg, &spec)
         .map_err(|e| format!("baseline build failed: {e:?}"))?;
-    verify_built(&base, &spec, threads).map_err(|e| format!("baseline {e}"))?;
+    verify_built(&base, spec.rails).map_err(|e| format!("baseline {e}"))?;
 
     // The failure-aware build must be just as correct.
     let degraded = AlgoConfig {
@@ -258,7 +133,7 @@ pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Resu
     };
     let deg = build(&degraded, case.grid, case.msg, &spec)
         .map_err(|e| format!("degraded build failed: {e:?}"))?;
-    verify_built(&deg, &spec, threads).map_err(|e| format!("degraded {e}"))?;
+    verify_built(&deg, spec.rails).map_err(|e| format!("degraded {e}"))?;
 
     // Simulate the degraded schedule under the fault timeline with the
     // full invariant audit (includes the down-rail progress probe). An
@@ -288,7 +163,7 @@ pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Resu
     // Degradation envelope: latency with k failed rails vs the α–β model
     // at H − k rails. Only meaningful once bandwidth dominates startup.
     if case.msg < spec.stripe_threshold {
-        return Ok(false);
+        return Ok("startup");
     }
     let survivors = case.rails - case.down.len() as u8;
     let p = ModelParams::from_spec(&ClusterSpec::thor_with_rails(survivors));
@@ -298,19 +173,20 @@ pub fn check_fault_case(case: &FaultCase, envelope: f64, threads: usize) -> Resu
     };
     let predicted = mha_inter_latency(&p, case.grid.nodes(), case.grid.ppn(), case.msg, phase2);
     let ratio = result.makespan / predicted;
-    if !(1.0 / envelope..=envelope).contains(&ratio) {
+    if !(1.0 / ENVELOPE..=ENVELOPE).contains(&ratio) {
         return Err(format!(
             "degraded latency {:.3e}s vs model at {survivors} rails {predicted:.3e}s \
-             (ratio {ratio:.2} outside ±{envelope}x)",
+             (ratio {ratio:.2} outside ±{ENVELOPE}x)",
             result.makespan
         ));
     }
-    Ok(true)
+    Ok("envelope")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn a_single_fault_case_passes_every_layer() {
@@ -322,14 +198,14 @@ mod tests {
             inter: InterAlgo::Ring,
             offload: Offload::Auto,
         };
-        assert!(check_fault_case(&case, 2.0, 4).unwrap());
+        assert_eq!(check_fault_case(&case), Ok("envelope"));
     }
 
     #[test]
     fn sampled_cases_always_leave_a_survivor() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let c = sample_fault_case(&mut rng);
+            let c = Faults.sample(&mut rng, 0);
             assert!(c.down.len() < c.rails as usize);
             let mut d = c.down.clone();
             d.dedup();
@@ -352,13 +228,13 @@ mod tests {
             inter: InterAlgo::Ring,
             offload: Offload::Auto,
         };
-        assert!(check_fault_case(&case, 2.0, 4).unwrap());
+        assert_eq!(check_fault_case(&case), Ok("envelope"));
     }
 
     #[test]
     fn config_defaults_meet_the_acceptance_bar() {
-        let cfg = FaultOracleConfig::default();
-        assert!(cfg.cases >= 100);
-        assert_eq!(cfg.envelope, 2.0);
+        const { assert!(Faults::DEFAULT_CASES >= 100) };
+        assert_eq!(Faults::SEED, 0xFA17);
+        assert_eq!(ENVELOPE, 2.0);
     }
 }

@@ -12,14 +12,22 @@
 //! regression surfaces as a small, readable reproduction.
 //!
 //! Everything is deterministic: mutants are either enumerated
-//! ([`seeded_mutants`]) or drawn from a seeded [`StdRng`].
+//! ([`seeded_mutants`]) or drawn from a seeded [`StdRng`] — the random
+//! loop is the [`Fuzz`] oracle.
 
-use mha_collectives::Built;
+use std::fmt;
+use std::sync::OnceLock;
+
+use mha_collectives::{build, AlgoConfig, Built, Family};
 use mha_exec::Mode;
 use mha_sched::{
     BufId, BufKind, BufferDecl, Channel, OpId, OpKind, ProcGrid, Schedule, ScheduleBuilder,
 };
+use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng};
+
+use crate::oracle::THREADS;
+use crate::runner::{Oracle, Report};
 
 /// A mutable, rebuildable description of a schedule: the builder's inputs,
 /// round-trippable through [`SchedSpec::from_schedule`] / [`SchedSpec::build`].
@@ -404,17 +412,113 @@ pub fn random_mutation(rng: &mut StdRng, spec: &SchedSpec) -> Option<Mutation> {
     None
 }
 
+/// The fuzz targets: flat ring on 2×2, Bruck on one 4-rank node and the
+/// default MHA-inter on 2×4, all at 64 B, each with its name. Built once
+/// per process.
+pub fn fuzz_targets() -> &'static [(String, FuzzTarget)] {
+    static TARGETS: OnceLock<Vec<(String, FuzzTarget)>> = OnceLock::new();
+    TARGETS.get_or_init(|| {
+        let spec = ClusterSpec::thor();
+        [
+            (AlgoConfig::flat(Family::Ring), ProcGrid::new(2, 2)),
+            (AlgoConfig::flat(Family::Bruck), ProcGrid::single_node(4)),
+            (AlgoConfig::default(), ProcGrid::new(2, 4)),
+        ]
+        .into_iter()
+        .map(|(cfg, grid)| {
+            let built = build(&cfg, grid, 64, &spec).expect("fuzz targets build");
+            (
+                format!("{} {}x{}", cfg.family.token(), grid.nodes(), grid.ppn()),
+                FuzzTarget::from_built(&built, spec.rails),
+            )
+        })
+        .collect()
+    })
+}
+
+/// The random-fuzzing oracle: each case draws a target and a random
+/// mutation of it. A killed mutant is tallied `"killed"`; a survivor must
+/// still verify on the thread pool (a genuinely correct schedule) and is
+/// tallied `"survived"`; a draw with no applicable mutation is tallied
+/// `"inapplicable"`. [`check_kill_rate`] holds the tally to its bars.
+pub struct Fuzz;
+
+/// One random draw: a target index and the mutation drawn for it.
+#[derive(Debug)]
+pub struct FuzzCase {
+    target: usize,
+    mutation: Option<Mutation>,
+}
+
+impl fmt::Display for FuzzCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "target {} {:?}", self.target, self.mutation)
+    }
+}
+
+impl Oracle for Fuzz {
+    const NAME: &'static str = "fuzz";
+    const SEED: u64 = 0xF022;
+    const DEFAULT_CASES: usize = 150;
+    type Case = FuzzCase;
+
+    fn sample(&self, rng: &mut StdRng, _i: usize) -> FuzzCase {
+        let targets = fuzz_targets();
+        let target = rng.gen_range(0..targets.len());
+        let mutation = random_mutation(rng, &targets[target].1.spec);
+        FuzzCase { target, mutation }
+    }
+
+    fn check(&self, case: &FuzzCase) -> Result<&'static str, String> {
+        let Some(m) = case.mutation else {
+            return Ok("inapplicable");
+        };
+        let (name, target) = &fuzz_targets()[case.target];
+        let mutant = apply(&target.spec, m).ok_or("drawn mutation does not apply")?;
+        if judge(target, &mutant).killed() {
+            return Ok("killed");
+        }
+        // A survivor claims to still be a correct allgather; hold it to
+        // that in the thread-pool mode too.
+        let frozen = mutant.build().freeze();
+        mha_exec::verify_allgather(
+            &frozen,
+            &target.send,
+            &target.recv,
+            target.msg,
+            Mode::Threaded(THREADS),
+        )
+        .map_err(|e| format!("{name}: survivor fails threaded verify: {e:?}"))?;
+        Ok("survived")
+    }
+}
+
+/// The bars over a [`Fuzz`] sweep's tally: at least half the draws apply
+/// (else the generator is mostly inapplicable), and at least 30 % of the
+/// applied mutants are killed (else the checkers are rotting).
+pub fn check_kill_rate(report: &Report) -> Result<(), String> {
+    let killed = report.count("killed");
+    let applied = killed + report.count("survived");
+    if applied < report.cases / 2 {
+        return Err(format!(
+            "mutation generator mostly inapplicable: {applied} of {} draws applied",
+            report.cases
+        ));
+    }
+    if killed * 10 < applied * 3 {
+        return Err(format!(
+            "kill rate collapsed: {killed}/{applied} — are the checkers rotting?"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_collectives::{build, AlgoConfig, Family};
-    use mha_simnet::ClusterSpec;
 
     fn ring_target() -> FuzzTarget {
-        let spec = ClusterSpec::thor();
-        let ring = AlgoConfig::flat(Family::Ring);
-        let built = build(&ring, ProcGrid::new(2, 2), 64, &spec).unwrap();
-        FuzzTarget::from_built(&built, spec.rails)
+        fuzz_targets()[0].1.clone()
     }
 
     #[test]

@@ -8,24 +8,26 @@
 //!    discrete-event engine): per-op causality, per-resource capacity and
 //!    per-flow byte conservation, audited on every simulated run when
 //!    `MHA_CHECK` is set (every `fig*` binary's `--check` flag).
-//! 2. **A three-way differential oracle** ([`oracle`]): random
-//!    configurations across the flat / two-level / MHA collective families,
-//!    each cross-checked between the threaded executor (real bytes, MPI
-//!    semantics via [`mha_exec::verify_allgather`]), the simulator (invariant
-//!    audit + dependency-respecting op ordering) and the α–β model
-//!    (latency monotone in message size, within a configurable envelope of
-//!    the [`mha_model`] prediction). [`coverage`] adds a static check that
-//!    the schedule writes every receive-buffer byte exactly once.
+//! 2. **Oracles** — each an [`Oracle`] (a seeded case sampler plus a
+//!    per-case judge) under the one [`runner::run`] driver, which owns the
+//!    RNG, the campaign fan-out and the index-ordered [`Report`]:
+//!    the three-way differential ([`Differential`]: threaded executor ×
+//!    simulator × α–β model, plus [`check_model_envelope`]), rail faults
+//!    ([`Faults`]), worker kills ([`Crash`]), tuned-table serving
+//!    ([`Tuned`]), engine pins ([`Waterfill`]) and tenant isolation
+//!    ([`Traffic`]). [`coverage`] adds a static check that a schedule
+//!    writes every receive-buffer byte exactly once.
 //! 3. **A deterministic schedule fuzzer with shrinking** ([`fuzz`]):
 //!    mutates known-good schedules (drop an edge, swap transfer endpoints,
 //!    shrink a copy range, …) and asserts the checker stack —
 //!    [`mha_sched::validate`], [`mha_sched::check_races`],
 //!    [`mha_exec::verify_allgather`] — kills every seeded mutant, greedily
-//!    shrinking killed mutants to minimal reproductions.
+//!    shrinking killed mutants to minimal reproductions. Its random loop
+//!    is the [`Fuzz`] oracle.
 //!
-//! Run everything with `cargo test -p mha-conformance`; knobs:
-//! `MHA_CONFORMANCE_CASES`, `MHA_CONFORMANCE_SEED`, `MHA_MODEL_ENVELOPE`,
-//! `MHA_FUZZ_BUDGET`.
+//! `cargo test -p mha-conformance` runs every oracle at its default case
+//! count. One oracle at another count runs through the binary:
+//! `cargo run --release -p mha-conformance -- <oracle> [--cases N]`.
 
 #![warn(missing_docs)]
 
@@ -35,25 +37,21 @@ pub mod crash;
 pub mod faults;
 pub mod fuzz;
 pub mod oracle;
+pub mod runner;
 pub mod traffic;
 pub mod tuned;
 pub mod waterfill;
 
 pub use cases::{sample_case, Case, Family};
 pub use coverage::check_allgather_coverage;
-pub use crash::{
-    check_crash_case, check_modeled_crash, run_crash_oracle, sample_crash_case, CrashCase,
-    CrashOracleConfig, CrashOracleReport,
+pub use crash::{check_crash_case, check_modeled_crash, seeded_store, snapshot, Crash, CrashCase};
+pub use faults::{check_fault_case, FaultCase, Faults};
+pub use fuzz::{
+    check_kill_rate, fuzz_targets, judge, seeded_mutants, shrink, Fuzz, FuzzTarget, Mutation,
+    SchedSpec, Verdict,
 };
-pub use faults::{
-    check_fault_case, run_fault_oracle, sample_fault_case, FaultCase, FaultOracleConfig,
-    FaultOracleReport,
-};
-pub use fuzz::{judge, seeded_mutants, shrink, FuzzTarget, Mutation, SchedSpec, Verdict};
-pub use oracle::{check_model_envelope, run_oracle, OracleConfig, OracleReport};
-pub use traffic::{
-    check_traffic_case, run_traffic_oracle, sample_traffic_case, TrafficCase, TrafficOracleConfig,
-    TrafficOracleReport,
-};
-pub use tuned::{run_tuned_oracle, TunedOracleConfig, TunedOracleReport};
-pub use waterfill::{run_waterfill_oracle, WaterfillOracleReport};
+pub use oracle::{check_model_envelope, Differential, ENVELOPE};
+pub use runner::{run, Oracle, Report};
+pub use traffic::{check_traffic_case, sample_traffic_case, Traffic, TrafficCase};
+pub use tuned::Tuned;
+pub use waterfill::Waterfill;

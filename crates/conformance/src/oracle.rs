@@ -15,91 +15,50 @@
 //!   wall-clock stamps;
 //! * the **α–β model** brackets the simulated latency: for representative
 //!   large-message sweeps per family, simulated latency is monotone in
-//!   message size and within a configurable multiplicative envelope of the
-//!   [`mha_model`] prediction.
+//!   message size and within the multiplicative [`ENVELOPE`] of the
+//!   [`mha_model`] prediction. These series are not random cases, so
+//!   [`check_model_envelope`] is a plain function the acceptance test and
+//!   the CLI call beside the [`Differential`] sweep.
 
-use std::sync::Arc;
-
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha_collectives::{build, AlgoConfig};
+use mha_collectives::{build, build_composed, AlgoConfig, Built, ComposePlan, Family as Algo};
 use mha_exec::{run_threaded_probed, BufferStore, Mode};
-use mha_model::{mha_inter_latency, mha_intra_latency_auto, ModelParams, Phase2};
+use mha_model::{composed_latency, mha_inter_latency, mha_intra_latency_auto, ModelParams, Phase2};
 use mha_sched::{FrozenSchedule, InvariantProbe, Probe, ProcGrid};
 use mha_simnet::{ClusterSpec, Simulator};
-use rand::{rngs::StdRng, SeedableRng};
+use rand::rngs::StdRng;
 
 use crate::cases::{sample_case, Case, Family};
 use crate::coverage::check_allgather_coverage;
+use crate::runner::Oracle;
 
-/// Oracle knobs (all overridable from the environment).
-#[derive(Debug, Clone)]
-pub struct OracleConfig {
-    /// Number of random configurations to draw (≥ 200 for the acceptance
-    /// bar; `MHA_CONFORMANCE_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_CONFORMANCE_SEED`); the whole run is deterministic
-    /// given the seed.
-    pub seed: u64,
-    /// Multiplicative model envelope: simulated latency must lie within
-    /// `[model / envelope, model · envelope]` (`MHA_MODEL_ENVELOPE`).
-    pub envelope: f64,
-    /// Worker threads for the thread-pool verification runs.
-    pub threads: usize,
-}
+/// Multiplicative model envelope: simulated latency must lie within
+/// `[model / ENVELOPE, model · ENVELOPE]`. Measured ratios on the seed
+/// engine: 0.91–1.47 across the differential series; 2.0 brackets them
+/// with headroom against incidental engine drift while still catching a
+/// misplaced factor of L, H or N. The fault oracle shares it.
+pub const ENVELOPE: f64 = 2.0;
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            cases: 200,
-            seed: 0xC0FFEE,
-            // Measured ratios on the seed engine: 0.91–1.47 across the
-            // three series; 2.0 brackets them with headroom against
-            // incidental engine drift while still catching a misplaced
-            // factor of L, H or N.
-            envelope: 2.0,
-            threads: 4,
-        }
+/// Worker threads for the thread-pool executor runs of every oracle.
+pub(crate) const THREADS: usize = 4;
+
+/// The differential oracle: random configurations, the four families
+/// round-robin, each checked by [`check_case`] on the Thor cluster.
+/// Passing cases are tallied by [`Family::name`].
+pub struct Differential;
+
+impl Oracle for Differential {
+    const NAME: &'static str = "differential";
+    const SEED: u64 = 0xC0FFEE;
+    const DEFAULT_CASES: usize = 200;
+    type Case = Case;
+
+    fn sample(&self, rng: &mut StdRng, i: usize) -> Case {
+        sample_case(rng, Family::ALL[i % Family::ALL.len()])
     }
-}
 
-impl OracleConfig {
-    /// The default configuration with `MHA_CONFORMANCE_CASES`,
-    /// `MHA_CONFORMANCE_SEED` and `MHA_MODEL_ENVELOPE` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = OracleConfig::default();
-        if let Some(v) = env_parse("MHA_CONFORMANCE_CASES") {
-            cfg.cases = v;
-        }
-        if let Some(v) = env_parse("MHA_CONFORMANCE_SEED") {
-            cfg.seed = v;
-        }
-        if let Some(v) = env_parse("MHA_MODEL_ENVELOPE") {
-            cfg.envelope = v;
-        }
-        cfg
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
-/// The outcome of an oracle sweep.
-#[derive(Debug)]
-pub struct OracleReport {
-    /// Configurations checked.
-    pub cases: usize,
-    /// Cases per family, indexed by [`Family::index`].
-    pub by_family: [usize; 4],
-    /// Human-readable description of every disagreement (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl OracleReport {
-    /// Whether the sweep found no disagreement.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
+    fn check(&self, case: &Case) -> Result<&'static str, String> {
+        check_case(case).map(|()| case.family.name())
     }
 }
 
@@ -119,87 +78,16 @@ impl Probe for EndStamps {
     }
 }
 
-/// Runs the full oracle sweep: `cfg.cases` random configurations
-/// (families round-robin) plus the per-family model-envelope series.
-///
-/// Cases are pre-sampled sequentially from the seeded RNG — so the case
-/// sequence is identical to a serial sweep — then fanned across the
-/// campaign worker pool (`MHA_CAMPAIGN_WORKERS`); disagreements are
-/// reassembled in case order, so the report is independent of pool width.
-pub fn run_oracle(cfg: &OracleConfig) -> OracleReport {
-    let spec = ClusterSpec::thor();
-    let sim = Arc::new(Simulator::new(spec.clone()).unwrap());
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut by_family = [0usize; 4];
-
-    let mut cases = Vec::with_capacity(cfg.cases);
-    for i in 0..cfg.cases {
-        let family = Family::ALL[i % Family::ALL.len()];
-        cases.push(sample_case(&mut rng, family));
-        by_family[family.index()] += 1;
-    }
-
-    let threads = cfg.threads;
-    let points: Vec<CampaignPoint> = cases
-        .into_iter()
-        .map(|case| {
-            let sim = Arc::clone(&sim);
-            let spec = spec.clone();
-            let label = case.describe();
-            CampaignPoint::custom(label, move |_seed| {
-                Ok(vec![match check_case(&case, &sim, &spec, threads) {
-                    Ok(()) => Row::new("ok", vec![1.0]),
-                    Err(e) => Row::note(case.describe(), e),
-                }])
-            })
-        })
-        .collect();
-    // A disagreement is data, not a pool failure: each case reports
-    // through its row so one bad case never aborts the sweep. Reps are
-    // pinned to 1 — the sweep's case count is the repetition policy.
-    let mut pool = CampaignConfig::from_env();
-    pool.reps = 1;
-    let report = run_campaign(&points, &pool).expect("oracle pool failed");
-
-    let mut disagreements = Vec::new();
-    for pr in &report.results {
-        for row in &pr.rows {
-            if let Some(e) = &row.note {
-                disagreements.push(format!("case {} [{}]: {e}", pr.point, row.label));
-            }
-        }
-    }
-    disagreements.extend(check_model_envelope(cfg.envelope));
-
-    OracleReport {
-        cases: cfg.cases,
-        by_family,
-        disagreements,
-    }
-}
-
-/// Checks one configuration across the executor and the simulator; returns
-/// a description of the first disagreement found.
-pub fn check_case(
-    case: &Case,
-    sim: &Simulator,
-    spec: &ClusterSpec,
-    threads: usize,
-) -> Result<(), String> {
-    let built = case
-        .build(spec)
-        .map_err(|e| format!("build failed: {e:?}"))?;
+/// The structural and executor layers every built collective must pass:
+/// validation against `rails`, the race check, and MPI_Allgather
+/// semantics on the sequential and the [`THREADS`]-worker executor.
+pub(crate) fn verify_built(built: &Built, rails: u8) -> Result<(), String> {
     let sch = &built.sched;
-
-    // Structural layer: validation, determinism, static byte coverage.
-    mha_sched::validate(sch, Some(spec.rails)).map_err(|e| format!("validate: {e}"))?;
+    mha_sched::validate(sch, Some(rails)).map_err(|e| format!("validate: {e}"))?;
     let races = mha_sched::check_races(sch);
     if !races.is_empty() {
         return Err(format!("{} races, first on {}", races.len(), races[0].buf));
     }
-    check_allgather_coverage(&built).map_err(|e| format!("coverage: {e}"))?;
-
-    // Executor layer: real bytes, MPI semantics, both execution modes.
     mha_exec::verify_allgather(sch, &built.send, &built.recv, built.msg, Mode::Single)
         .map_err(|e| format!("verify single: {e:?}"))?;
     mha_exec::verify_allgather(
@@ -207,13 +95,28 @@ pub fn check_case(
         &built.send,
         &built.recv,
         built.msg,
-        Mode::Threaded(threads),
+        Mode::Threaded(THREADS),
     )
-    .map_err(|e| format!("verify threaded: {e:?}"))?;
+    .map_err(|e| format!("verify threaded: {e:?}"))
+}
+
+/// Checks one configuration across the executor and the simulator on the
+/// Thor cluster; returns a description of the first disagreement found.
+pub fn check_case(case: &Case) -> Result<(), String> {
+    let spec = ClusterSpec::thor();
+    let built = case
+        .build(&spec)
+        .map_err(|e| format!("build failed: {e:?}"))?;
+    let sch = &built.sched;
+
+    // Structural and executor layers, then static byte coverage.
+    verify_built(&built, spec.rails)?;
+    check_allgather_coverage(&built).map_err(|e| format!("coverage: {e}"))?;
 
     // Simulator layer: full invariant audit.
     let mut audit = InvariantProbe::new();
-    let result = sim
+    let result = Simulator::new(spec)
+        .map_err(|e| format!("simulator: {e}"))?
         .run_probed(sch, &mut audit)
         .map_err(|e| format!("simnet: {e}"))?;
     if !audit.is_clean() {
@@ -225,7 +128,7 @@ pub fn check_case(
     // reproduced by the executor's wall-clock stamps.
     let mut stamps = EndStamps::default();
     let store = BufferStore::new(sch);
-    run_threaded_probed(sch, &store, threads, &mut stamps)
+    run_threaded_probed(sch, &store, THREADS, &mut stamps)
         .map_err(|e| format!("probed exec: {e:?}"))?;
     for op in 0..sch.n_ops() as u32 {
         for p in sch.preds(op) {
@@ -276,103 +179,87 @@ pub fn critical_path(sch: &FrozenSchedule, op_end: &[f64]) -> Vec<u32> {
 }
 
 /// The model layer: per-family large-message series checking that simulated
-/// latency is monotone in message size and within `envelope` of the α–β
+/// latency is monotone in message size and within [`ENVELOPE`] of the α–β
 /// prediction. Returns one description per failure (empty = pass).
-pub fn check_model_envelope(envelope: f64) -> Vec<String> {
-    let spec = ClusterSpec::thor();
-    let sim = Simulator::new(spec.clone()).unwrap();
-    let p = ModelParams::from_spec(&spec);
+pub fn check_model_envelope() -> Vec<String> {
+    let thor = ClusterSpec::thor();
+    let p = ModelParams::from_spec(&thor);
+    let numa = ClusterSpec::thor_numa();
+    let pn = ModelParams::from_spec(&numa);
+    let topo = numa.topology_of(&ProcGrid::new(4, 16));
+    let plan = ComposePlan::numa3(true);
     let sizes = [16 * 1024usize, 64 * 1024, 256 * 1024];
 
-    // (name, algorithm, grid, model prediction in seconds)
-    type Model<'a> = Box<dyn Fn(usize) -> f64 + 'a>;
-    let series: Vec<(&str, AlgoConfig, ProcGrid, Model<'_>)> = vec![
+    // (name, cluster, msg -> (schedule, model prediction in seconds))
+    type Point<'a> = Box<dyn Fn(usize) -> Result<(Built, f64), String> + 'a>;
+    let built = |cfg: AlgoConfig, grid: ProcGrid, m: usize| {
+        build(&cfg, grid, m, &thor).map_err(|e| format!("build failed: {e:?}"))
+    };
+    let series: Vec<(&str, &ClusterSpec, Point<'_>)> = vec![
         (
             "flat/ring 4x1",
-            AlgoConfig::flat(mha_collectives::Family::Ring),
-            ProcGrid::new(4, 1),
+            &thor,
             // Textbook α–β ring over P ranks: (P−1) fully-striped steps.
-            Box::new(|m| 3.0 * (p.rail_startup(m) + m as f64 / (p.bw_h * f64::from(p.h)))),
+            Box::new(|m| {
+                let b = built(AlgoConfig::flat(Algo::Ring), ProcGrid::new(4, 1), m)?;
+                Ok((
+                    b,
+                    3.0 * (p.rail_startup(m) + m as f64 / (p.bw_h * f64::from(p.h))),
+                ))
+            }),
         ),
         (
             "mha/intra 1x8",
-            AlgoConfig::mha_intra(Offload::Auto),
-            ProcGrid::single_node(8),
-            Box::new(|m| mha_intra_latency_auto(&p, 8, m)),
+            &thor,
+            Box::new(|m| {
+                let b = built(
+                    AlgoConfig::mha_intra(Offload::Auto),
+                    ProcGrid::single_node(8),
+                    m,
+                )?;
+                Ok((b, mha_intra_latency_auto(&p, 8, m)))
+            }),
         ),
         (
             "mha/inter-ring 4x8",
-            AlgoConfig::mha_inter(MhaInterConfig {
-                inter: InterAlgo::Ring,
-                offload: Offload::Auto,
-                overlap: true,
+            &thor,
+            Box::new(|m| {
+                let cfg = AlgoConfig::mha_inter(MhaInterConfig {
+                    inter: InterAlgo::Ring,
+                    offload: Offload::Auto,
+                    overlap: true,
+                });
+                let b = built(cfg, ProcGrid::new(4, 8), m)?;
+                Ok((b, mha_inter_latency(&p, 4, 8, m, Phase2::Ring)))
             }),
-            ProcGrid::new(4, 8),
-            Box::new(|m| mha_inter_latency(&p, 4, 8, m, Phase2::Ring)),
+        ),
+        // Hierarchical series: the composer's 3-level NUMA schedule on the
+        // NUMA spec, priced by the per-level model over the spec's own tree.
+        (
+            "hier/numa3 4x2x8",
+            &numa,
+            Box::new(|m| {
+                let b = build_composed(&topo, m, &plan, &numa)
+                    .map_err(|e| format!("build failed: {e:?}"))?;
+                let t = composed_latency(&pn, &topo, &plan, m).ok_or("model declined the plan")?;
+                Ok((b, t))
+            }),
         ),
     ];
 
     let mut failures = Vec::new();
-    for (name, cfg, grid, model) in &series {
+    for (name, spec, point) in &series {
+        let sim = Simulator::new((*spec).clone()).expect("thor specs validate");
         let mut prev = 0.0f64;
         for &m in &sizes {
-            let built = match build(cfg, *grid, m, &spec) {
-                Ok(b) => b,
+            let (b, predicted) = match point(m) {
+                Ok(x) => x,
                 Err(e) => {
-                    failures.push(format!("{name} msg={m}: build failed: {e:?}"));
+                    failures.push(format!("{name} msg={m}: {e}"));
                     continue;
                 }
             };
-            let t = match sim.run(&built.sched) {
-                Ok(r) => r.makespan,
-                Err(e) => {
-                    failures.push(format!("{name} msg={m}: simnet failed: {e}"));
-                    continue;
-                }
-            };
-            if t < prev {
-                failures.push(format!(
-                    "{name}: latency not monotone, {t:.3e}s at msg={m} after {prev:.3e}s"
-                ));
-            }
-            prev = t;
-            let predicted = model(m);
-            let ratio = t / predicted;
-            if !(1.0 / envelope..=envelope).contains(&ratio) {
-                failures.push(format!(
-                    "{name} msg={m}: simulated {t:.3e}s vs model {predicted:.3e}s \
-                     (ratio {ratio:.2} outside ±{envelope}x)"
-                ));
-            }
-        }
-    }
-
-    // Hierarchical series: the composer's 3-level NUMA schedule on the
-    // NUMA spec, priced by the per-level model over the spec's own tree.
-    {
-        let name = "hier/numa3 4x2x8";
-        let spec = ClusterSpec::thor_numa();
-        let sim = Simulator::new(spec.clone()).unwrap();
-        let p = ModelParams::from_spec(&spec);
-        let topo = spec.topology_of(&ProcGrid::new(4, 16));
-        let plan = mha_collectives::ComposePlan::numa3(true);
-        let mut prev = 0.0f64;
-        for &m in &sizes {
-            let (built, predicted) = match (
-                mha_collectives::build_composed(&topo, m, &plan, &spec),
-                mha_model::composed_latency(&p, &topo, &plan, m),
-            ) {
-                (Ok(b), Some(t)) => (b, t),
-                (Err(e), _) => {
-                    failures.push(format!("{name} msg={m}: build failed: {e:?}"));
-                    continue;
-                }
-                (_, None) => {
-                    failures.push(format!("{name} msg={m}: model declined the plan"));
-                    continue;
-                }
-            };
-            let t = match sim.run(&built.sched) {
+            let t = match sim.run(&b.sched) {
                 Ok(r) => r.makespan,
                 Err(e) => {
                     failures.push(format!("{name} msg={m}: simnet failed: {e}"));
@@ -386,10 +273,10 @@ pub fn check_model_envelope(envelope: f64) -> Vec<String> {
             }
             prev = t;
             let ratio = t / predicted;
-            if !(1.0 / envelope..=envelope).contains(&ratio) {
+            if !(1.0 / ENVELOPE..=ENVELOPE).contains(&ratio) {
                 failures.push(format!(
                     "{name} msg={m}: simulated {t:.3e}s vs model {predicted:.3e}s \
-                     (ratio {ratio:.2} outside ±{envelope}x)"
+                     (ratio {ratio:.2} outside ±{ENVELOPE}x)"
                 ));
             }
         }
@@ -403,8 +290,6 @@ mod tests {
 
     #[test]
     fn a_single_case_passes_every_layer() {
-        let spec = ClusterSpec::thor();
-        let sim = Simulator::new(spec.clone()).unwrap();
         let case = Case {
             family: Family::Mha,
             cfg: AlgoConfig::default(),
@@ -412,7 +297,7 @@ mod tests {
             msg: 512,
             tree: None,
         };
-        check_case(&case, &sim, &spec, 4).unwrap();
+        check_case(&case).unwrap();
     }
 
     #[test]

@@ -20,50 +20,62 @@
 //! water-filler may never oversubscribe a rail, CPU or memory bus no
 //! matter how many tenants pile onto it.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use std::fmt;
+
 use mha_collectives::{AlgoConfig, Family as AlgoFamily};
 use mha_simnet::ClusterSpec;
 use mha_traffic::{
     default_builder, run_jobs, sample_jobs, tenant_jobs, Arrival, JobSpec, PlacementPolicy,
     TrafficReport, TrafficSpec, WorkloadMix,
 };
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
-/// Traffic-oracle knobs (all overridable from the environment).
-#[derive(Debug, Clone)]
-pub struct TrafficOracleConfig {
-    /// Number of random traffic cases (`MHA_TRAFFIC_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_TRAFFIC_SEED`); the sweep is deterministic given it.
-    pub seed: u64,
+use crate::cases::pick;
+use crate::runner::Oracle;
+
+/// The tenant oracle: seeded scenarios, disjoint and contended in turn,
+/// each checked by [`check_traffic_case`]. Passing cases are tallied
+/// `"disjoint"` or `"contended"`.
+///
+/// A live `Traffic` holds the engine's invariant audit armed
+/// ([`mha_simnet::set_check_enabled`]) — every run of the sweep is
+/// audited and a violation panics it — and dropping it disarms the audit.
+pub struct Traffic {
+    _armed: (),
 }
 
-impl Default for TrafficOracleConfig {
-    fn default() -> Self {
-        TrafficOracleConfig {
-            cases: 100,
-            seed: 0x7EA7,
-        }
+impl Traffic {
+    /// The oracle, with the invariant audit armed until it is dropped.
+    pub fn armed() -> Self {
+        mha_simnet::set_check_enabled(Some(true));
+        Traffic { _armed: () }
     }
 }
 
-impl TrafficOracleConfig {
-    /// The default configuration with `MHA_TRAFFIC_CASES` and
-    /// `MHA_TRAFFIC_SEED` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = TrafficOracleConfig::default();
-        if let Some(v) = env_parse("MHA_TRAFFIC_CASES") {
-            cfg.cases = v;
-        }
-        if let Some(v) = env_parse("MHA_TRAFFIC_SEED") {
-            cfg.seed = v;
-        }
-        cfg
+impl Drop for Traffic {
+    fn drop(&mut self) {
+        mha_simnet::set_check_enabled(None);
     }
 }
 
-fn env_parse<T: std::str::FromStr>(key: &str) -> Option<T> {
-    std::env::var(key).ok()?.parse().ok()
+impl Oracle for Traffic {
+    const NAME: &'static str = "traffic";
+    const SEED: u64 = 0x7EA7;
+    const DEFAULT_CASES: usize = 100;
+    type Case = TrafficCase;
+
+    fn sample(&self, rng: &mut StdRng, i: usize) -> TrafficCase {
+        sample_traffic_case(rng, i)
+    }
+
+    fn check(&self, case: &TrafficCase) -> Result<&'static str, String> {
+        check_traffic_case(case)?;
+        Ok(if case.disjoint {
+            "disjoint"
+        } else {
+            "contended"
+        })
+    }
 }
 
 /// One randomly drawn traffic case.
@@ -79,10 +91,11 @@ pub struct TrafficCase {
     pub disjoint: bool,
 }
 
-impl TrafficCase {
-    /// A short, greppable description for disagreement reports.
-    pub fn describe(&self) -> String {
-        format!(
+/// A short, greppable description for disagreement reports.
+impl fmt::Display for TrafficCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
             "{} {}x{} {} jobs={} tenants={} seed={:#x}",
             if self.disjoint {
                 "disjoint"
@@ -97,10 +110,6 @@ impl TrafficCase {
             self.spec.seed,
         )
     }
-}
-
-fn pick<T: Copy>(rng: &mut StdRng, xs: &[T]) -> T {
-    xs[rng.gen_range(0..xs.len())]
 }
 
 fn sample_cfg(rng: &mut StdRng, nodes: u32, ppn: u32) -> AlgoConfig {
@@ -274,70 +283,10 @@ pub fn check_traffic_case(case: &TrafficCase) -> Result<(), String> {
     Ok(())
 }
 
-/// The outcome of a traffic-oracle sweep.
-#[derive(Debug)]
-pub struct TrafficOracleReport {
-    /// Traffic cases checked.
-    pub cases: usize,
-    /// Human-readable description of every disagreement (empty = pass).
-    pub disagreements: Vec<String>,
-}
-
-impl TrafficOracleReport {
-    /// Whether every case isolated and accounted cleanly.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
-/// Runs the tenant-oracle sweep: `cfg.cases` seeded scenarios, alternating
-/// disjoint and contended shapes, with the engine's invariant audit armed
-/// for the duration (a violation panics the sweep).
-///
-/// Cases are pre-sampled sequentially from the seeded RNG, fanned across
-/// the campaign worker pool (`MHA_CAMPAIGN_WORKERS`), and reassembled in
-/// case order — the report is independent of pool width.
-pub fn run_traffic_oracle(cfg: &TrafficOracleConfig) -> TrafficOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let cases: Vec<TrafficCase> = (0..cfg.cases)
-        .map(|i| sample_traffic_case(&mut rng, i))
-        .collect();
-
-    mha_simnet::set_check_enabled(Some(true));
-    let points: Vec<CampaignPoint> = cases
-        .into_iter()
-        .map(|case| {
-            let label = case.describe();
-            CampaignPoint::custom(label, move |_seed| {
-                Ok(vec![match check_traffic_case(&case) {
-                    Ok(()) => Row::new("ok", vec![1.0]),
-                    Err(e) => Row::note(case.describe(), e),
-                }])
-            })
-        })
-        .collect();
-    let mut pool = CampaignConfig::from_env();
-    pool.reps = 1;
-    let report = run_campaign(&points, &pool).expect("traffic-oracle pool failed");
-    mha_simnet::set_check_enabled(None);
-
-    let mut disagreements = Vec::new();
-    for pr in &report.results {
-        for row in &pr.rows {
-            if let Some(e) = &row.note {
-                disagreements.push(format!("traffic case {} [{}]: {e}", pr.point, row.label));
-            }
-        }
-    }
-    TrafficOracleReport {
-        cases: cfg.cases,
-        disagreements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn a_disjoint_case_isolates_bitwise() {
@@ -357,8 +306,7 @@ mod tests {
 
     #[test]
     fn config_defaults_meet_the_acceptance_bar() {
-        let cfg = TrafficOracleConfig::default();
-        assert!(cfg.cases >= 100);
-        assert_eq!(cfg.seed, 0x7EA7);
+        const { assert!(Traffic::DEFAULT_CASES >= 100) };
+        assert_eq!(Traffic::SEED, 0x7EA7);
     }
 }

@@ -12,148 +12,145 @@
 //! exactly tile every receive buffer ([`check_allgather_coverage`]) —
 //! i.e. a mistuned table can be slow, but it can never be wrong.
 
+use std::fmt;
+use std::path::Path;
+
 use mha_collectives::{build, AlgoConfig, TableKey, TunedTable};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
 use crate::coverage::check_allgather_coverage;
+use crate::runner::Oracle;
 
-/// Tuned-choice oracle knobs.
-#[derive(Debug, Clone)]
-pub struct TunedOracleConfig {
-    /// Number of random queries to draw (`MHA_CONFORMANCE_CASES`).
-    pub cases: usize,
-    /// RNG seed (`MHA_CONFORMANCE_SEED`); the run is deterministic given
-    /// the seed and the table.
-    pub seed: u64,
+/// The tuned-choice oracle over one table: seeded queries, every fourth
+/// aimed at a stored key, each served config checked for grid validity, a
+/// successful dispatch and exact receive-buffer coverage. Passing queries
+/// are tallied `"exact"` (answered by an exact table probe) or
+/// `"fallback"` (nearest-neighbor fallback or the empty-table default).
+pub struct Tuned {
+    table: TunedTable,
+    spec: ClusterSpec,
+    /// Stored keys on ≤ 256-rank grids, the on-key queries' targets.
+    small_keys: Vec<TableKey>,
 }
 
-impl Default for TunedOracleConfig {
-    fn default() -> Self {
-        TunedOracleConfig {
-            cases: 200,
-            seed: 0xC0FFEE,
+impl Tuned {
+    /// The oracle over `table`, serving on [`ClusterSpec::thor`].
+    pub fn new(table: TunedTable) -> Self {
+        let small_keys = table
+            .sorted_entries()
+            .into_iter()
+            .map(|(k, _)| k)
+            .filter(|k| k.nodes * k.ppn <= 256)
+            .collect();
+        Tuned {
+            table,
+            spec: ClusterSpec::thor(),
+            small_keys,
         }
+    }
+
+    /// The oracle over the shipped `results/tuned_thor.mtab`.
+    pub fn shipped() -> Result<Self, String> {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/tuned_thor.mtab");
+        let table = TunedTable::load(&path).map_err(|e| {
+            format!(
+                "shipped table {} unusable ({e}); regenerate with \
+                 `cargo run --release -p mha-tune --bin mha_tune`",
+                path.display()
+            )
+        })?;
+        Ok(Self::new(table))
     }
 }
 
-impl TunedOracleConfig {
-    /// The default configuration with `MHA_CONFORMANCE_CASES` and
-    /// `MHA_CONFORMANCE_SEED` applied on top.
-    pub fn from_env() -> Self {
-        let mut cfg = TunedOracleConfig::default();
-        if let Ok(v) = std::env::var("MHA_CONFORMANCE_CASES") {
-            if let Ok(v) = v.parse() {
-                cfg.cases = v;
-            }
-        }
-        if let Ok(v) = std::env::var("MHA_CONFORMANCE_SEED") {
-            if let Ok(v) = v.parse() {
-                cfg.seed = v;
-            }
-        }
-        cfg
-    }
-}
-
-/// The outcome of a tuned-choice sweep.
+/// One query against the table.
 #[derive(Debug)]
-pub struct TunedOracleReport {
-    /// Queries checked.
-    pub cases: usize,
-    /// Queries answered by an exact table probe.
-    pub exact_hits: usize,
-    /// Queries answered through the nearest-neighbor fallback (or the
-    /// empty-table default).
-    pub fallbacks: usize,
-    /// Human-readable description of every failure (empty = pass).
-    pub failures: Vec<String>,
+pub struct Query {
+    grid: ProcGrid,
+    msg: usize,
+    rails_up: u8,
 }
 
-impl TunedOracleReport {
-    /// Whether the sweep found no failure.
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
+impl fmt::Display for Query {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}x{} msg={} rails_up={}",
+            self.grid.nodes(),
+            self.grid.ppn(),
+            self.msg,
+            self.rails_up
+        )
+    }
+}
+
+impl Oracle for Tuned {
+    const NAME: &'static str = "tuned";
+    const SEED: u64 = 0xC0FFEE;
+    const DEFAULT_CASES: usize = 200;
+    type Case = Query;
+
+    /// Every fourth query aims at a stored key (exact-probe regime); the
+    /// rest roam the shape space (fallback + coercion regime).
+    fn sample(&self, rng: &mut StdRng, i: usize) -> Query {
+        if i.is_multiple_of(4) {
+            sample_on_key(rng, &self.small_keys).unwrap_or_else(|| sample_roaming(rng))
+        } else {
+            sample_roaming(rng)
+        }
+    }
+
+    fn check(&self, q: &Query) -> Result<&'static str, String> {
+        let served = self.table.lookup(q.grid, q.msg, q.rails_up);
+        check_served(&served, q.grid, q.msg, &self.spec)
+            .map_err(|e| format!("{e} [served {}]", served.to_kv()))?;
+        let key = TableKey::for_query(q.grid, q.msg, q.rails_up);
+        Ok(if self.table.get(&key).is_some() {
+            "exact"
+        } else {
+            "fallback"
+        })
     }
 }
 
 /// One random roaming query: grids are capped at 128 ranks so each case
 /// builds quickly, and shapes deliberately include off-tuned-grid node
 /// counts (non-power-of-two, single node, ppn 1).
-fn sample_roaming(rng: &mut StdRng) -> (ProcGrid, usize, u8) {
+fn sample_roaming(rng: &mut StdRng) -> Query {
     let nodes = rng.gen_range(1..=16u32);
     let max_ppn = (128 / nodes).max(1);
     let ppn = rng.gen_range(1..=max_ppn.min(32));
     let msg = 1usize << rng.gen_range(0..=20u32);
     let msg = msg + rng.gen_range(0..=msg / 2);
     let rails_up = rng.gen_range(0..=3u8);
-    (ProcGrid::new(nodes, ppn), msg, rails_up)
+    Query {
+        grid: ProcGrid::new(nodes, ppn),
+        msg,
+        rails_up,
+    }
 }
 
 /// A query aimed at a stored key (message drawn inside the key's bucket),
 /// so the exact-probe serving regime is exercised too. Keys are limited
 /// to ≤ 256-rank grids to keep per-case build cost small.
-fn sample_on_key(rng: &mut StdRng, keys: &[TableKey]) -> Option<(ProcGrid, usize, u8)> {
+fn sample_on_key(rng: &mut StdRng, keys: &[TableKey]) -> Option<Query> {
     if keys.is_empty() {
         return None;
     }
     let k = keys[rng.gen_range(0..keys.len())];
     let lo = 1usize << k.msg_bucket;
     let msg = lo + rng.gen_range(0..lo);
-    Some((ProcGrid::new(k.nodes, k.ppn), msg, k.rails_up))
+    Some(Query {
+        grid: ProcGrid::new(k.nodes, k.ppn),
+        msg,
+        rails_up: k.rails_up,
+    })
 }
 
-/// Runs the tuned-choice oracle: `cfg.cases` seeded random queries
-/// against `table`, each served config checked for grid validity, a
-/// successful dispatch, and exact receive-buffer coverage.
-pub fn run_tuned_oracle(
-    table: &TunedTable,
-    spec: &ClusterSpec,
-    cfg: &TunedOracleConfig,
-) -> TunedOracleReport {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let small_keys: Vec<TableKey> = table
-        .sorted_entries()
-        .into_iter()
-        .map(|(k, _)| k)
-        .filter(|k| k.nodes * k.ppn <= 256)
-        .collect();
-    let mut report = TunedOracleReport {
-        cases: cfg.cases,
-        exact_hits: 0,
-        fallbacks: 0,
-        failures: Vec::new(),
-    };
-    for case in 0..cfg.cases {
-        // Every fourth case aims at a stored key (exact-probe regime);
-        // the rest roam the shape space (fallback + coercion regime).
-        let (grid, msg, rails_up) = if case % 4 == 0 {
-            sample_on_key(&mut rng, &small_keys).unwrap_or_else(|| sample_roaming(&mut rng))
-        } else {
-            sample_roaming(&mut rng)
-        };
-        if table
-            .get(&TableKey::for_query(grid, msg, rails_up))
-            .is_some()
-        {
-            report.exact_hits += 1;
-        } else {
-            report.fallbacks += 1;
-        }
-        let served = table.lookup(grid, msg, rails_up);
-        if let Err(e) = check_served(&served, grid, msg, spec) {
-            report.failures.push(format!(
-                "case {case} ({}x{} msg={msg} rails_up={rails_up}): {e} [served {}]",
-                grid.nodes(),
-                grid.ppn(),
-                served.to_kv()
-            ));
-        }
-    }
-    report
-}
-
+/// (a) validity for the queried grid, (b) a successful dispatch, (c) exact
+/// receive-buffer coverage.
 fn check_served(
     served: &AlgoConfig,
     grid: ProcGrid,
@@ -171,18 +168,24 @@ fn check_served(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
+
+    /// `cases` queries from `seed` against `table`; the tally labels.
+    fn serve(table: TunedTable, seed: u64, cases: usize) -> Vec<&'static str> {
+        let oracle = Tuned::new(table);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..cases)
+            .map(|i| {
+                let q = oracle.sample(&mut rng, i);
+                oracle.check(&q).unwrap_or_else(|e| panic!("{q}: {e}"))
+            })
+            .collect()
+    }
 
     #[test]
     fn empty_table_serves_correct_defaults_everywhere() {
-        let table = TunedTable::new(0);
-        let spec = ClusterSpec::thor();
-        let cfg = TunedOracleConfig {
-            cases: 40,
-            seed: 11,
-        };
-        let report = run_tuned_oracle(&table, &spec, &cfg);
-        assert_eq!(report.fallbacks, 40);
-        assert!(report.is_clean(), "{:?}", report.failures);
+        let tags = serve(TunedTable::new(0), 11, 40);
+        assert!(tags.iter().all(|t| *t == "fallback"), "{tags:?}");
     }
 
     #[test]
@@ -204,13 +207,13 @@ mod tests {
                 ..AlgoConfig::default()
             },
         );
-        let spec = ClusterSpec::thor();
-        let cfg = TunedOracleConfig {
-            cases: 60,
-            seed: 23,
-        };
-        let report = run_tuned_oracle(&table, &spec, &cfg);
-        assert!(report.is_clean(), "{:?}", report.failures);
-        assert!(report.fallbacks > 0);
+        let tags = serve(table, 23, 60);
+        assert!(tags.contains(&"fallback"));
+    }
+
+    #[test]
+    fn config_defaults_meet_the_acceptance_bar() {
+        const { assert!(Tuned::DEFAULT_CASES >= 200) };
+        assert_eq!(Tuned::SEED, 0xC0FFEE);
     }
 }

@@ -17,13 +17,13 @@
 //! `mha-simnet` `waterfill_eq` tests) and the calendar queue against a
 //! sorted-set model (its unit tests).
 
+use std::fmt;
+
 use mha_simnet::{ClusterSpec, FaultSpec, SimError, SimResult, Simulator};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, Rng};
 
-use crate::cases::{sample_case, Family};
-
-/// Seed of the fixed case stream the pins were recorded over.
-const SEED: u64 = 0x7A7E2;
+use crate::cases::{sample_case, Case, Family};
+use crate::runner::Oracle;
 
 /// Per-case `fingerprint`s, in sweep order.
 #[rustfmt::skip]
@@ -60,21 +60,64 @@ const PINS: [u64; 120] = [
     0x06b4_9456_9055_5a6f, 0x4fde_61ce_e017_8671, 0xeae1_ec13_d9ce_c59f, 0x10f7_cfcf_d2d9_c883,
 ];
 
-/// The outcome of a pinned sweep.
-#[derive(Debug)]
-pub struct WaterfillOracleReport {
-    /// Schedules simulated.
-    pub cases: usize,
-    /// How many ran under a random fault timeline.
-    pub faulted: usize,
-    /// Human-readable description of every divergence (empty = pass).
-    pub disagreements: Vec<String>,
+/// The pinned oracle. Its case count is fixed at `PINS.len()` (120) and
+/// its stream at seed `0x7A7E2`; passing cases are tallied `"faulted"` or
+/// `"fault-free"`.
+pub struct Waterfill;
+
+/// One pinned case: a schedule, its fault timeline (every third case) and
+/// the fingerprint it must reproduce.
+pub struct PinnedCase {
+    case: Case,
+    faults: Option<FaultSpec>,
+    pin: u64,
 }
 
-impl WaterfillOracleReport {
-    /// Whether every case matched its pin.
-    pub fn is_clean(&self) -> bool {
-        self.disagreements.is_empty()
+impl fmt::Display for PinnedCase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let faulted = if self.faults.is_some() {
+            " [faulted]"
+        } else {
+            ""
+        };
+        write!(f, "{}{faulted}", self.case)
+    }
+}
+
+impl Oracle for Waterfill {
+    const NAME: &'static str = "waterfill";
+    const SEED: u64 = 0x7A7E2;
+    const DEFAULT_CASES: usize = PINS.len();
+    type Case = PinnedCase;
+
+    /// The four families in turn; every third case also draws a fault
+    /// timeline so the stall/retry/backoff machinery is pinned too.
+    fn sample(&self, rng: &mut StdRng, i: usize) -> PinnedCase {
+        let case = sample_case(rng, Family::ALL[i % Family::ALL.len()]);
+        let faults = (i % 3 == 2).then(|| sample_faults(rng, ClusterSpec::thor().rails));
+        PinnedCase {
+            case,
+            faults,
+            pin: PINS[i],
+        }
+    }
+
+    fn check(&self, pc: &PinnedCase) -> Result<&'static str, String> {
+        let spec = ClusterSpec::thor();
+        let built = pc
+            .case
+            .build(&spec)
+            .map_err(|e| format!("build failed: {e}"))?;
+        let (sim, tag) = match &pc.faults {
+            Some(f) => (Simulator::with_faults(spec, f.clone()), "faulted"),
+            None => (Simulator::new(spec), "fault-free"),
+        };
+        let sim = sim.map_err(|e| format!("simulator: {e}"))?;
+        let got = fingerprint(&sim.run(&built.sched));
+        if got != pc.pin {
+            return Err(format!("fingerprint {got:#018x}, pinned {:#018x}", pc.pin));
+        }
+        Ok(tag)
     }
 }
 
@@ -116,52 +159,4 @@ fn sample_faults(rng: &mut StdRng, rails: u8) -> FaultSpec {
     };
     faults.retry_timeout = rng.gen_range(5.0e-6..50.0e-6);
     faults
-}
-
-/// Runs the pinned sweep: each drawn schedule is simulated once and its
-/// `fingerprint` compared against `PINS`.
-pub fn run_waterfill_oracle() -> WaterfillOracleReport {
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut report = WaterfillOracleReport {
-        cases: 0,
-        faulted: 0,
-        disagreements: Vec::new(),
-    };
-    for (i, &pin) in PINS.iter().enumerate() {
-        let family = Family::ALL[i % Family::ALL.len()];
-        let case = sample_case(&mut rng, family);
-        let spec = ClusterSpec::thor();
-        let built = match case.build(&spec) {
-            Ok(b) => b,
-            Err(e) => {
-                report
-                    .disagreements
-                    .push(format!("case {i} {}: build failed: {e}", case.describe()));
-                continue;
-            }
-        };
-        // Every third case runs under a random fault timeline so the
-        // stall/retry/backoff machinery is pinned too.
-        let (sim, faulted) = if i % 3 == 2 {
-            let faults = sample_faults(&mut rng, spec.rails);
-            (
-                Simulator::with_faults(spec, faults).expect("sampled faults validate"),
-                true,
-            )
-        } else {
-            (Simulator::new(spec).expect("thor spec validates"), false)
-        };
-        report.cases += 1;
-        report.faulted += usize::from(faulted);
-
-        let got = fingerprint(&sim.run(&built.sched));
-        if got != pin {
-            report.disagreements.push(format!(
-                "case {i} {}{}: fingerprint {got:#018x}, pinned {pin:#018x}",
-                case.describe(),
-                if faulted { " [faulted]" } else { "" }
-            ));
-        }
-    }
-    report
 }

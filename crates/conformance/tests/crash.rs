@@ -9,39 +9,22 @@
 //!   (resume twice ≡ resume once) and a journal claiming an op whose
 //!   dependencies are incomplete is rejected with a typed error.
 
-use mha_conformance::{run_crash_oracle, sample_case, CrashOracleConfig, Family};
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{run, sample_case, seeded_store, snapshot, Crash, Family, Oracle};
 use mha_exec::{
-    resume_single, resume_threaded, run_single, run_single_killed, BufferStore, CompletionJournal,
-    ExecError, JournalError,
+    resume_single, resume_threaded, run_single, run_single_killed, CompletionJournal, ExecError,
+    JournalError,
 };
-use mha_sched::FrozenSchedule;
 use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 #[test]
 fn crash_oracle_sweep_has_zero_disagreements() {
-    let cfg = CrashOracleConfig::from_env();
-    assert!(cfg.cases >= 100, "acceptance bar requires >= 100 cases");
-    let report = run_crash_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
-    assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
-    );
-}
-
-fn seeded_store(sch: &FrozenSchedule, built: &mha_collectives::Built) -> BufferStore {
-    let store = BufferStore::new(sch);
-    for (rank, &buf) in built.send.iter().enumerate() {
-        store.fill(buf, 0, &mha_exec::rank_pattern(rank, built.msg));
-    }
-    store
-}
-
-fn snapshot(sch: &FrozenSchedule, store: &BufferStore) -> Vec<Vec<u8>> {
-    sch.buffers().iter().map(|b| store.read_all(b.id)).collect()
+    let n = Crash::DEFAULT_CASES;
+    assert!(n >= 100, "acceptance bar requires >= 100 cases");
+    let report = run(Crash, n, &CampaignConfig::from_env());
+    assert_eq!(report.cases, n);
+    assert!(report.is_clean(), "{report}");
 }
 
 /// 200 seeded (schedule, kill-point) pairs: after a kill at op `k`,
@@ -66,10 +49,10 @@ fn journal_replay_is_idempotent_over_200_pairs() {
         let journal = CompletionJournal::for_schedule(sch);
         match run_single_killed(sch, &store, &journal, k) {
             Err(ExecError::Killed { .. }) => {}
-            other => panic!("{}: kill at {k} of {n}: {other:?}", case.describe()),
+            other => panic!("{case}: kill at {k} of {n}: {other:?}"),
         }
         resume_single(sch, &store, &journal)
-            .unwrap_or_else(|e| panic!("{}: first resume: {e}", case.describe()));
+            .unwrap_or_else(|e| panic!("{case}: first resume: {e}"));
         let once = snapshot(sch, &store);
         let len_once = journal.len();
         let digest_once = journal.digest();
@@ -77,32 +60,21 @@ fn journal_replay_is_idempotent_over_200_pairs() {
         // Second (and third, threaded) resume: nothing left to do, nothing
         // may change — not the bytes, not the journal.
         resume_single(sch, &store, &journal)
-            .unwrap_or_else(|e| panic!("{}: second resume: {e}", case.describe()));
+            .unwrap_or_else(|e| panic!("{case}: second resume: {e}"));
         resume_threaded(sch, &store, 3, &journal)
-            .unwrap_or_else(|e| panic!("{}: threaded resume: {e}", case.describe()));
-        assert_eq!(journal.len(), len_once, "{}: journal grew", case.describe());
-        assert_eq!(
-            journal.digest(),
-            digest_once,
-            "{}: journal mutated",
-            case.describe()
-        );
+            .unwrap_or_else(|e| panic!("{case}: threaded resume: {e}"));
+        assert_eq!(journal.len(), len_once, "{case}: journal grew");
+        assert_eq!(journal.digest(), digest_once, "{case}: journal mutated");
         assert_eq!(
             snapshot(sch, &store),
             once,
-            "{}: bytes changed on re-resume",
-            case.describe()
+            "{case}: bytes changed on re-resume"
         );
 
         // And the recovered bytes match an unfailed run.
         let ref_store = seeded_store(sch, &built);
         run_single(sch, &ref_store).unwrap();
-        assert_eq!(
-            once,
-            snapshot(sch, &ref_store),
-            "{}: recovery diverged",
-            case.describe()
-        );
+        assert_eq!(once, snapshot(sch, &ref_store), "{case}: recovery diverged");
         checked += 1;
     }
 }
@@ -126,12 +98,7 @@ fn dependency_incomplete_journals_are_rejected_typed() {
         let dep = sch.preds(op)[0].0;
         let journal = CompletionJournal::from_entries(sch.n_ops(), vec![op]);
         let err = journal.validate(sch).unwrap_err();
-        assert_eq!(
-            err,
-            JournalError::DepIncomplete { op, dep },
-            "{}",
-            case.describe()
-        );
+        assert_eq!(err, JournalError::DepIncomplete { op, dep }, "{case}");
         let store = seeded_store(sch, &built);
         assert!(matches!(
             resume_single(sch, &store, &journal),

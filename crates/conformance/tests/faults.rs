@@ -3,23 +3,18 @@
 //! simulation passes the invariant audit, and k-failed-rail latency stays
 //! within the envelope of the α–β model at H − k rails.
 
-use mha_conformance::{run_fault_oracle, FaultOracleConfig};
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{run, Faults, Oracle};
 
 #[test]
 fn fault_oracle_sweep_has_zero_disagreements() {
-    let cfg = FaultOracleConfig::from_env();
-    assert!(cfg.cases >= 100, "acceptance bar requires >= 100 cases");
-    let report = run_fault_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
+    let n = Faults::DEFAULT_CASES;
+    assert!(n >= 100, "acceptance bar requires >= 100 cases");
+    let report = run(Faults, n, &CampaignConfig::from_env());
+    assert_eq!(report.cases, n);
     assert!(
-        report.envelope_checked >= cfg.cases / 4,
-        "too few bandwidth-regime cases reached the envelope check: {}",
-        report.envelope_checked
+        report.count("envelope") >= n / 4,
+        "too few bandwidth-regime cases reached the envelope check: {report}"
     );
-    assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
-    );
+    assert!(report.is_clean(), "{report}");
 }

@@ -1,25 +1,21 @@
 //! The differential-oracle acceptance bar: ≥ 200 random configurations,
-//! all three families, zero disagreements, plus the model envelope.
+//! all four families, zero disagreements, plus the model envelope.
 
-use mha_conformance::{run_oracle, Family, OracleConfig};
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{check_model_envelope, run, Differential, Family, Oracle};
 
 #[test]
 fn oracle_sweep_has_zero_disagreements() {
-    let cfg = OracleConfig::from_env();
-    assert!(cfg.cases >= 200, "acceptance bar requires >= 200 cases");
-    let report = run_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
+    let n = Differential::DEFAULT_CASES;
+    assert!(n >= 200, "acceptance bar requires >= 200 cases");
+    let mut report = run(Differential, n, &CampaignConfig::from_env());
+    report.disagreements.extend(check_model_envelope());
+    assert_eq!(report.cases, n);
     for f in Family::ALL {
         assert!(
-            report.by_family[f.index()] >= cfg.cases / 4,
-            "{f:?} under-covered: {:?}",
-            report.by_family
+            report.count(f.name()) >= n / 4,
+            "{f:?} under-covered: {report}"
         );
     }
-    assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
-    );
+    assert!(report.is_clean(), "{report}");
 }

@@ -6,18 +6,15 @@
 //! bit-identically to their solo runs, and no simulator resource ever
 //! carries more bytes than `capacity × makespan`.
 
-use mha_conformance::{run_traffic_oracle, TrafficOracleConfig};
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{run, Oracle, Traffic};
 
 #[test]
 fn traffic_oracle_sweep_has_zero_disagreements() {
-    let cfg = TrafficOracleConfig::from_env();
-    assert!(cfg.cases >= 100, "acceptance bar requires >= 100 cases");
-    let report = run_traffic_oracle(&cfg);
-    assert_eq!(report.cases, cfg.cases);
-    assert!(
-        report.is_clean(),
-        "{} disagreement(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
-    );
+    let n = Traffic::DEFAULT_CASES;
+    assert!(n >= 100, "acceptance bar requires >= 100 cases");
+    let report = run(Traffic::armed(), n, &CampaignConfig::from_env());
+    assert_eq!(report.cases, n);
+    assert_eq!(report.count("disjoint"), n / 2, "{report}");
+    assert!(report.is_clean(), "{report}");
 }

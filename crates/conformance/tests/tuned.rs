@@ -1,32 +1,22 @@
 //! The tuned-choice acceptance bar: the shipped tuning table serves a
 //! correct Allgather for every seeded random query — on-grid and off.
 
-use mha_collectives::TunedTable;
-use mha_conformance::{run_tuned_oracle, TunedOracleConfig};
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{run, Oracle, Tuned};
 
 #[test]
 fn shipped_table_serves_only_correct_allgathers() {
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/tuned_thor.mtab");
-    let table = TunedTable::load(&path).unwrap_or_else(|e| {
-        panic!(
-            "shipped table {} unusable ({e}); regenerate with `cargo run --release -p mha-tune --bin mha_tune`",
-            path.display()
-        )
-    });
-    let spec = mha_simnet::ClusterSpec::thor();
-    let cfg = TunedOracleConfig::from_env();
-    assert!(cfg.cases >= 200, "acceptance bar requires >= 200 queries");
-    let report = run_tuned_oracle(&table, &spec, &cfg);
-    assert_eq!(report.cases, cfg.cases);
+    let oracle = Tuned::shipped().unwrap_or_else(|e| panic!("{e}"));
+    let n = Tuned::DEFAULT_CASES;
+    assert!(n >= 200, "acceptance bar requires >= 200 queries");
+    let report = run(oracle, n, &CampaignConfig::from_env());
+    assert_eq!(report.cases, n);
     // The query sampler roams off the tuned grid on purpose: both serving
     // regimes must be exercised.
-    assert!(report.exact_hits > 0, "no query ever hit the table");
-    assert!(report.fallbacks > 0, "no query ever exercised the fallback");
+    assert!(report.count("exact") > 0, "no query ever hit the table");
     assert!(
-        report.is_clean(),
-        "{} incorrect serve(s):\n{}",
-        report.failures.len(),
-        report.failures.join("\n")
+        report.count("fallback") > 0,
+        "no query ever exercised the fallback"
     );
+    assert!(report.is_clean(), "{report}");
 }

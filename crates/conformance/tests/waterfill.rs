@@ -2,17 +2,17 @@
 //! random rail-fault timelines — each bit-identical to the output certified
 //! against an independent reference engine.
 
-use mha_conformance::run_waterfill_oracle;
+use mha_bench::campaign::CampaignConfig;
+use mha_conformance::{run, Oracle, Waterfill};
 
 #[test]
 fn engine_matches_certified_pins_on_random_schedules() {
-    let report = run_waterfill_oracle();
-    assert_eq!(report.cases, 120, "every sampled case must build");
-    assert_eq!(report.faulted, 40, "every third case runs faulted");
-    assert!(
-        report.is_clean(),
-        "{} divergence(s):\n{}",
-        report.disagreements.len(),
-        report.disagreements.join("\n")
+    let report = run(
+        Waterfill,
+        Waterfill::DEFAULT_CASES,
+        &CampaignConfig::from_env(),
     );
+    assert_eq!(report.cases, 120);
+    assert_eq!(report.count("faulted"), 40, "every third case runs faulted");
+    assert!(report.is_clean(), "{report}");
 }
