@@ -10,7 +10,7 @@ use mha_sched::{ProcGrid, RankId};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(8, 16);
     let sizes = size_sweep(64 * 1024, 16 << 20);

@@ -22,7 +22,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let grid = ProcGrid::new(4, 4);
     let msg = 256 * 1024;
     let spec = ClusterSpec::thor();

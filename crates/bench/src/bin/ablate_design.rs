@@ -11,7 +11,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(8, 16);
     let msg = 64 * 1024;

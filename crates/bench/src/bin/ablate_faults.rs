@@ -30,7 +30,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultEvent, FaultKind, FaultSpec, Simulator, DEFAULT_RETRY_TIMEOUT};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let rails = 8u8;
     let grid = ProcGrid::new(4, 4);
     let msg = 256 * 1024;

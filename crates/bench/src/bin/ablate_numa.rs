@@ -11,7 +11,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor_numa();
     let grid = ProcGrid::new(4, 16);
     let sizes = size_sweep(4096, 1 << 20);

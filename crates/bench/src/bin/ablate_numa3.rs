@@ -16,7 +16,7 @@ use mha_sched::{ProcGrid, Topology};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor_numa();
     let grid = ProcGrid::new(4, 16);
     // The NUMA spec's own tree: 4 nodes × 2 sockets × 8 ranks, with real

@@ -12,7 +12,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let msg = 1 << 20;
     let rail_counts = [1u8, 2, 4, 8];
     let mut cells = Vec::new();

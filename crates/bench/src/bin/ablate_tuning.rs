@@ -12,7 +12,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let msg = 1 << 20;
     let procs = [2u32, 4, 8, 16, 32];

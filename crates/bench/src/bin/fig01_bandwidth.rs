@@ -10,7 +10,7 @@ use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_simnet::{pt2pt_bandwidth_mbps, size_sweep, ClusterSpec, Placement, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let window = 64;
     let two = Arc::new(Simulator::new(ClusterSpec::thor()).unwrap());
     let one = Arc::new(Simulator::new(ClusterSpec::thor_single_rail()).unwrap());

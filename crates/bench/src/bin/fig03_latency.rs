@@ -9,7 +9,7 @@ use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_simnet::{pt2pt_latency_us, size_sweep, ClusterSpec, Placement, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let two = Arc::new(Simulator::new(ClusterSpec::thor()).unwrap());
     let one = Arc::new(Simulator::new(ClusterSpec::thor_single_rail()).unwrap());
     let sizes = size_sweep(8 * 1024, 4 << 20);

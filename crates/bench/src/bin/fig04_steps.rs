@@ -30,7 +30,7 @@ fn dump(title: &str, built: &mha_collectives::Built, out: &mut String) {
 }
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::single_node(4);

@@ -10,7 +10,7 @@ use mha_collectives::mha::tune_offload;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let configs = [
         (4u32, 4usize << 20, "L4_4M"),

@@ -17,7 +17,7 @@ use mha_sched::{ProcGrid, SummaryProbe, Tee};
 use mha_simnet::{intersection_length, ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Arc::new(Simulator::new(spec.clone()).unwrap());
     let msg = 64 * 1024;

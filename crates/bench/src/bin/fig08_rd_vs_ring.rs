@@ -11,7 +11,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let ccfg = CampaignConfig::from_env();
     for nodes in [16u32, 32] {

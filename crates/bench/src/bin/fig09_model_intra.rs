@@ -9,7 +9,7 @@ use mha_model::{calibrate, mean_rel_error, validate_intra};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let spec2 = spec.clone();
     let points = vec![CampaignPoint::custom("validate_intra", move |_seed| {

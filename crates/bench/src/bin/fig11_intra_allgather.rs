@@ -9,7 +9,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();
     let sizes = size_sweep(256 * 1024, 16 << 20);

@@ -11,8 +11,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
-    let tuned = mha_bench::apply_tuned_flag();
+    let tuned = mha_bench::Cli::parse(&["--check", "--tuned"]).tuned;
     let spec = ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();
     let grid = ProcGrid::new(8, 32);

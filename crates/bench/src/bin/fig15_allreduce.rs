@@ -11,7 +11,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();
     let sizes_bytes = [64 * 1024usize, 2 << 20, 16 << 20, 128 << 20];

@@ -52,7 +52,7 @@ fn sweep(title: &str, cfg_of: impl Fn(ProcGrid) -> MatvecConfig, name: &str, spe
 }
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     sweep(
         "Figure 16a: matvec strong scaling, GFLOP/s (1024 x 32768)",

@@ -13,7 +13,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let models = [RESNET50, RESNET101, RESNET152];
     let node_counts = [8u32, 16, 32];

@@ -12,7 +12,7 @@ use mha_bench::traffic::{offered_load_table, run_traffic_cached, TrafficSweep};
 use mha_traffic::{job_trace_csv, tenant_csv, tenant_stats};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let cfg = CampaignConfig::from_env();
     let sweep = TrafficSweep::thor_default();
 

@@ -9,7 +9,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator};
 
 fn main() {
-    mha_bench::apply_check_flag();
+    mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
 

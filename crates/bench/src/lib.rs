@@ -1,61 +1,127 @@
-//! # mha-bench — Criterion benches and per-figure reproduction binaries
+//! # mha-bench — per-figure reproduction binaries and the campaign runner
 //!
 //! One binary per table/figure in the paper's evaluation (see DESIGN.md's
 //! experiment index): `cargo run --release -p mha-bench --bin fig11_intra_allgather`
-//! prints the paper-style table and drops a CSV under `results/`.
+//! prints the paper-style table and drops a CSV under `results/`. Every
+//! binary parses its command line through [`Cli`], naming the flags it
+//! accepts.
 
 #![warn(missing_docs)]
 
 pub mod campaign;
 pub mod traffic;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use mha_apps::report::{render_run_summary, Table};
 use mha_sched::{FrozenSchedule, SummaryProbe};
 use mha_simnet::Simulator;
 
-/// Turns on invariant-check mode when `--check` is on the command line:
-/// every simulated run is then audited by an
-/// [`mha_sched::InvariantProbe`] (causality, per-resource capacity, byte
-/// conservation) and panics on any violation. Implemented through
-/// [`mha_simnet::set_check_enabled`] — a thread-safe programmatic override
-/// of the `MHA_CHECK` environment variable, so it works regardless of when
-/// the env cache was first read.
-pub fn apply_check_flag() {
-    if std::env::args().any(|a| a == "--check") {
-        mha_simnet::set_check_enabled(Some(true));
-        eprintln!("[--check: invariant probes active on every simulated run]");
+/// A binary's command line, parsed whole before any work starts.
+///
+/// Each binary names the arguments it accepts: flags (`"--check"`) and
+/// options with a value (`"--out <path>"`). Anything else, or an option
+/// without its value, exits 2 with a usage line. Two flags act here, so
+/// every binary treats them alike. `--check` audits every simulated run
+/// with an [`mha_sched::InvariantProbe`] (causality, per-resource
+/// capacity, byte conservation), which panics on any violation; it goes
+/// through [`mha_simnet::set_check_enabled`], so it works however early
+/// the `MHA_CHECK` cache was read. `--tuned` loads [`Cli::tuned`]; without
+/// it the sweeps stay byte-identical to their untuned output.
+#[derive(Debug)]
+pub struct Cli {
+    /// The tuning table ([`load_tuned_table`]), when `--tuned` was given.
+    pub tuned: Option<mha_collectives::TunedTable>,
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Cli {
+    /// Parses `std::env::args()` against `accepts`.
+    pub fn parse(accepts: &[&'static str]) -> Cli {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        let bin = Path::new(&bin).file_name().unwrap_or_default();
+        let given = parse_args(accepts, argv).unwrap_or_else(|e| {
+            let usage: Vec<String> = accepts.iter().map(|a| format!("[{a}]")).collect();
+            eprintln!(
+                "error: {e}\nusage: {} {}",
+                bin.to_string_lossy(),
+                usage.join(" ")
+            );
+            std::process::exit(2);
+        });
+        let mut cli = Cli { tuned: None, given };
+        if cli.has("--check") {
+            mha_simnet::set_check_enabled(Some(true));
+            eprintln!("[--check: invariant probes active on every simulated run]");
+        }
+        if cli.has("--tuned") {
+            cli.tuned = Some(load_tuned_table());
+        }
+        cli
+    }
+
+    /// Whether the flag or option `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of option `name`, if it was given.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        let (_, v) = self.given.iter().find(|(n, _)| *n == name)?;
+        v.as_deref()
     }
 }
 
-/// Loads the tuning table when `--tuned` is on the command line: the
-/// serving half of the `mha-tune` autotuner. The table comes from
-/// `MHA_TUNED_TABLE` if set, else `results/tuned_thor.mtab` (honoring
-/// `MHA_RESULTS_DIR`). Returns `None` without the flag — the sweeps then
-/// stay byte-identical to their untuned output. A flagged run that cannot
-/// load its table is an error, not a silent fallback: the user asked for
-/// tuned numbers.
-pub fn apply_tuned_flag() -> Option<mha_collectives::TunedTable> {
-    if !std::env::args().any(|a| a == "--tuned") {
-        return None;
+/// Matches `argv` against `accepts`. A value may not start with `--`, so
+/// `--out --reduced` is a missing path, not a file name.
+fn parse_args(
+    accepts: &[&'static str],
+    mut argv: impl Iterator<Item = String>,
+) -> Result<Vec<(&'static str, Option<String>)>, String> {
+    let mut given = Vec::new();
+    while let Some(arg) = argv.next() {
+        let spec = accepts
+            .iter()
+            .find(|a| a.split(' ').next() == Some(arg.as_str()))
+            .ok_or_else(|| format!("unexpected argument `{arg}`"))?;
+        given.push(match spec.split_once(' ') {
+            None => (*spec, None),
+            Some((name, meta)) => match argv.next() {
+                Some(v) if !v.starts_with("--") => (name, Some(v)),
+                _ => return Err(format!("{name} needs a value {meta}")),
+            },
+        });
     }
-    let path = std::env::var_os("MHA_TUNED_TABLE")
+    Ok(given)
+}
+
+/// The tuning table the binaries serve and `mha_tune` writes by default:
+/// `MHA_TUNED_TABLE` if set, else `tuned_thor.mtab` under [`results_dir`].
+pub fn tuned_table_path() -> PathBuf {
+    std::env::var_os("MHA_TUNED_TABLE")
         .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("tuned_thor.mtab"));
+        .unwrap_or_else(|| results_dir().join("tuned_thor.mtab"))
+}
+
+/// Loads the table at [`tuned_table_path`], the serving half of the
+/// `mha-tune` autotuner. A table that cannot be loaded exits 2: the user
+/// asked for tuned numbers, so there is no silent fallback.
+pub fn load_tuned_table() -> mha_collectives::TunedTable {
+    let path = tuned_table_path();
     match mha_collectives::TunedTable::load(&path) {
         Ok(t) => {
             eprintln!(
-                "[--tuned: serving {} entries from {} (digest {:016x})]",
+                "[serving {} tuned entries from {} (digest {:016x})]",
                 t.len(),
                 path.display(),
                 t.digest()
             );
-            Some(t)
+            t
         }
         Err(e) => {
             eprintln!(
-                "error: --tuned requested but {} is unusable: {e}",
+                "error: cannot load tuning table {} ({e}); run `cargo run --release -p mha-tune --bin mha_tune` first",
                 path.display()
             );
             std::process::exit(2);

@@ -89,6 +89,10 @@ pub(crate) struct CalendarQueue<T> {
     /// the self-tuning rebuild.
     pops_since_tune: u32,
     scan_since_tune: u64,
+    /// Pops and swept cells of every closed tuning window since the queue
+    /// was created; [`CalendarQueue::work`] adds the open window.
+    pops_total: u64,
+    scan_total: u64,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -110,6 +114,8 @@ impl<T> CalendarQueue<T> {
             scratch: Vec::new(),
             pops_since_tune: 0,
             scan_since_tune: 0,
+            pops_total: 0,
+            scan_total: 0,
         }
     }
 
@@ -119,14 +125,30 @@ impl<T> CalendarQueue<T> {
         self.count
     }
 
-    /// Drops every entry, keeping bucket allocations and the learned
-    /// width (a warm queue re-runs the same workload without re-tuning).
+    /// Drops every entry, keeping bucket allocations, the learned width (a
+    /// warm queue re-runs without re-tuning) and the [`CalendarQueue::work`].
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
         }
         self.count = 0;
         self.cur_cell = 0;
+        self.close_window();
+    }
+
+    /// `(pops, cells swept)` since the queue was created. A pop of a
+    /// well-sized queue sweeps about one cell.
+    pub fn work(&self) -> (u64, u64) {
+        (
+            self.pops_total + u64::from(self.pops_since_tune),
+            self.scan_total + self.scan_since_tune,
+        )
+    }
+
+    /// Folds the tuning window into the totals: pops count only the window.
+    fn close_window(&mut self) {
+        self.pops_total += u64::from(self.pops_since_tune);
+        self.scan_total += self.scan_since_tune;
         self.pops_since_tune = 0;
         self.scan_since_tune = 0;
     }
@@ -208,8 +230,7 @@ impl<T> CalendarQueue<T> {
             if self.scan_since_tune > u64::from(self.pops_since_tune) * SCAN_BUDGET {
                 self.rebuild(self.nbits);
             }
-            self.pops_since_tune = 0;
-            self.scan_since_tune = 0;
+            self.close_window();
         }
         self.pops_since_tune += 1;
         let nb = self.buckets.len();
@@ -319,8 +340,7 @@ impl<T> CalendarQueue<T> {
         if self.count == 0 {
             self.cur_cell = 0;
         }
-        self.pops_since_tune = 0;
-        self.scan_since_tune = 0;
+        self.close_window();
     }
 }
 
@@ -552,13 +572,21 @@ mod tests {
     #[test]
     fn clear_then_reuse() {
         let mut cal = CalendarQueue::new();
-        for i in 0..100u64 {
+        for i in 0..1000u64 {
             cal.push(i as f64 * 1e-6, i + 1, i);
+        }
+        for _ in 0..600 {
+            cal.pop();
         }
         cal.clear();
         assert_eq!(cal.len(), 0);
         assert!(cal.pop().is_none());
         cal.push(5e-6, 1, 42u64);
         assert_eq!(cal.pop().unwrap().2, 42);
+        // The work counts span tuning windows, rebuilds and `clear`; an
+        // empty pop costs nothing.
+        let (pops, cells) = cal.work();
+        assert_eq!(pops, 601);
+        assert!(cells >= pops);
     }
 }

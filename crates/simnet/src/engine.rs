@@ -28,7 +28,7 @@ use crate::fault::{FaultEvent, FaultKind, FaultSpec};
 use crate::resources::{socket_of, ResourceId, ResourceMap};
 use crate::topology::ClusterSpec;
 use crate::trace::{Trace, TraceBuilder};
-use crate::waterfill::{FillError, FlowSpec, IncrementalFiller};
+use crate::waterfill::{FillError, FillStats, FlowSpec, IncrementalFiller};
 
 /// A rail flow's routing coordinates `(src node, dst node, rail)` — what a
 /// retry needs to re-issue the flow on a surviving rail.
@@ -393,13 +393,15 @@ impl EngineState {
         self.cal.push(time, seq, Ev::Finish { flow: fi, version });
     }
 
-    /// Deletes flow `fi`'s pending `Finish`, if any.
-    fn cancel_finish(&mut self, fi: u32) {
-        let (t, s) = self.finish_ev[fi as usize];
+    /// Deletes the event a `finish_ev` / `retry_ev` slot names, if any, and
+    /// empties the slot. Takes the two fields, not `&mut self`, so the rate
+    /// loop can call it while it holds a flow borrowed.
+    #[inline]
+    fn cancel(slot: &mut (f64, u64), cal: &mut CalendarQueue<Ev>) {
+        let (t, s) = std::mem::take(slot);
         if s != 0 {
-            let found = self.cal.remove(t, s);
-            debug_assert!(found, "finish slot pointed at a missing event");
-            self.finish_ev[fi as usize] = (0.0, 0);
+            let found = cal.remove(t, s);
+            debug_assert!(found, "event slot pointed at a missing event");
         }
     }
 
@@ -578,7 +580,7 @@ impl EngineState {
                     let (flow, version, op) = (fi, f.version, f.op);
                     probe.flow_rate(op, flow, 0.0, now);
                     let t = now + self.retry_timeout;
-                    self.cancel_finish(flow);
+                    Self::cancel(&mut self.finish_ev[flow as usize], &mut self.cal);
                     self.push_retry(t, flow, version);
                 }
                 continue;
@@ -599,13 +601,7 @@ impl EngineState {
                 f.t_fin = t_fin;
                 probe.flow_rate(f.op, fi, new_rate, now);
                 if was_stalled {
-                    let slot = &mut self.retry_ev[fi as usize];
-                    if slot.1 != 0 {
-                        let (t, s) = *slot;
-                        *slot = (0.0, 0);
-                        let found = self.cal.remove(t, s);
-                        debug_assert!(found, "retry slot pointed at a missing event");
-                    }
+                    Self::cancel(&mut self.retry_ev[fi as usize], &mut self.cal);
                 }
                 // Queueing is deferred to the argmin pass below. Burn the
                 // sequence number push-per-change would have stamped on
@@ -615,13 +611,7 @@ impl EngineState {
                 // push".
                 self.seq += 1;
                 f.pred_seq = self.seq;
-                let slot = &mut self.finish_ev[fi as usize];
-                if slot.1 != 0 {
-                    let (t, s) = *slot;
-                    *slot = (0.0, 0);
-                    let found = self.cal.remove(t, s);
-                    debug_assert!(found, "finish slot pointed at a missing event");
-                }
+                Self::cancel(&mut self.finish_ev[fi as usize], &mut self.cal);
             } else if self.finish_ev[fi as usize].1 != 0 {
                 // Unchanged flow with a live queued prediction: it keeps
                 // its event (and queue position) unless the pass below
@@ -659,7 +649,7 @@ impl EngineState {
             };
             let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
             if best[g].1 != fi {
-                self.cancel_finish(fi);
+                Self::cancel(&mut self.finish_ev[fi as usize], &mut self.cal);
             }
         }
         self.keeps = keeps;
@@ -723,6 +713,30 @@ impl EngineArena {
     pub fn new() -> Self {
         EngineArena::default()
     }
+
+    /// The engine work done through this arena since its creation, summed
+    /// over every run (no run resets it).
+    pub fn work(&self) -> EngineWork {
+        let (pops, cells_swept) = self.st.cal.work();
+        EngineWork {
+            pops,
+            cells_swept,
+            memo: self.st.filler.stats(),
+        }
+    }
+}
+
+/// Engine work counts, read through [`EngineArena::work`]. They depend
+/// only on the schedules and the cluster, never on the machine.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct EngineWork {
+    /// Events popped off the calendar queue, stale ones included.
+    pub pops: u64,
+    /// Calendar cells those pops swept: about one per pop when the bucket
+    /// width fits the gaps between events.
+    pub cells_swept: u64,
+    /// Water-fill memo hits, misses and flushes.
+    pub memo: FillStats,
 }
 
 /// Programmatic override of check mode: 0 = none (fall back to the cached

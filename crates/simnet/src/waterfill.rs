@@ -431,7 +431,7 @@ const MEMO_MAX_FLOWS: usize = 128;
 /// behavior never depends on insertion order.
 const MEMO_CAP: usize = 1 << 15;
 
-/// Memo-cache counters (diagnostics for benches and tests).
+/// Memo-cache counters; the engine reports them through `EngineArena::work`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FillStats {
     /// Components answered by replaying a memoized solution.

@@ -10,27 +10,11 @@
 use mha_apps::report::{fmt_bytes, Table};
 use mha_bench::campaign::{CampaignConfig, ScheduleCache};
 use mha_tune::search::price_configs;
-use mha_tune::{fig_grids, untuned_families, TunedTable};
+use mha_tune::{fig_grids, untuned_families};
 
 fn main() {
-    mha_bench::apply_check_flag();
-    let path = mha_tune::default_table_path();
-    let table = match TunedTable::load(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "error: cannot load tuning table {} ({e}); run `cargo run --release -p mha-tune --bin mha_tune` first",
-                path.display()
-            );
-            std::process::exit(2);
-        }
-    };
-    eprintln!(
-        "[serving {} entries from {} (digest {:016x})]",
-        table.len(),
-        path.display(),
-        table.digest()
-    );
+    mha_bench::Cli::parse(&["--check"]);
+    let table = mha_bench::load_tuned_table();
 
     let spec = mha_simnet::ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();

@@ -13,15 +13,12 @@ use mha_bench::campaign::CampaignConfig;
 use mha_tune::{full_points, reduced_points, run_search};
 
 fn main() {
-    mha_bench::apply_check_flag();
-    let args: Vec<String> = std::env::args().collect();
-    let reduced = args.iter().any(|a| a == "--reduced");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
+    let cli = mha_bench::Cli::parse(&["--check", "--reduced", "--out <path>"]);
+    let reduced = cli.has("--reduced");
+    let out_path = cli
+        .value("--out")
         .map(std::path::PathBuf::from)
-        .unwrap_or_else(mha_tune::default_table_path);
+        .unwrap_or_else(mha_bench::tuned_table_path);
 
     let spec = mha_simnet::ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();

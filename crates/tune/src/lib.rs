@@ -38,14 +38,3 @@ pub use mha_collectives::{
 };
 pub use search::{fig_grids, full_points, reduced_points, run_search, PointSummary, TunePoint};
 pub use space::{candidates, untuned_families};
-
-use std::path::PathBuf;
-
-/// The tuning-table path the serving side and the tools agree on:
-/// `MHA_TUNED_TABLE` if set, else `tuned_thor.mtab` under the bench
-/// results directory (honoring `MHA_RESULTS_DIR`).
-pub fn default_table_path() -> PathBuf {
-    std::env::var_os("MHA_TUNED_TABLE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| mha_bench::results_dir().join("tuned_thor.mtab"))
-}
