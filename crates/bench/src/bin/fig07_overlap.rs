@@ -13,8 +13,8 @@ use std::sync::Arc;
 use mha_apps::report::{render_run_summary, Table};
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
-use mha_sched::{ProcGrid, SummaryProbe, Tee};
-use mha_simnet::{intersection_length, ClusterSpec, Simulator, TraceBuilder};
+use mha_sched::{intersection_length, union_length, ProcGrid, SummaryProbe, Tee};
+use mha_simnet::{ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
     mha_bench::Cli::parse(&["--check"]);
@@ -59,8 +59,8 @@ fn main() {
                     let _ = s;
                     m.kind == "copy" && m.step.is_some_and(|st| st >= 2000)
                 });
-                let net_busy = mha_simnet::union_length(&net) * 1e6;
-                let copy_busy = mha_simnet::union_length(&copies) * 1e6;
+                let net_busy = union_length(&net) * 1e6;
+                let copy_busy = union_length(&copies) * 1e6;
                 let overlap = intersection_length(&net, &copies) * 1e6;
                 let mut note = format!("[{name}] ");
                 note.push_str(&render_run_summary(&summary));

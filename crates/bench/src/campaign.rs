@@ -516,8 +516,8 @@ pub fn run_campaign(
 }
 
 /// Runs `points` under `cfg` against a caller-owned cache (so consecutive
-/// campaigns can share warm schedules; the warm/cold Criterion benches and
-/// the cache-reuse tests drive this directly).
+/// campaigns can share warm schedules; the tuner's search, the traffic
+/// sweeps and the cache-reuse tests drive this directly).
 pub fn run_campaign_with(
     points: &[CampaignPoint],
     cfg: &CampaignConfig,
@@ -632,8 +632,8 @@ pub fn campaign_table(
     Ok(table)
 }
 
-/// Campaign-backed replacement for `mha_apps::allgather_sweep`: same
-/// table (titles, labels, values bit-identical), but every cell is a
+/// Sweeps `osu_allgather` over `sizes` for each contestant: a table of
+/// latencies in microseconds (rows = message sizes). Every cell is a
 /// [`PointWork::Sim`] point — built schedules are cached and priced in
 /// reused engine arenas across the worker pool.
 pub fn allgather_sweep(
@@ -699,9 +699,9 @@ pub fn allgather_sweep_tuned(
     campaign_table(title, "msg_bytes", columns, &row_labels, cells, cfg)
 }
 
-/// Campaign-backed `osu_allreduce` sweep over vector sizes in bytes (f32
-/// elements are `bytes / 4`, padded up to the rank count), with explicit
-/// column names (Figure 15 titles its baseline column `FlatRing`).
+/// Sweeps `osu_allreduce` over vector sizes in bytes (f32 elements are
+/// `bytes / 4`, padded up to the rank count), with explicit column names
+/// (Figure 15 titles its baseline column `FlatRing`).
 pub fn allreduce_sweep(
     title: &str,
     grid: ProcGrid,
@@ -842,6 +842,25 @@ mod tests {
         // Same build key -> identical cached latency down each column.
         assert_eq!(rows[0].1[0].to_bits(), rows[1].1[0].to_bits());
         assert_eq!(rows[0].1[1].to_bits(), rows[1].1[1].to_bits());
+
+        // An Allreduce sweep pads each vector up to the rank count: 1000 B
+        // over 6 ranks is 250 f32 elements, priced as 252.
+        let spec = ClusterSpec::thor();
+        let grid = ProcGrid::new(2, 3);
+        let mha = Contestant::MhaTuned;
+        let t = allreduce_sweep(
+            "t",
+            grid,
+            &[1000],
+            &[mha],
+            vec![mha.name()],
+            &spec,
+            &CampaignConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(t.len(), 1);
+        let want = mha.allreduce_latency_us(grid, 252, &spec).unwrap();
+        assert_eq!(t.rows()[0].1[0].to_bits(), want.to_bits());
     }
 
     #[test]
@@ -901,6 +920,11 @@ mod tests {
         let cfg = CampaignConfig::default();
         // None → bit-identical to the plain sweep.
         let plain = allgather_sweep("t", grid, &sizes, &contestants, &spec, &cfg).unwrap();
+        assert_eq!(plain.len(), sizes.len());
+        for (_, row) in plain.rows() {
+            assert_eq!(row.len(), contestants.len());
+            assert!(row.iter().all(|v| *v > 0.0));
+        }
         let none =
             allgather_sweep_tuned("t", grid, &sizes, &contestants, None, &spec, &cfg).unwrap();
         assert_eq!(plain.to_csv(), none.to_csv());

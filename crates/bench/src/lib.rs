@@ -24,10 +24,12 @@ use mha_simnet::Simulator;
 /// without its value, exits 2 with a usage line. Two flags act here, so
 /// every binary treats them alike. `--check` audits every simulated run
 /// with an [`mha_sched::InvariantProbe`] (causality, per-resource
-/// capacity, byte conservation), which panics on any violation; it goes
-/// through [`mha_simnet::set_check_enabled`], so it works however early
-/// the `MHA_CHECK` cache was read. `--tuned` loads [`Cli::tuned`]; without
-/// it the sweeps stay byte-identical to their untuned output.
+/// capacity, byte conservation); a violation fails that run with
+/// [`mha_simnet::SimError::Invariant`], which the binary reports as an
+/// error. It goes through [`mha_simnet::set_check_enabled`], so it works
+/// however early the `MHA_CHECK` cache was read. `--tuned` loads
+/// [`Cli::tuned`]; without it the sweeps stay byte-identical to their
+/// untuned output.
 #[derive(Debug)]
 pub struct Cli {
     /// The tuning table ([`load_tuned_table`]), when `--tuned` was given.
@@ -140,44 +142,45 @@ pub fn results_dir() -> PathBuf {
 /// Prints the table and saves `results/<name>.csv`.
 pub fn emit(table: &Table, name: &str) {
     println!("{}", table.to_text());
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.csv"));
-    match std::fs::write(&path, table.to_csv()) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    save(&table.to_csv(), &format!("{name}.csv"));
 }
 
 /// Prints a free-form artifact (timelines, op dumps) and saves it as
 /// `results/<name>.txt`.
 pub fn emit_text(content: &str, name: &str) {
     println!("{content}");
+    save(content, &format!("{name}.txt"));
+}
+
+/// Writes `body` to `file` under [`results_dir`], warning on failure.
+fn save(body: &str, file: &str) {
     let dir = results_dir();
-    if std::fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        if std::fs::write(&path, content).is_ok() {
-            println!("[saved {}]", path.display());
-        }
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return;
+    }
+    let path = dir.join(file);
+    match std::fs::write(&path, body) {
+        Ok(()) => println!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }
 
 /// Re-simulates `sched` with a [`SummaryProbe`] attached and prints the
 /// per-rail/CPU/memory utilization + overlap block, saving it as
 /// `results/<name>_summary.txt`. The `fig*` binaries call this once on a
-/// representative workload after their sweep tables.
+/// representative workload after their sweep tables. A failed run (under
+/// `--check`, an invariant violation) exits 1.
 pub fn emit_run_summary(sim: &Simulator, sched: &FrozenSchedule, name: &str) {
     let mut probe = SummaryProbe::new();
-    match sim.run_probed(sched, &mut probe) {
-        Ok(_) => emit_text(
-            &render_run_summary(&probe.finish()),
-            &format!("{name}_summary"),
-        ),
-        Err(e) => eprintln!("warning: summary run for {name} failed: {e}"),
+    if let Err(e) = sim.run_probed(sched, &mut probe) {
+        eprintln!("error: summary run for {name} failed: {e}");
+        std::process::exit(1);
     }
+    emit_text(
+        &render_run_summary(&probe.finish()),
+        &format!("{name}_summary"),
+    );
 }
 
 /// A single inter-node `msg`-byte transfer striped over all rails — the

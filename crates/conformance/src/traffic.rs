@@ -3,8 +3,10 @@
 //!
 //! Each case is a small multi-tenant traffic scenario priced through
 //! [`mha_traffic::run_jobs`] with invariant-check mode armed (the engine
-//! tees an [`mha_sched::InvariantProbe`] onto every run and panics on any
-//! causality/capacity/conservation violation). Two case shapes alternate:
+//! tees an [`mha_sched::InvariantProbe`] onto every run and fails it with
+//! [`mha_simnet::SimError::Invariant`] on any causality/capacity/
+//! conservation violation, which the case reports as a disagreement). Two
+//! case shapes alternate:
 //!
 //! * **disjoint** — tenants occupy hand-built non-overlapping node
 //!   blocks. Every tenant's jobs must finish **bit-identically** to a
@@ -39,7 +41,8 @@ use crate::runner::Oracle;
 ///
 /// A live `Traffic` holds the engine's invariant audit armed
 /// ([`mha_simnet::set_check_enabled`]) — every run of the sweep is
-/// audited and a violation panics it — and dropping it disarms the audit.
+/// audited and a violation fails its case — and dropping it disarms the
+/// audit.
 pub struct Traffic {
     _armed: (),
 }

@@ -13,7 +13,7 @@
 //!
 //! Neither executor models *time*; that is `mha-simnet`'s job. These exist
 //! to prove every algorithm's data movement is correct (offsets, chunking,
-//! reduction arithmetic, shm hand-offs). The `*_probed` variants narrate
+//! reduction arithmetic, shm hand-offs). [`run_threaded_probed`] narrates
 //! wall-clock op spans through a [`Probe`], the same observability seam the
 //! simulator emits, so one sink works against both backends.
 
@@ -153,28 +153,6 @@ pub fn run_single(sch: &FrozenSchedule, store: &BufferStore) -> Result<(), ExecE
     for op in sch.ops() {
         execute_op(&op.kind, store);
     }
-    Ok(())
-}
-
-/// [`run_single`] narrated through `probe`: wall-clock op spans (seconds
-/// from run start) plus begin/end envelope, `backend = "exec-single"`.
-pub fn run_single_probed(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    probe: &mut dyn Probe,
-) -> Result<(), ExecError> {
-    mha_sched::validate(sch, None)?;
-    probe.begin_run(sch, "exec-single");
-    let t0 = Instant::now();
-    let ops = sch.ops();
-    for i in 0..sch.n_ops() as u32 {
-        let t = t0.elapsed().as_secs_f64();
-        probe.op_ready(i, t);
-        probe.op_start(i, t);
-        execute_op(&ops[i as usize].kind, store);
-        probe.op_end(i, t0.elapsed().as_secs_f64());
-    }
-    probe.end_run(t0.elapsed().as_secs_f64());
     Ok(())
 }
 

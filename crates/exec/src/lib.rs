@@ -11,6 +11,10 @@
 //!   `mha_sched::check_races`) demonstrates that the paper's overlapped
 //!   chunk-counter pipeline is deterministic.
 //!
+//! [`run_threaded_probed`] narrates a pool run through the simulator's
+//! `mha_sched::Probe` seam (wall-clock op spans), so one sink works against
+//! both backends.
+//!
 //! [`verify_allgather`] / [`verify_allreduce_sum_f32`] wrap the executors
 //! with MPI-semantics postcondition checks; every collective algorithm in
 //! `mha-collectives` is tested through them.
@@ -31,8 +35,7 @@ mod verify;
 
 pub use executor::{
     resume_single, resume_threaded, run_single, run_single_journaled, run_single_killed,
-    run_single_probed, run_threaded, run_threaded_journaled, run_threaded_killed,
-    run_threaded_probed, ExecError,
+    run_threaded, run_threaded_journaled, run_threaded_killed, run_threaded_probed, ExecError,
 };
 pub use journal::{CompletionJournal, JournalError, JournalSink, KillPlan};
 pub use memory::BufferStore;

@@ -25,8 +25,9 @@
 //!   left active at `end_run`.
 //!
 //! Violations accumulate instead of panicking so a run can be audited
-//! wholesale; call [`InvariantProbe::assert_clean`] to turn any violation
-//! into a panic with a readable report (what `fig* --check` does).
+//! wholesale; read them with [`InvariantProbe::is_clean`] and
+//! [`InvariantProbe::violations`]. The simulator's check mode (what
+//! `fig* --check` arms) turns any violation into a typed error.
 
 use std::fmt;
 
@@ -178,8 +179,6 @@ struct FlowState {
 /// [`InvariantProbe::take_violations`]).
 #[derive(Debug, Default)]
 pub struct InvariantProbe {
-    backend: &'static str,
-    schedule: String,
     // Frozen DAG predecessors, copied as offsets + flat list.
     pred_off: Vec<u32>,
     pred_list: Vec<OpId>,
@@ -201,7 +200,6 @@ pub struct InvariantProbe {
     violations: Vec<Violation>,
     /// Total violations observed (recorded + dropped past [`MAX_RECORDED`]).
     total: usize,
-    runs: usize,
 }
 
 impl InvariantProbe {
@@ -236,32 +234,6 @@ impl InvariantProbe {
     /// Consumes the auditor, returning every recorded violation.
     pub fn finish(self) -> Vec<Violation> {
         self.violations
-    }
-
-    /// Panics with a readable report if any violation was observed.
-    ///
-    /// # Panics
-    ///
-    /// When at least one invariant was violated; the message lists up to
-    /// the first few violations plus the schedule and backend they came
-    /// from.
-    pub fn assert_clean(&self) {
-        if self.is_clean() {
-            return;
-        }
-        let mut msg = format!(
-            "invariant check failed: {} violation(s) on schedule `{}` ({} backend, {} run(s)):\n",
-            self.total, self.schedule, self.backend, self.runs
-        );
-        for v in self.violations.iter().take(8) {
-            msg.push_str("  - ");
-            msg.push_str(&v.to_string());
-            msg.push('\n');
-        }
-        if self.total > 8 {
-            msg.push_str(&format!("  ... and {} more\n", self.total - 8));
-        }
-        panic!("{msg}");
     }
 
     fn record(&mut self, v: Violation) {
@@ -327,10 +299,7 @@ impl InvariantProbe {
 }
 
 impl Probe for InvariantProbe {
-    fn begin_run(&mut self, fs: &FrozenSchedule, backend: &'static str) {
-        self.backend = backend;
-        self.schedule = fs.name().to_string();
-        self.runs += 1;
+    fn begin_run(&mut self, fs: &FrozenSchedule, _backend: &'static str) {
         let n = fs.n_ops();
         self.pred_off.clear();
         self.pred_list.clear();
@@ -553,7 +522,6 @@ mod tests {
         let mut p = InvariantProbe::new();
         drive_clean(&mut p, &fs);
         assert!(p.is_clean(), "{:?}", p.violations());
-        p.assert_clean();
     }
 
     #[test]
@@ -668,16 +636,6 @@ mod tests {
             .violations()
             .iter()
             .any(|v| matches!(v, Violation::UnfinishedFlow { op: 0, flow: 0 })));
-    }
-
-    #[test]
-    #[should_panic(expected = "invariant check failed")]
-    fn assert_clean_panics_on_violation() {
-        let fs = two_op_chain();
-        let mut p = InvariantProbe::new();
-        p.begin_run(&fs, "test");
-        p.end_run(0.0);
-        p.assert_clean();
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::frozen::FrozenSchedule;
 /// [`FrozenSchedule`] handed to [`Probe::begin_run`].
 pub trait Probe {
     /// The run is starting. `backend` identifies the interpreter
-    /// (`"simnet"`, `"exec-single"`, `"exec-threaded"`).
+    /// (`"simnet"`, `"exec-threaded"`).
     fn begin_run(&mut self, fs: &FrozenSchedule, backend: &'static str) {
         let _ = (fs, backend);
     }
@@ -136,7 +136,7 @@ pub struct NullProbe;
 impl Probe for NullProbe {}
 
 // ---------------------------------------------------------------------------
-// Interval arithmetic shared by summary sinks and metrics.
+// Interval arithmetic shared by the summary sink and timeline callers.
 // ---------------------------------------------------------------------------
 
 /// Total length of the union of (possibly overlapping) `[start, end)`
@@ -633,6 +633,7 @@ mod tests {
         assert!((intersection_length(&a, &b) - 1.0).abs() < 1e-12);
         assert!((intersection_length(&b, &a) - 1.0).abs() < 1e-12);
         assert_eq!(intersection_length(&a, &[]), 0.0);
+        assert_eq!(intersection_length(&a, &[(10.0, 11.0)]), 0.0); // disjoint
     }
 
     #[test]

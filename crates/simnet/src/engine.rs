@@ -16,18 +16,18 @@
 //!
 //! Every run narrates itself through a [`Probe`] ([`Simulator::run_probed`]):
 //! op spans, flow-rate changes, water-fill recomputations and resource
-//! totals. [`Simulator::run`] plugs in the no-op sink; `trace: true` plugs in
-//! the ASCII-timeline sink ([`crate::trace::TraceBuilder`]).
+//! totals. [`Simulator::run`] plugs in the no-op sink; the ASCII timeline
+//! is the [`crate::TraceBuilder`] sink plugged into [`Simulator::run_probed`].
 
 use mha_sched::{
-    Channel, FrozenSchedule, NodeId, NullProbe, OpKind, Probe, ProcGrid, ReadySet, Schedule,
+    Channel, FrozenSchedule, InvariantProbe, NodeId, NullProbe, OpKind, Probe, ProcGrid, ReadySet,
+    Schedule, Violation,
 };
 
 use crate::calendar::CalendarQueue;
 use crate::fault::{FaultEvent, FaultKind, FaultSpec};
 use crate::resources::{socket_of, ResourceId, ResourceMap};
 use crate::topology::ClusterSpec;
-use crate::trace::{Trace, TraceBuilder};
 use crate::waterfill::{FillError, FillStats, FlowSpec, IncrementalFiller};
 
 /// A rail flow's routing coordinates `(src node, dst node, rail)` — what a
@@ -69,6 +69,16 @@ pub enum SimError {
         /// What the water-filler rejected.
         source: FillError,
     },
+    /// Check mode ([`check_enabled`]) audited the run and found invariant
+    /// violations.
+    Invariant {
+        /// Name of the audited schedule.
+        schedule: String,
+        /// Violations observed, including any past the recording cap.
+        total: usize,
+        /// The recorded violations, in the order they were observed.
+        violations: Vec<Violation>,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -81,6 +91,23 @@ impl std::fmt::Display for SimError {
             }
             SimError::InvalidFlow { op, source } => {
                 write!(f, "op {op} produced an invalid flow: {source}")
+            }
+            SimError::Invariant {
+                schedule,
+                total,
+                violations,
+            } => {
+                write!(
+                    f,
+                    "invariant check failed: {total} violation(s) on schedule `{schedule}`"
+                )?;
+                for v in violations.iter().take(8) {
+                    write!(f, "\n  - {v}")?;
+                }
+                if *total > 8 {
+                    write!(f, "\n  ... and {} more", total - 8)?;
+                }
+                Ok(())
             }
         }
     }
@@ -101,13 +128,6 @@ impl From<mha_sched::ValidateError> for SimError {
     }
 }
 
-/// Simulation options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimConfig {
-    /// Record a per-op [`Trace`] (costs memory proportional to op count).
-    pub trace: bool,
-}
-
 /// The outcome of simulating one schedule.
 #[derive(Debug, Clone)]
 pub struct SimResult {
@@ -115,8 +135,6 @@ pub struct SimResult {
     pub makespan: f64,
     /// Completion time of each op, indexed like `Schedule::ops()`.
     pub op_end: Vec<f64>,
-    /// Per-op timeline, if requested via [`SimConfig::trace`].
-    pub trace: Option<Trace>,
     /// Events processed (diagnostics).
     pub events: u64,
     /// Peak number of simultaneously active flows.
@@ -133,28 +151,6 @@ impl SimResult {
     /// Makespan in microseconds — the unit the paper reports.
     pub fn latency_us(&self) -> f64 {
         self.makespan * 1e6
-    }
-
-    /// Utilization (0..=1) of each resource over the makespan.
-    pub fn utilization(&self) -> Vec<f64> {
-        self.resource_bytes
-            .iter()
-            .zip(&self.resource_capacity)
-            .map(|(b, c)| {
-                if self.makespan > 0.0 {
-                    b / (c * self.makespan)
-                } else {
-                    0.0
-                }
-            })
-            .collect()
-    }
-
-    /// The busiest resource and its utilization.
-    pub fn bottleneck(&self) -> Option<(String, f64)> {
-        let util = self.utilization();
-        let (i, u) = util.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))?;
-        Some((self.resource_labels[i].clone(), *u))
     }
 }
 
@@ -776,6 +772,18 @@ pub fn set_check_enabled(v: Option<bool>) {
     CHECK_OVERRIDE.store(code, std::sync::atomic::Ordering::SeqCst);
 }
 
+/// Check mode's verdict on a run of `sch` that `audit` watched.
+fn verdict(sch: &FrozenSchedule, audit: InvariantProbe) -> Result<(), SimError> {
+    if audit.is_clean() {
+        return Ok(());
+    }
+    Err(SimError::Invariant {
+        schedule: sch.name().to_string(),
+        total: audit.total_violations(),
+        violations: audit.finish(),
+    })
+}
+
 /// A discrete-event simulator for one cluster specification.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -837,27 +845,15 @@ impl Simulator {
         self.run_probed_in(sch, &mut NullProbe, arena)
     }
 
-    /// Simulates `sch` with explicit options.
-    pub fn run_with(&self, sch: &FrozenSchedule, config: SimConfig) -> Result<SimResult, SimError> {
-        if config.trace {
-            let mut tb = TraceBuilder::new();
-            let mut r = self.run_probed(sch, &mut tb)?;
-            r.trace = Some(tb.finish(sch));
-            Ok(r)
-        } else {
-            self.run_probed(sch, &mut NullProbe)
-        }
-    }
-
     /// Simulates `sch`, narrating the run through `probe` (see
-    /// [`mha_sched::probe`] for the available sinks). The returned result
-    /// never carries a [`Trace`]; use [`Simulator::run_with`] for that.
+    /// [`mha_sched::probe`] for the available sinks; the ASCII timeline is
+    /// [`crate::TraceBuilder`]).
     ///
-    /// When check mode is on (the `MHA_CHECK` environment variable is set
-    /// to anything but `0`/empty — e.g. via a `fig*` binary's `--check`
-    /// flag), every run is additionally audited by an
-    /// [`mha_sched::InvariantProbe`] teed alongside `probe`, and any
-    /// causality/capacity/conservation violation panics with a report.
+    /// When check mode is on ([`check_enabled`], e.g. via a `fig*`
+    /// binary's `--check` flag), every run is additionally audited by an
+    /// [`InvariantProbe`] teed alongside `probe`, and any
+    /// causality/capacity/conservation violation fails the run with
+    /// [`SimError::Invariant`].
     pub fn run_probed<P: Probe + ?Sized>(
         &self,
         sch: &FrozenSchedule,
@@ -881,9 +877,9 @@ impl Simulator {
         arena: &mut EngineArena,
     ) -> Result<SimResult, SimError> {
         if check_enabled() {
-            let mut audit = mha_sched::InvariantProbe::new();
+            let mut audit = InvariantProbe::new();
             let r = self.run_probed_inner(sch, &mut mha_sched::Tee(probe, &mut audit), arena)?;
-            audit.assert_clean();
+            verdict(sch, audit)?;
             Ok(r)
         } else {
             self.run_probed_inner(sch, probe, arena)
@@ -1316,7 +1312,6 @@ impl Simulator {
         Ok(SimResult {
             makespan,
             op_end,
-            trace: None,
             events,
             max_concurrent_flows: st.max_active,
             resource_bytes: st.resource_bytes.clone(),
@@ -1865,6 +1860,13 @@ mod tests {
         ));
     }
 
+    /// A run's [`mha_sched::RunSummary`].
+    fn summarize(sch: &FrozenSchedule) -> mha_sched::RunSummary {
+        let mut sp = mha_sched::SummaryProbe::new();
+        sim().run_probed(sch, &mut sp).unwrap();
+        sp.finish()
+    }
+
     #[test]
     fn utilization_is_bounded_and_bottleneck_sane() {
         let grid = ProcGrid::new(2, 1);
@@ -1882,16 +1884,25 @@ mod tests {
             &[],
             0,
         );
-        let r = sim().run(&b.finish().freeze()).unwrap();
-        for u in r.utilization() {
-            assert!((0.0..=1.0 + 1e-9).contains(&u));
+        let r = summarize(&b.finish().freeze());
+        for u in &r.resources {
+            assert!((0.0..=1.0 + 1e-9).contains(&u.utilization), "{u:?}");
         }
-        let (label, util) = r.bottleneck().unwrap();
+        let top = r
+            .resources
+            .iter()
+            .max_by(|a, b| a.utilization.total_cmp(&b.utilization))
+            .unwrap();
         assert!(
-            label.starts_with("tx") || label.starts_with("rx"),
-            "{label}"
+            top.label.starts_with("tx") || top.label.starts_with("rx"),
+            "{}",
+            top.label
         );
-        assert!(util > 0.9, "rail should be nearly saturated: {util}");
+        assert!(
+            top.utilization > 0.9,
+            "rail should be nearly saturated: {}",
+            top.utilization
+        );
     }
 
     #[test]
@@ -2121,15 +2132,42 @@ mod tests {
             0,
         );
         let sch = b.finish().freeze();
-        let r = sim().run_with(&sch, SimConfig { trace: true }).unwrap();
-        let t = r.trace.unwrap();
+        let mut tb = crate::TraceBuilder::new();
+        let r = sim().run_probed(&sch, &mut tb).unwrap();
+        let t = tb.finish(&sch);
         assert_eq!(t.spans().len(), 1);
         let sp = t.spans()[0];
         assert_eq!(sp.ready, 0.0);
         assert!(sp.start > sp.ready);
         assert!(sp.end > sp.start);
-        let no_trace = sim().run(&sch).unwrap();
-        assert!(no_trace.trace.is_none());
+        assert_eq!(t.makespan(), r.makespan);
+    }
+
+    #[test]
+    fn invariant_violations_are_a_typed_error() {
+        let mut b = ScheduleBuilder::new(ProcGrid::single_node(1), "audited");
+        let p = b.private_buf(RankId(0), 8, "p");
+        let q = b.private_buf(RankId(0), 8, "q");
+        let mut prev = vec![];
+        for step in 0..10 {
+            prev = vec![b.copy(RankId(0), Loc::new(p, 0), Loc::new(q, 0), 8, &prev, step)];
+        }
+        let sch = b.finish().freeze();
+        assert!(verdict(&sch, InvariantProbe::new()).is_ok());
+        // A stream that reports no op spans: all 10 ops are flagged.
+        let mut audit = InvariantProbe::new();
+        audit.begin_run(&sch, "test");
+        audit.end_run(0.0);
+        let err = verdict(&sch, audit).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Invariant { schedule, total: 10, violations }
+                if schedule == "audited" && violations.len() == 10),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.starts_with("invariant check failed: 10 violation(s) on schedule `audited`"));
+        assert!(msg.contains("\n  - span: op 0 never reported"), "{msg}");
+        assert!(msg.ends_with("\n  ... and 2 more"), "{msg}");
     }
 
     /// One inter-node transfer on the given channel, for fault tests.

@@ -14,12 +14,14 @@
 //! * **Protocol costs** ([`ClusterSpec`]): startup latencies, a rendezvous
 //!   surcharge for large rail messages, the 16 KB striping threshold, and
 //!   round-robin rail selection for small messages (Section 2.1).
-//! * **Observability** ([`Trace`], [`mha_sched::Probe`]): every run can be
-//!   narrated through a pluggable probe ([`Simulator::run_probed`]) — the
+//! * **Observability** ([`Trace`], [`mha_sched::Probe`]): every view of a
+//!   run is a probe sink plugged into [`Simulator::run_probed`] — the
 //!   ASCII Gantt timeline in the spirit of the paper's Figure 2
 //!   ([`TraceBuilder`]), JSONL event streams ([`mha_sched::JsonlProbe`]),
-//!   and utilization/overlap summaries ([`mha_sched::SummaryProbe`]) for
-//!   the Figure 6/7 arguments.
+//!   and the utilization/overlap digest ([`mha_sched::SummaryProbe`]) for
+//!   the Figure 6/7 arguments. Check mode ([`check_enabled`]) tees an
+//!   [`mha_sched::InvariantProbe`] onto every run and fails a run that
+//!   breaks an invariant with [`SimError::Invariant`].
 //!
 //! ```
 //! use mha_simnet::{ClusterSpec, Placement, Simulator};
@@ -46,16 +48,14 @@ mod trace;
 mod waterfill;
 
 pub use engine::{
-    check_enabled, set_check_enabled, EngineArena, EngineWork, SimConfig, SimError, SimResult,
-    Simulator,
+    check_enabled, set_check_enabled, EngineArena, EngineWork, SimError, SimResult, Simulator,
 };
 pub use fault::{FaultEvent, FaultKind, FaultSpec, DEFAULT_RETRY_TIMEOUT};
-pub use metrics::{kind_breakdown, phase_breakdown, KindBreakdown};
 pub use microbench::{pt2pt_bandwidth_mbps, pt2pt_latency_us, size_sweep, Placement};
 pub use numa::NumaSpec;
 pub use resources::{ResourceId, ResourceMap};
 pub use topology::ClusterSpec;
-pub use trace::{intersection_length, union_length, Lane, OpSpan, SpanMeta, Trace, TraceBuilder};
+pub use trace::{Lane, OpSpan, SpanMeta, Trace, TraceBuilder};
 pub use waterfill::{
     max_min_rates, FillError, FillStats, FlowSpec, IncrementalFiller, WaterFiller,
 };

@@ -1,162 +1,56 @@
-//! Aggregate analysis of simulation traces: time attribution by op kind,
-//! phase breakdowns by step tag, and overlap reports — the machinery behind
-//! the Figure 6/7 arguments and the utilization sections of EXPERIMENTS.md.
-
-use crate::trace::{intersection_length, union_length, Trace};
-
-/// Wall-clock attribution of a trace (seconds of *busy* time per category;
-/// categories overlap, so they do not sum to the makespan).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KindBreakdown {
-    /// Union of intervals where any rail transfer is in flight.
-    pub network_busy: f64,
-    /// Union of intervals where any CMA transfer is running.
-    pub cma_busy: f64,
-    /// Union of intervals where any CPU copy is running.
-    pub copy_busy: f64,
-    /// Union of intervals where any reduction is running.
-    pub reduce_busy: f64,
-    /// Union of intervals where any pure compute is running.
-    pub compute_busy: f64,
-    /// Time where network and (copy ∪ CMA ∪ reduce) overlap — the paper's
-    /// "network transfers and intra-node memory copies can be overlapped".
-    pub net_mem_overlap: f64,
-    /// Total simulated time.
-    pub makespan: f64,
-}
-
-impl KindBreakdown {
-    /// Fraction of network-busy time hidden under memory work (0 when the
-    /// network is never busy).
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.network_busy > 0.0 {
-            self.net_mem_overlap / self.network_busy
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Computes the [`KindBreakdown`] of a trace.
-pub fn kind_breakdown(trace: &Trace) -> KindBreakdown {
-    let net = trace.intervals_where(|_, m| m.kind == "rail" || m.kind == "rails");
-    let cma = trace.intervals_where(|_, m| m.kind == "cma");
-    let copy = trace.intervals_where(|_, m| m.kind == "copy");
-    let reduce = trace.intervals_where(|_, m| m.kind == "reduce");
-    let compute = trace.intervals_where(|_, m| m.kind == "compute");
-    let mut mem = cma.clone();
-    mem.extend_from_slice(&copy);
-    mem.extend_from_slice(&reduce);
-    KindBreakdown {
-        network_busy: union_length(&net),
-        cma_busy: union_length(&cma),
-        copy_busy: union_length(&copy),
-        reduce_busy: union_length(&reduce),
-        compute_busy: union_length(&compute),
-        net_mem_overlap: intersection_length(&net, &mem),
-        makespan: trace.makespan(),
-    }
-}
-
-/// Busy time of each step-tag range `[lo, hi)` — e.g. the MHA-inter
-/// convention (phase 1 `0..1000`, phase 2 `1000..2000`, phase 3
-/// `2000..4000`) — as `(range, union busy seconds)`.
-pub fn phase_breakdown(trace: &Trace, ranges: &[(u32, u32)]) -> Vec<((u32, u32), f64)> {
-    ranges
-        .iter()
-        .map(|&(lo, hi)| {
-            let intervals = trace.intervals_where(|_, m| m.step.is_some_and(|s| s >= lo && s < hi));
-            ((lo, hi), union_length(&intervals))
-        })
-        .collect()
-}
+//! Engine-level checks of the run metrics that [`mha_sched::SummaryProbe`]
+//! derives from a simulated run: busy time per op kind and the
+//! network/CPU overlap behind Figures 6–7. The metrics themselves live in
+//! `mha-sched`; this module holds only their tests over real runs.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::engine::{SimConfig, Simulator};
-    use crate::topology::ClusterSpec;
-    use mha_sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder};
+    use crate::{ClusterSpec, Simulator};
+    use mha_sched::{Channel, Loc, ProcGrid, RankId, RunSummary, ScheduleBuilder, SummaryProbe};
 
-    fn traced(build: impl FnOnce(&mut ScheduleBuilder)) -> Trace {
-        let grid = ProcGrid::new(2, 2);
-        let mut b = ScheduleBuilder::new(grid, "t");
-        build(&mut b);
-        let sch = b.finish().freeze();
+    /// Summarizes a rail transfer into rank 2 next to a copy on rank
+    /// `copier`, issued after the transfer or independent of it.
+    fn transfer_and_copy(copier: u32, after_transfer: bool) -> RunSummary {
+        let len = 1 << 20;
+        let mut b = ScheduleBuilder::new(ProcGrid::new(2, 2), "overlap");
+        let s = b.private_buf(RankId(0), len, "s");
+        let d = b.private_buf(RankId(2), len, "d");
+        let p = b.private_buf(RankId(copier), len, "p");
+        let q = b.private_buf(RankId(copier), len, "q");
+        let t = b.transfer(
+            RankId(0),
+            RankId(2),
+            Loc::new(s, 0),
+            Loc::new(d, 0),
+            len,
+            Channel::AllRails,
+            &[],
+            0,
+        );
+        let deps = if after_transfer { vec![t] } else { vec![] };
+        let (p, q) = (Loc::new(p, 0), Loc::new(q, 0));
+        b.copy(RankId(copier), p, q, len, &deps, 1);
+        let mut sp = SummaryProbe::new();
         let sim = Simulator::new(ClusterSpec::thor()).unwrap();
-        sim.run_with(&sch, SimConfig { trace: true })
-            .unwrap()
-            .trace
-            .unwrap()
+        sim.run_probed(&b.finish().freeze(), &mut sp).unwrap();
+        sp.finish()
     }
 
     #[test]
     fn breakdown_attributes_kinds() {
-        let trace = traced(|b| {
-            let len = 1 << 20;
-            let s = b.private_buf(RankId(0), len, "s");
-            let d = b.private_buf(RankId(2), len, "d");
-            let e = b.private_buf(RankId(2), len, "e");
-            let t = b.transfer(
-                RankId(0),
-                RankId(2),
-                Loc::new(s, 0),
-                Loc::new(d, 0),
-                len,
-                Channel::AllRails,
-                &[],
-                0,
-            );
-            b.copy(RankId(2), Loc::new(d, 0), Loc::new(e, 0), len, &[t], 1);
-        });
-        let kb = kind_breakdown(&trace);
-        assert!(kb.network_busy > 0.0);
-        assert!(kb.copy_busy > 0.0);
-        assert_eq!(kb.cma_busy, 0.0);
+        let r = transfer_and_copy(2, true);
+        assert!(r.net_busy > 0.0 && r.cpu_busy > 0.0);
         // Sequential dependency → no overlap.
-        assert_eq!(kb.net_mem_overlap, 0.0);
-        assert_eq!(kb.overlap_fraction(), 0.0);
-        assert!(kb.makespan >= kb.network_busy + kb.copy_busy - 1e-12);
+        assert_eq!(r.net_cpu_overlap, 0.0);
+        assert_eq!(r.overlap_fraction(), 0.0);
+        assert!(r.makespan >= r.net_busy + r.cpu_busy - 1e-12);
     }
 
     #[test]
     fn independent_ops_overlap() {
-        let trace = traced(|b| {
-            let len = 1 << 20;
-            let s = b.private_buf(RankId(0), len, "s");
-            let d = b.private_buf(RankId(2), len, "d");
-            let p = b.private_buf(RankId(1), len, "p");
-            let q = b.private_buf(RankId(1), len, "q");
-            b.transfer(
-                RankId(0),
-                RankId(2),
-                Loc::new(s, 0),
-                Loc::new(d, 0),
-                len,
-                Channel::AllRails,
-                &[],
-                0,
-            );
-            b.copy(RankId(1), Loc::new(p, 0), Loc::new(q, 0), len, &[], 0);
-        });
-        let kb = kind_breakdown(&trace);
-        assert!(kb.net_mem_overlap > 0.0);
-        assert!(kb.overlap_fraction() > 0.5);
-    }
-
-    #[test]
-    fn phase_breakdown_splits_by_step_tags() {
-        let trace = traced(|b| {
-            let len = 256 * 1024;
-            let p = b.private_buf(RankId(0), len, "p");
-            let q = b.private_buf(RankId(0), len, "q");
-            let r = b.private_buf(RankId(0), len, "r");
-            let c1 = b.copy(RankId(0), Loc::new(p, 0), Loc::new(q, 0), len, &[], 5);
-            b.copy(RankId(0), Loc::new(q, 0), Loc::new(r, 0), len, &[c1], 1500);
-        });
-        let phases = phase_breakdown(&trace, &[(0, 1000), (1000, 2000), (2000, 3000)]);
-        assert!(phases[0].1 > 0.0);
-        assert!(phases[1].1 > 0.0);
-        assert_eq!(phases[2].1, 0.0);
+        // An independent copy elsewhere hides most of the network time.
+        let r = transfer_and_copy(1, false);
+        assert!(r.net_cpu_overlap > 0.0);
+        assert!(r.overlap_fraction() > 0.5);
     }
 }

@@ -6,16 +6,13 @@
 //! and can render them as a Gantt chart grouped per rank (CPU lane and
 //! network lane), or dump CSV for external plotting.
 //!
-//! [`TraceBuilder`] is the [`Probe`] sink that collects those spans: the
-//! engine no longer records timeline arrays itself — `trace: true` simply
-//! plugs this sink into the probed run.
+//! [`TraceBuilder`] is the [`Probe`] sink that collects those spans; plug
+//! it into [`crate::Simulator::run_probed`] and call
+//! [`TraceBuilder::finish`] for the [`Trace`]. Interval arithmetic over
+//! the spans is [`mha_sched::union_length`] /
+//! [`mha_sched::intersection_length`].
 
 use mha_sched::{Channel, FrozenSchedule, OpId, OpKind, Probe, RankId, Schedule};
-
-// Interval arithmetic lives with the probe layer now; re-exported here so
-// existing `mha_simnet::trace::{union_length, intersection_length}` callers
-// keep compiling.
-pub use mha_sched::probe::{intersection_length, union_length};
 
 /// The `ready/start/end` times (seconds) of one op.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -329,20 +326,13 @@ mod tests {
     }
 
     #[test]
-    fn union_length_merges_overlaps() {
-        assert_eq!(union_length(&[]), 0.0);
-        assert_eq!(union_length(&[(0.0, 2.0), (1.0, 3.0)]), 3.0);
-        assert_eq!(union_length(&[(0.0, 1.0), (2.0, 3.0)]), 2.0);
-        assert_eq!(union_length(&[(5.0, 4.0)]), 0.0); // degenerate dropped
-    }
-
-    #[test]
     fn intersection_length_measures_overlap() {
-        let a = [(0.0, 4.0)];
-        let b = [(2.0, 6.0)];
-        assert!((intersection_length(&a, &b) - 2.0).abs() < 1e-12);
-        let disjoint = [(10.0, 11.0)];
-        assert_eq!(intersection_length(&a, &disjoint), 0.0);
+        // The sample's copy waits for its transfer: the lanes never overlap.
+        let t = sample_trace();
+        let net = t.intervals_where(|_, m| m.kind == "rail");
+        let cpu = t.intervals_where(|_, m| m.kind == "copy");
+        assert_eq!(mha_sched::intersection_length(&net, &cpu), 0.0);
+        assert!((mha_sched::intersection_length(&net, &[(2.0, 6.0)]) - 1.0).abs() < 1e-12);
     }
 
     #[test]

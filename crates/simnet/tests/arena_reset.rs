@@ -57,7 +57,7 @@ fn a_hundred_replays_through_one_arena_are_bit_identical_and_clean() {
     for rep in 0..100 {
         let mut audit = InvariantProbe::new();
         let r = sim.run_probed_in(&sch, &mut audit, &mut arena).unwrap();
-        audit.assert_clean();
+        assert!(audit.is_clean(), "rep {rep}: {:?}", audit.violations());
         assert_eq!(
             r.makespan.to_bits(),
             reference.to_bits(),

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mha_sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder};
+use mha_sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder, SummaryProbe};
 use mha_simnet::{max_min_rates, ClusterSpec, FlowSpec, ResourceId, Simulator};
 
 type ArbFlows = (Vec<f64>, Vec<Vec<(ResourceId, f64)>>, Vec<f64>);
@@ -117,9 +117,10 @@ proptest! {
             let d = b.private_buf(dst, len, "d");
             b.transfer(src, dst, Loc::new(s, 0), Loc::new(d, 0), len, Channel::AllRails, &[], 0);
         }
-        let res = sim.run(&b.finish().freeze()).unwrap();
-        for u in res.utilization() {
-            prop_assert!(u <= 1.0 + 1e-9, "utilization {}", u);
+        let mut sp = SummaryProbe::new();
+        sim.run_probed(&b.finish().freeze(), &mut sp).unwrap();
+        for r in sp.finish().resources {
+            prop_assert!(r.utilization <= 1.0 + 1e-9, "utilization {}", r.utilization);
         }
     }
 }

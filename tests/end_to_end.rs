@@ -138,10 +138,9 @@ fn trace_covers_every_op_and_is_consistent() {
         &spec,
     )
     .unwrap();
-    let res = sim
-        .run_with(&built.sched, mha::simnet::SimConfig { trace: true })
-        .unwrap();
-    let trace = res.trace.unwrap();
+    let mut tb = mha::simnet::TraceBuilder::new();
+    let res = sim.run_probed(&built.sched, &mut tb).unwrap();
+    let trace = tb.finish(&built.sched);
     assert_eq!(trace.spans().len(), built.sched.ops().len());
     for span in trace.spans() {
         assert!(span.ready <= span.start);

@@ -6,7 +6,7 @@ use mha::collectives::mha::{build_mha_numa3, Numa3Config};
 use mha::collectives::{build, build_binomial_bcast, build_mha_bcast, AlgoConfig};
 use mha::exec::{verify_allgather, verify_bcast, Mode};
 use mha::sched::{ProcGrid, RankId};
-use mha::simnet::{kind_breakdown, ClusterSpec, NumaSpec, SimConfig, Simulator};
+use mha::simnet::{ClusterSpec, NumaSpec, Simulator};
 
 #[test]
 fn numa3_full_pipeline_and_comparison() {
@@ -89,15 +89,11 @@ fn bcast_full_pipeline_with_overlap_measurement() {
     assert!(mha::sched::check_races(&mha.sched).is_empty());
     verify_bcast(&mha.sched, &mha.bufs, root.index(), msg, Mode::Threaded(4)).unwrap();
 
-    let res = sim.run_with(&mha.sched, SimConfig { trace: true }).unwrap();
-    let t_mha = res.latency_us();
-    let kb = kind_breakdown(&res.trace.unwrap());
+    let mut sp = mha::sched::SummaryProbe::new();
+    let t_mha = sim.run_probed(&mha.sched, &mut sp).unwrap().latency_us();
+    let overlap = sp.finish().overlap_fraction();
     // The segmented pipeline hides most network time under shm copies.
-    assert!(
-        kb.overlap_fraction() > 0.5,
-        "overlap fraction {}",
-        kb.overlap_fraction()
-    );
+    assert!(overlap > 0.5, "overlap fraction {overlap}");
 
     let flat = build_binomial_bcast(grid, msg, root);
     verify_bcast(&flat.sched, &flat.bufs, root.index(), msg, Mode::Single).unwrap();

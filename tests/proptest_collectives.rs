@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha::collectives::{build, AlgoConfig, AllgatherPhase, Family};
 use mha::exec::{verify_allgather, verify_allreduce_sum_f32, Mode};
-use mha::sched::ProcGrid;
+use mha::sched::{ProcGrid, SummaryProbe};
 use mha::simnet::{ClusterSpec, Simulator};
 
 fn arb_grid() -> impl Strategy<Value = ProcGrid> {
@@ -60,7 +60,8 @@ proptest! {
         let spec = ClusterSpec::thor();
         let sim = Simulator::new(spec.clone()).unwrap();
         let built = build(&algo, grid, msg, &spec).unwrap();
-        let res = sim.run(&built.sched).unwrap();
+        let mut sp = SummaryProbe::new();
+        let res = sim.run_probed(&built.sched, &mut sp).unwrap();
         prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
         for op in built.sched.ops() {
             for &d in built.sched.deps(op.id) {
@@ -68,8 +69,8 @@ proptest! {
             }
         }
         // No resource can be more than fully utilized.
-        for u in res.utilization() {
-            prop_assert!(u <= 1.0 + 1e-9, "utilization {u}");
+        for r in sp.finish().resources {
+            prop_assert!(r.utilization <= 1.0 + 1e-9, "utilization {}", r.utilization);
         }
     }
 
