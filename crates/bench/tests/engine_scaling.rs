@@ -3,8 +3,9 @@
 //! Flat Ring at 64 KiB, one rank per node, on the Thor preset: each of
 //! the N ranks runs one local copy (a `Start` and a `Finish` event) and
 //! N − 1 transfers striped over both rails (a `Start` and two `Finish`
-//! events), N² ops in all. Every ring step repeats one component shape,
-//! so the water-fill memo solves twice and replays the rest. These counts
+//! events), N² ops in all. Every ring step repeats one of two component
+//! shapes, so the water-fill memo solves each twice (its first sighting,
+//! then its admission) and replays the rest. These counts
 //! are pinned exactly at 128 to 1024 nodes; only the calendar's sweep
 //! length, which depends on its self-tuned bucket width, gets a bound.
 //!
@@ -52,7 +53,9 @@ fn check_ring(nodes: u32) {
     // No event pops stale.
     assert_eq!(work.pops, r.events, "{nodes} nodes: calendar pops");
     assert_eq!(solves.calls, ops, "{nodes} nodes: water-fill solves");
-    assert_eq!(work.memo.misses, 2, "{nodes} nodes: memo misses");
+    assert_eq!(work.memo.misses, 4, "{nodes} nodes: memo misses");
+    assert_eq!(work.memo.inserts, 2, "{nodes} nodes: memo inserts");
+    assert_eq!(work.memo.hits, ops - 4, "{nodes} nodes: memo hits");
     assert_eq!(work.memo.flushes, 0, "{nodes} nodes: memo flushes");
     // Each solve covers only the touched component: one transfer's two
     // rail stripes at most.
@@ -82,6 +85,13 @@ fn contended_ring_pops_no_superseded_prediction() {
     // About 14k predictions are superseded in this run; each must be
     // deleted from the calendar, not left to pop as a stale no-op.
     assert_eq!(work.pops, r.events);
+    // The memo's behaviour on contended components, held by counts.
+    let m = work.memo;
+    assert_eq!(
+        (m.hits, m.misses, m.inserts, m.flushes),
+        (30_606, 122, 61, 0),
+        "memo hits, misses, inserts, flushes"
+    );
 }
 
 #[test]

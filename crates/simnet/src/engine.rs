@@ -731,7 +731,7 @@ pub struct EngineWork {
     /// Calendar cells those pops swept: about one per pop when the bucket
     /// width fits the gaps between events.
     pub cells_swept: u64,
-    /// Water-fill memo hits, misses and flushes.
+    /// Water-fill memo hits, misses, inserts and flushes.
     pub memo: FillStats,
 }
 

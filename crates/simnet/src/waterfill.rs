@@ -25,14 +25,15 @@
 //!   schedules are overwhelmingly self-similar (a ring step re-creates the
 //!   same contention pattern thousands of times), so steady state is a
 //!   hash probe plus a copy instead of a fill. On a miss it defers to the
-//!   reference filler and memoizes. It also tracks persistent per-resource
-//!   saturation levels across events, so every recompute reports how many
-//!   resources' bottleneck level actually moved ("touched") — the
-//!   observable that distinguishes an incremental update from a full
-//!   recompute.
+//!   reference filler, and memoizes the component on its second sighting
+//!   (one-off shapes never pay for an entry). It also tracks persistent
+//!   per-resource saturation levels across events, so every recompute
+//!   reports how many resources' bottleneck level actually moved
+//!   ("touched") — the observable that distinguishes an incremental
+//!   update from a full recompute.
 
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasher, BuildHasherDefault};
 
 use crate::resources::ResourceId;
 
@@ -412,13 +413,28 @@ impl std::hash::Hasher for Fnv {
     }
 }
 
+/// The 64-bit tag of a descriptor: FNV over its words, then the murmur3
+/// finalizer so every output bit depends on every input bit (FNV's low
+/// bits see only the words' low bits, which round capacities leave zero).
+/// The memo and its doorkeeper are both indexed by it.
+fn memo_tag(key: &[u64]) -> u64 {
+    let mut h = BuildHasherDefault::<Fnv>::default().hash_one(key);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
 /// One memoized solution: rates per flow and saturation level per real
 /// resource, both in component order, plus each level's caller-local
 /// resource index (used by [`IncrementalFiller::fill_keyed`] to map the
 /// levels back onto the *current* occurrence's global resources —
 /// distinct components share cache entries whenever their shapes match).
+/// The descriptor itself is kept to reject a tag collision.
 #[derive(Debug)]
 struct CacheEntry {
+    key: Box<[u64]>,
     rates: Box<[f64]>,
     levels: Box<[f64]>,
     lidx: Box<[u32]>,
@@ -430,14 +446,25 @@ const MEMO_MAX_FLOWS: usize = 128;
 /// Deterministic bound on the memo; on overflow it is flushed whole, so
 /// behavior never depends on insertion order.
 const MEMO_CAP: usize = 1 << 15;
+/// log2 of the doorkeeper's slot count: 2^14 tags, 128 KiB.
+const DOOR_BITS: u32 = 14;
+
+/// The doorkeeper slot a tag maps to (its top bits).
+fn door_slot(tag: u64) -> usize {
+    (tag >> (64 - DOOR_BITS)) as usize
+}
 
 /// Memo-cache counters; the engine reports them through `EngineArena::work`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FillStats {
     /// Components answered by replaying a memoized solution.
     pub hits: u64,
-    /// Components solved by the reference filler (then memoized).
+    /// Components solved by the reference filler: first sightings,
+    /// admissions, and components too big for the memo.
     pub misses: u64,
+    /// Misses admitted into the memo: shapes seen for the second time since
+    /// their doorkeeper slot last held them.
+    pub inserts: u64,
     /// Times the memo hit its size cap (`MEMO_CAP` entries) and was flushed.
     pub flushes: u64,
 }
@@ -453,7 +480,12 @@ pub struct FillStats {
 ///   effective-capacity bits. The reference filler's output is a pure
 ///   function of exactly this data (it queries capacities once, at first
 ///   appearance, and orders its internal tables the same way), so
-///   replaying a memoized solution is bit-identical to re-solving.
+///   replaying a memoized solution is bit-identical to re-solving. A
+///   **doorkeeper** — a direct-mapped table of descriptor tags — admits a
+///   shape only on its second sighting, so contended runs whose large
+///   components mostly never recur skip the copy, allocation and insert an
+///   entry costs. Admission follows recurrence, not size: hit-heavy
+///   workloads replay components of every size up to `MEMO_MAX_FLOWS`.
 /// * a **persistent per-resource saturation level** array, compared
 ///   bit-wise after every fill to count how many resources' bottleneck
 ///   level actually moved — the `touched` count surfaced through
@@ -476,7 +508,11 @@ pub struct IncrementalFiller {
     lres: Vec<ResourceId>,
     epoch: u64,
     key: Vec<u64>,
-    cache: HashMap<Box<[u64]>, CacheEntry, BuildHasherDefault<Fnv>>,
+    /// Memo entries by descriptor tag.
+    cache: HashMap<u64, CacheEntry, BuildHasherDefault<Fnv>>,
+    /// Doorkeeper: the last tag that missed in each slot (allocated on the
+    /// first miss; survives resets like the memo).
+    door: Box<[u64]>,
     stats: FillStats,
 }
 
@@ -492,9 +528,9 @@ impl IncrementalFiller {
     }
 
     /// Rewinds the per-run state (persistent levels) for a cluster of
-    /// `n_res` resources. The memo cache deliberately survives: its
-    /// entries are pure functions of their descriptors, so a warm cache
-    /// across runs (the campaign arena pattern) is bit-safe and fast.
+    /// `n_res` resources. The memo cache and its doorkeeper deliberately
+    /// survive: entries are pure functions of their descriptors, so a warm
+    /// cache across runs (the campaign arena pattern) is bit-safe and fast.
     pub fn reset(&mut self, n_res: usize) {
         self.levels.clear();
         self.levels.resize(n_res, f64::INFINITY);
@@ -582,6 +618,12 @@ impl IncrementalFiller {
     /// under different numberings can share one memo: equal keys describe
     /// the same component up to relabelling, and `ids_of` places a replay
     /// on the current occurrence's resources.
+    ///
+    /// A miss is memoized only if the key's tag already sits in its
+    /// doorkeeper slot, i.e. on the shape's second sighting; the first
+    /// sighting just records the tag. Components above `MEMO_MAX_FLOWS`
+    /// flows are always solved directly. Either way the result is the
+    /// reference filler's, so the admission rule cannot change a bit.
     #[allow(clippy::too_many_arguments)] // mirrors the key layout, item by item
     pub fn fill_keyed<'a>(
         &mut self,
@@ -599,9 +641,11 @@ impl IncrementalFiller {
         }
         if n > MEMO_MAX_FLOWS {
             self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
+            self.stats.misses += 1;
             return Ok(self.absorb_scratch_levels());
         }
-        if let Some(entry) = self.cache.get(key) {
+        let tag = memo_tag(key);
+        if let Some(entry) = self.cache.get(&tag).filter(|e| *e.key == *key) {
             self.stats.hits += 1;
             rates.clear();
             rates.extend_from_slice(&entry.rates);
@@ -622,6 +666,15 @@ impl IncrementalFiller {
         }
         self.scratch.fill_with(n, &mut flow, &mut capacity, rates)?;
         self.stats.misses += 1;
+        if self.door.is_empty() {
+            self.door = vec![0; 1 << DOOR_BITS].into_boxed_slice();
+        }
+        let seen = &mut self.door[door_slot(tag)];
+        if *seen != tag {
+            *seen = tag;
+            return Ok(self.absorb_scratch_levels());
+        }
+        self.stats.inserts += 1;
         if self.cache.len() >= MEMO_CAP {
             self.cache.clear();
             self.stats.flushes += 1;
@@ -633,8 +686,9 @@ impl IncrementalFiller {
             .map(|&r| lidx_of(r))
             .collect();
         self.cache.insert(
-            key.to_vec().into_boxed_slice(),
+            tag,
             CacheEntry {
+                key: key.into(),
                 rates: rates.as_slice().into(),
                 levels: self.scratch.levels().into(),
                 lidx,
@@ -945,14 +999,8 @@ mod tests {
 
     #[test]
     fn randomized_allocations_are_feasible_and_bottlenecked() {
-        // Deterministic pseudo-random exercise (xorshift).
-        let mut seed = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
+        // Deterministic pseudo-random exercise.
+        let mut next = xorshift(0x9e3779b97f4a7c15);
         for _ in 0..200 {
             let nres = 1 + (next() % 6) as usize;
             let caps: Vec<f64> = (0..nres).map(|_| 1.0 + (next() % 100) as f64).collect();
@@ -1006,9 +1054,9 @@ mod tests {
 
     #[test]
     fn incremental_replay_is_bit_identical_to_scratch() {
-        // Same component filled twice through the memo (miss, then hit)
-        // must match a fresh reference fill bit-for-bit, and the hit must
-        // actually come from the cache.
+        // Same component filled three times through the memo (first
+        // sighting, admission, hit) must match a fresh reference fill
+        // bit-for-bit, and the third fill must come from the cache.
         let ra = unit(&[R0, R1]);
         let rb = unit(&[R1]);
         let rc = unit(&[R0, R2]);
@@ -1037,7 +1085,16 @@ mod tests {
             &mut miss_rates,
         )
         .unwrap();
-        assert_eq!(inc.stats().misses, 1);
+        assert_eq!((inc.stats().misses, inc.stats().inserts), (1, 0));
+        let mut admit_rates = Vec::new();
+        inc.fill_view(
+            flows.len(),
+            |i| flows[i],
+            |r| caps[r.index()],
+            &mut admit_rates,
+        )
+        .unwrap();
+        assert_eq!((inc.stats().misses, inc.stats().inserts), (2, 1));
         let mut hit_rates = Vec::new();
         inc.fill_view(
             flows.len(),
@@ -1049,6 +1106,9 @@ mod tests {
         assert_eq!(inc.stats().hits, 1);
         let reference = max_min_rates(&flows, cap_table(&caps));
         for (got, want) in miss_rates.iter().zip(&reference) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        for (got, want) in admit_rates.iter().zip(&reference) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
         for (got, want) in hit_rates.iter().zip(&reference) {
@@ -1077,10 +1137,112 @@ mod tests {
             .unwrap();
         assert_eq!(t2, 0, "identical refill touches nothing");
         // A capacity change (fault rescale) moves it again — and misses
-        // the memo, because capacity bits are part of the descriptor.
+        // the memo, because capacity bits are part of the descriptor. The
+        // two fills at 10.0 were a first sighting and an admission.
         let t3 = inc.fill_view(2, |i| flows[i], |_| 5.0, &mut rates).unwrap();
         assert_eq!(t3, 1);
-        assert_eq!(inc.stats().misses, 2);
+        assert_eq!(inc.stats().misses, 3);
+        assert_eq!(inc.stats().hits, 0);
+    }
+
+    /// A seeded component with owned flows: `(caps, flow caps, memberships)`.
+    type Owned = (Vec<f64>, Vec<f64>, Vec<Vec<(ResourceId, f64)>>);
+
+    fn owned_component(next: &mut impl FnMut() -> u64, nres: usize, nflows: usize) -> Owned {
+        let caps = (0..nres).map(|_| 1.0 + (next() % 100) as f64).collect();
+        let flow_caps = (0..nflows).map(|_| 1.0 + (next() % 50) as f64).collect();
+        let sets = (0..nflows)
+            .map(|_| {
+                let mut v: Vec<ResourceId> = (0..1 + next() % 3)
+                    .map(|_| ResourceId((next() % nres as u64) as u32))
+                    .collect();
+                v.sort();
+                v.dedup();
+                v.into_iter()
+                    .map(|r| (r, 1.0 + (next() % 3) as f64))
+                    .collect()
+            })
+            .collect();
+        (caps, flow_caps, sets)
+    }
+
+    /// Fills `c` through `inc` and checks the bits against a fresh
+    /// [`WaterFiller::fill_with`].
+    fn fill_exact(inc: &mut IncrementalFiller, c: &Owned, what: &str) {
+        let (caps, flow_caps, sets) = c;
+        let flow = |i: usize| FlowSpec {
+            cap: flow_caps[i],
+            resources: &sets[i],
+        };
+        let mut want = Vec::new();
+        WaterFiller::new()
+            .fill_with(sets.len(), flow, |r| caps[r.index()], &mut want)
+            .unwrap();
+        let mut got = Vec::new();
+        inc.fill_view(sets.len(), flow, |r| caps[r.index()], &mut got)
+            .unwrap();
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: rate[{i}]");
+        }
+    }
+
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
+    #[test]
+    fn oversized_component_is_a_miss_that_is_never_memoized() {
+        let c = owned_component(&mut xorshift(0x1290_0129), 40, MEMO_MAX_FLOWS + 1);
+        let mut inc = IncrementalFiller::new();
+        inc.reset(40);
+        for pass in 0..3 {
+            fill_exact(&mut inc, &c, &format!("pass {pass}"));
+        }
+        let st = inc.stats();
+        assert_eq!((st.hits, st.misses, st.inserts), (0, 3, 0));
+        assert!(inc.cache.is_empty() && inc.door.is_empty());
+    }
+
+    #[test]
+    fn shapes_sharing_a_doorkeeper_slot_stay_exact() {
+        // Search seeded components for two distinct tags in one slot.
+        let mut next = xorshift(0xd00e_4ee9);
+        let mut probe = IncrementalFiller::new();
+        probe.reset(8);
+        let mut by_slot: HashMap<usize, (u64, Owned)> = HashMap::new();
+        let (a, b) = loop {
+            let c = owned_component(&mut next, 8, 6);
+            fill_exact(&mut probe, &c, "search");
+            let tag = memo_tag(&probe.key);
+            match by_slot.remove(&door_slot(tag)) {
+                Some((t, prev)) if t != tag => break (prev, c),
+                _ => {
+                    by_slot.insert(door_slot(tag), (tag, c));
+                }
+            }
+        };
+        // Alternating, each evicts the other from the slot before it
+        // recurs, so neither is ever admitted: every fill is a solve.
+        let mut inc = IncrementalFiller::new();
+        inc.reset(8);
+        for round in 0..4 {
+            fill_exact(&mut inc, &a, &format!("A round {round}"));
+            fill_exact(&mut inc, &b, &format!("B round {round}"));
+        }
+        let st = inc.stats();
+        assert_eq!((st.hits, st.misses, st.inserts), (0, 8, 0));
+        // Back to back, the second sighting admits and the third replays.
+        for pass in 0..3 {
+            fill_exact(&mut inc, &a, &format!("A pass {pass}"));
+        }
+        let st = inc.stats();
+        assert_eq!((st.hits, st.misses, st.inserts), (1, 10, 1));
     }
 
     #[test]
