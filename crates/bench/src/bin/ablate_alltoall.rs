@@ -4,7 +4,7 @@
 //! derived from the two simulated cells at assembly time.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::{build_direct_alltoall, build_mha_alltoall};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
@@ -16,13 +16,11 @@ fn main() {
     let sizes = size_sweep(64, 64 * 1024);
     let mut cells = Vec::new();
     for &msg in &sizes {
-        let key = ConfigKey::new("alltoall/flat_direct", grid, msg, &spec);
-        cells.push(CampaignPoint::sim("flat", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("flat", spec.clone(), move || {
             Ok(build_direct_alltoall(grid, msg).sched)
         }));
-        let key = ConfigKey::new("alltoall/mha", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim("mha", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("mha", spec.clone(), move || {
             build_mha_alltoall(grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))

@@ -4,7 +4,7 @@
 //! campaign (see `mha_bench::campaign`).
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::{build_binomial_bcast, build_mha_bcast};
 use mha_sched::{ProcGrid, RankId};
 use mha_simnet::{size_sweep, ClusterSpec};
@@ -16,16 +16,11 @@ fn main() {
     let sizes = size_sweep(64 * 1024, 16 << 20);
     let mut cells = Vec::new();
     for &msg in &sizes {
-        let key = ConfigKey::new("bcast/binomial", grid, msg, &spec);
-        cells.push(CampaignPoint::sim(
-            "binomial",
-            key,
-            spec.clone(),
-            move || Ok(build_binomial_bcast(grid, msg, RankId(0)).sched),
-        ));
-        let key = ConfigKey::new("bcast/mha", grid, msg, &spec);
+        cells.push(CampaignPoint::sim("binomial", spec.clone(), move || {
+            Ok(build_binomial_bcast(grid, msg, RankId(0)).sched)
+        }));
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim("mha", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("mha", spec.clone(), move || {
             build_mha_bcast(grid, msg, RankId(0), 256 * 1024, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))

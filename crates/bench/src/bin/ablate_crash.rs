@@ -11,12 +11,11 @@
 //! the outage itself — stalled flows resume at full rate, and traffic not
 //! touching the dead node keeps flowing during the outage.
 //!
-//! The per-penalty simulations run as one campaign; the schedule is built
-//! once and shared through the campaign cache across every timeline (only
-//! the `FaultSpec` varies).
+//! The per-penalty simulations run as one campaign over one schedule; only
+//! the `FaultSpec` varies.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
@@ -37,13 +36,11 @@ fn main() {
     let factors = [0.25f64, 0.5, 1.0, 2.0, 4.0, 8.0];
 
     let mut cells = Vec::new();
-    for (i, &f) in factors.iter().enumerate() {
+    for &f in &factors {
         let faults = FaultSpec::node_crash(1, t_crash, f * t0);
-        let key = ConfigKey::new("ablate_crash", grid, msg, &spec).with_salt(i as u64);
         let sched = built.sched.clone();
         cells.push(CampaignPoint::sim_faulty(
             "crash",
-            key,
             spec.clone(),
             Some(faults),
             move || Ok(sched.clone()),

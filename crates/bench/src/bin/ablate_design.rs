@@ -4,7 +4,7 @@
 //! `mha_bench::campaign`); the full design doubles as the baseline cell.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
@@ -51,9 +51,8 @@ fn main() {
     let cells: Vec<CampaignPoint> = variants
         .iter()
         .map(|&(name, cfg)| {
-            let key = ConfigKey::new(format!("mha_inter_design/{name}"), grid, msg, &spec);
             let spec2 = spec.clone();
-            CampaignPoint::sim(name, key, spec.clone(), move || {
+            CampaignPoint::sim(name, spec.clone(), move || {
                 build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))

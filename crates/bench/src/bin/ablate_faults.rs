@@ -15,14 +15,13 @@
 //!   conformance bar requires staying within 2x of it).
 //!
 //! The per-`k` simulations run as one campaign (see
-//! `mha_bench::campaign`). The oblivious schedule is built once and
-//! shared through the campaign cache across all eight fault timelines;
-//! the `k = 0` row's timeline is empty, so its simulator is constructed
+//! `mha_bench::campaign`). One oblivious schedule is priced under all
+//! eight fault timelines; the `k = 0` row's timeline is empty, so its simulator is constructed
 //! fault-free (`simulator_for` gates the fault machinery on
 //! `!events.is_empty()`).
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::MhaInterConfig;
 use mha_collectives::{build, AlgoConfig};
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
@@ -53,18 +52,15 @@ fn main() {
                 kind: FaultKind::Down,
             });
         }
-        // One oblivious schedule serves every k: same key -> one build,
-        // Arc-shared across the pool; only the fault timeline varies.
-        let key = ConfigKey::new("ablate_faults/oblivious", grid, msg, &spec);
+        // One oblivious schedule serves every k; only the fault timeline
+        // varies.
         let sched = oblivious.sched.clone();
         cells.push(CampaignPoint::sim_faulty(
             "oblivious",
-            key,
             spec.clone(),
             Some(faults.clone()),
             move || Ok(sched.clone()),
         ));
-        let key = ConfigKey::new("ablate_faults/aware", grid, msg, &spec).with_salt(u64::from(k));
         let spec2 = spec.clone();
         let aware = AlgoConfig {
             down_rails: down,
@@ -72,7 +68,6 @@ fn main() {
         };
         cells.push(CampaignPoint::sim_faulty(
             "aware",
-            key,
             spec.clone(),
             Some(faults),
             move || {

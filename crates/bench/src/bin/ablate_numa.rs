@@ -4,7 +4,7 @@
 //! `mha_bench::campaign`), three simulated cells per row.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{build_mha_numa3, Numa3Config};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
@@ -17,39 +17,31 @@ fn main() {
     let sizes = size_sweep(4096, 1 << 20);
     let mut cells = Vec::new();
     for &msg in &sizes {
-        let key = ConfigKey::new("numa/2level_blind", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim("blind", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("blind", spec.clone(), move || {
             build(&AlgoConfig::default(), grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))
         }));
-        let key = ConfigKey::new("numa/3level_aware", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim("aware", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("aware", spec.clone(), move || {
             build_mha_numa3(grid, msg, Numa3Config::default(), &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))
         }));
-        let key = ConfigKey::new("numa/3level_no_offload", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim(
-            "no_offload",
-            key,
-            spec.clone(),
-            move || {
-                build_mha_numa3(
-                    grid,
-                    msg,
-                    Numa3Config {
-                        offload_xsocket: false,
-                    },
-                    &spec2,
-                )
-                .map(|b| b.sched)
-                .map_err(|e| format!("{e:?}"))
-            },
-        ));
+        cells.push(CampaignPoint::sim("no_offload", spec.clone(), move || {
+            build_mha_numa3(
+                grid,
+                msg,
+                Numa3Config {
+                    offload_xsocket: false,
+                },
+                &spec2,
+            )
+            .map(|b| b.sched)
+            .map_err(|e| format!("{e:?}"))
+        }));
     }
     let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
     let mut t = Table::new(

@@ -1,14 +1,14 @@
 //! The composer-built 3-level NUMA sweep: NUMA-aware (with and without
 //! cross-socket HCA offload) versus the NUMA-blind 2-level design, every
 //! schedule built by the generic hierarchical composer over an explicit
-//! topology tree and keyed by the full tree digest. Each 3-level cell is
+//! topology tree. Each 3-level cell is
 //! also validated against the per-level α–β model
 //! ([`mha_model::composed_latency`]): the simulated makespan must stay
 //! within the 2× envelope of the prediction (the conformance crate's
 //! model envelope), so the sweep doubles as a model-conformance gate.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::MhaInterConfig;
 use mha_collectives::{build_composed, ComposePlan};
 use mha_model::{composed_latency, ModelParams};
@@ -38,9 +38,8 @@ fn main() {
             ("no_offload", &topo3, ComposePlan::numa3(false)),
         ];
         for (label, topo, plan) in plans {
-            let key = ConfigKey::for_topology(format!("numa3/{label}"), topo, msg, &spec);
             let (spec2, topo, plan) = (spec.clone(), topo.clone(), plan.clone());
-            cells.push(CampaignPoint::sim(label, key, spec.clone(), move || {
+            cells.push(CampaignPoint::sim(label, spec.clone(), move || {
                 build_composed(&topo, msg, &plan, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| format!("{e:?}"))

@@ -5,7 +5,7 @@
 //! rail counts; each row's cells carry their own cluster spec.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{build_mha_intra, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
@@ -19,34 +19,21 @@ fn main() {
     for &rails in &rail_counts {
         let spec = ClusterSpec::thor_with_rails(rails);
         let grid = ProcGrid::single_node(8);
-        let key = ConfigKey::new("mha_intra/no_offload", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim(
-            "no_offload",
-            key,
-            spec.clone(),
-            move || {
-                build_mha_intra(grid, msg, Offload::None, &spec2)
-                    .map(|b| b.sched)
-                    .map_err(|e| format!("{e:?}"))
-            },
-        ));
-        let key = ConfigKey::new("mha_intra/auto", grid, msg, &spec);
+        cells.push(CampaignPoint::sim("no_offload", spec.clone(), move || {
+            build_mha_intra(grid, msg, Offload::None, &spec2)
+                .map(|b| b.sched)
+                .map_err(|e| format!("{e:?}"))
+        }));
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim(
-            "mha_auto",
-            key,
-            spec.clone(),
-            move || {
-                build_mha_intra(grid, msg, Offload::Auto, &spec2)
-                    .map(|b| b.sched)
-                    .map_err(|e| format!("{e:?}"))
-            },
-        ));
+        cells.push(CampaignPoint::sim("mha_auto", spec.clone(), move || {
+            build_mha_intra(grid, msg, Offload::Auto, &spec2)
+                .map(|b| b.sched)
+                .map_err(|e| format!("{e:?}"))
+        }));
         let grid = ProcGrid::new(8, 8);
-        let key = ConfigKey::new("mha_inter/default", grid, msg, &spec);
         let spec2 = spec.clone();
-        cells.push(CampaignPoint::sim("inter", key, spec.clone(), move || {
+        cells.push(CampaignPoint::sim("inter", spec.clone(), move || {
             build(&AlgoConfig::default(), grid, msg, &spec2)
                 .map(|b| b.sched)
                 .map_err(|e| format!("{e:?}"))

@@ -3,7 +3,7 @@
 //! latency cells run as campaign points (see `mha_bench::campaign`); the
 //! op dumps are rendered at assembly.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{build_mha_intra, Offload};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::{OpKind, ProcGrid};
@@ -41,18 +41,8 @@ fn main() {
     let ds_sched = ds.sched.clone();
     let mha_sched = mha.sched.clone();
     let cells = vec![
-        CampaignPoint::sim(
-            "direct_spread",
-            ConfigKey::new("allgather/direct_spread", grid, msg, &spec),
-            spec.clone(),
-            move || Ok(ds_sched.clone()),
-        ),
-        CampaignPoint::sim(
-            "mha_intra",
-            ConfigKey::new("allgather/mha_intra_auto", grid, msg, &spec),
-            spec.clone(),
-            move || Ok(mha_sched.clone()),
-        ),
+        CampaignPoint::sim("direct_spread", spec.clone(), move || Ok(ds_sched.clone())),
+        CampaignPoint::sim("mha_intra", spec.clone(), move || Ok(mha_sched.clone())),
     ];
     let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
     let t_ds = report.value(0);

@@ -1,10 +1,10 @@
 //! Figure 8: Ring vs Recursive Doubling in the inter-leader exchange,
 //! 16 and 32 nodes × 32 PPN. One campaign per node count (see
-//! `mha_bench::campaign`): every (size, algorithm) cell is a cached-build
+//! `mha_bench::campaign`): every (size, algorithm) cell is a build +
 //! simulation point.
 
 use mha_apps::report::fmt_bytes;
-use mha_bench::campaign::{campaign_table, CampaignConfig, CampaignPoint, ConfigKey};
+use mha_bench::campaign::{campaign_table, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
@@ -29,9 +29,8 @@ fn main() {
                     offload: Offload::Auto,
                     overlap: true,
                 };
-                let key = ConfigKey::new(format!("mha_inter/{name}"), grid, msg, &spec);
                 let spec2 = spec.clone();
-                cells.push(CampaignPoint::sim(name, key, spec.clone(), move || {
+                cells.push(CampaignPoint::sim(name, spec.clone(), move || {
                     build(&AlgoConfig::mha_inter(cfg), grid, msg, &spec2)
                         .map(|b| b.sched)
                         .map_err(|e| format!("{e:?}"))

@@ -8,26 +8,24 @@
 //! [`run_campaign`] on a thread pool. Three properties make this more than
 //! a parallel `for`:
 //!
-//! * **Build once, run many** — workers draw frozen schedules from a
-//!   shared concurrent [`ScheduleCache`] keyed by [`ConfigKey`], the
-//!   build-relevant configuration fingerprint (collective family ×
-//!   topology × message size × [`ClusterSpec::digest`] × salt). A
-//!   schedule is built and frozen exactly once per distinct key and
-//!   `Arc`-shared between workers; per-run engine state lives in each
-//!   worker's private [`EngineArena`] and is reset, never rebuilt.
+//! * **One build per job** — each `(point, rep)` job of a
+//!   [`PointWork::Sim`] point builds its own frozen schedule and drops it
+//!   when the job ends, so a campaign holds at most one schedule per
+//!   worker; per-run engine state lives in each worker's private
+//!   [`EngineArena`] and is reset, never rebuilt. Campaign points rarely
+//!   repeat a build, so there is no campaign-level cache; the traffic
+//!   layer's placement-keyed [`ScheduleCache`] is the one cache.
 //! * **Worker-count independence** — the simulator is deterministic and
 //!   every job writes into its own pre-assigned slot of a lock-free
 //!   collector, so the assembled output is *bit-identical* whether the
-//!   campaign runs on 1, 2 or 8 workers, with a cold or a warm cache.
-//!   `tests/campaign_determinism.rs` holds that bar over the golden
-//!   workload set.
+//!   campaign runs on 1, 2 or 8 workers. `tests/campaign_determinism.rs`
+//!   holds that bar over the golden workload set.
 //! * **Seed policy** — repetitions are first-class: each `(point, rep)`
 //!   job receives a seed derived only from `(campaign seed, point index,
 //!   rep)` — never from worker identity or scheduling order — so seeded
 //!   [`PointWork::Custom`] closures are reproducible too.
 //!
 //! Environment knobs: `MHA_CAMPAIGN_WORKERS` (pool size),
-//! `MHA_CAMPAIGN_CACHE` (`0`/`false` disables schedule sharing),
 //! `MHA_CAMPAIGN_REPS`, `MHA_CAMPAIGN_SEED` — see
 //! [`CampaignConfig::from_env`].
 
@@ -42,35 +40,25 @@ use mha_sched::{Fingerprinter, FrozenSchedule, ProcGrid};
 use mha_simnet::{ClusterSpec, EngineArena, FaultSpec, Simulator};
 
 /// The build-relevant configuration fingerprint a cached schedule is keyed
-/// by. Two campaign points share a cache entry **iff** their keys are
-/// structurally equal — the key must therefore cover everything the build
-/// depends on: the algorithm family (a free-form string, by convention
-/// `"collective/variant"`), the process grid, the message size, the
-/// cluster model digest ([`ClusterSpec::digest`]) and a caller-chosen
-/// `salt` for any remaining build inputs (offload policy, degraded rail
-/// sets, …).
+/// by. Two lookups share a cache entry **iff** their keys are structurally
+/// equal — the key therefore covers everything the build depends on: the
+/// algorithm family, the process grid, the message size, the cluster model
+/// digest ([`ClusterSpec::digest`]), the [`AlgoConfig::digest`] of every
+/// remaining knob, and the placement of a relocated schedule.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConfigKey {
-    /// Algorithm family / variant name.
+    /// Algorithm family, `"algo/<family token>"`.
     pub family: String,
     /// Node count of the process grid.
     pub nodes: u32,
     /// Processes per node.
     pub ppn: u32,
-    /// Message size in bytes (or element count, for non-byte sweeps).
+    /// Message size in bytes.
     pub msg: usize,
     /// [`ClusterSpec::digest`] of the cluster the schedule is built for.
     pub spec_digest: u64,
-    /// Disambiguates build inputs not covered by the other fields
-    /// (defaults to 0; see [`ConfigKey::with_salt`]).
+    /// [`AlgoConfig::digest`] of the built config.
     pub salt: u64,
-    /// [`mha_sched::Topology::digest`] of the tree a composed schedule was
-    /// built over — shape *and* per-level link parameters. Zero for
-    /// grid-keyed builds ([`ConfigKey::new`]), whose shape the
-    /// `nodes`/`ppn` fields already pin; set by
-    /// [`ConfigKey::for_topology`], so a 3-level and a 2-level build of
-    /// the same `nodes × ppn` can never share a cache entry.
-    pub topo_digest: u64,
     /// `mha_traffic::placement_digest` of the node subset a
     /// relocated schedule occupies on a shared cluster. Zero for the
     /// ordinary whole-cluster builds; set by [`ConfigKey::with_placement`]
@@ -80,37 +68,6 @@ pub struct ConfigKey {
 }
 
 impl ConfigKey {
-    /// A key for `family` on `grid` at `msg` bytes against `spec`, salt 0.
-    pub fn new(family: impl Into<String>, grid: ProcGrid, msg: usize, spec: &ClusterSpec) -> Self {
-        ConfigKey {
-            family: family.into(),
-            nodes: grid.nodes(),
-            ppn: grid.ppn(),
-            msg,
-            spec_digest: spec.digest(),
-            salt: 0,
-            topo_digest: 0,
-            placement: 0,
-        }
-    }
-
-    /// A key for a schedule composed over an explicit topology tree: the
-    /// grid fields come from the tree's flattening and `topo_digest` pins
-    /// the full tree, so distinct trees (deeper, re-shaped, or re-linked)
-    /// never alias even when they flatten to the same grid.
-    pub fn for_topology(
-        family: impl Into<String>,
-        topo: &mha_sched::Topology,
-        msg: usize,
-        spec: &ClusterSpec,
-    ) -> Self {
-        let grid = topo.flatten();
-        ConfigKey {
-            topo_digest: topo.digest(),
-            ..Self::new(family, grid, msg, spec)
-        }
-    }
-
     /// The key of an [`AlgoConfig`]-dispatched build: family string
     /// `"algo/<family token>"`, salt = [`AlgoConfig::digest`] (covering
     /// every remaining knob — inter/overlap/offload/chunk/stripe/rails),
@@ -120,16 +77,14 @@ impl ConfigKey {
     /// cache derive from the same config digest.
     pub fn for_algo(cfg: &AlgoConfig, grid: ProcGrid, msg: usize, spec: &ClusterSpec) -> Self {
         ConfigKey {
+            family: format!("algo/{}", cfg.family.token()),
+            nodes: grid.nodes(),
+            ppn: grid.ppn(),
+            msg,
             spec_digest: cfg.effective_spec(spec).digest(),
             salt: cfg.digest(),
-            ..Self::new(format!("algo/{}", cfg.family.token()), grid, msg, spec)
+            placement: 0,
         }
-    }
-
-    /// Replaces the salt (builder style).
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
     }
 
     /// Replaces the placement digest (builder style) — required whenever
@@ -150,7 +105,6 @@ impl ConfigKey {
             .push_usize(self.msg)
             .push_u64(self.spec_digest)
             .push_u64(self.salt)
-            .push_u64(self.topo_digest)
             .push_u64(self.placement);
         fp.finish().0
     }
@@ -160,8 +114,8 @@ impl ConfigKey {
 /// an 8-worker campaign rarely contends on a shard lock.
 const CACHE_SHARDS: usize = 16;
 
-/// A concurrent build-once cache of frozen schedules, shared by all
-/// campaign workers.
+/// A concurrent build-once cache of frozen schedules, shared by every
+/// builder of one traffic run or sweep (see `crate::traffic`).
 ///
 /// Sharded: each [`ConfigKey`] hashes (via [`ConfigKey::digest`], stable
 /// across processes) to one of `CACHE_SHARDS` (16) independently locked maps.
@@ -189,8 +143,7 @@ impl std::fmt::Debug for ScheduleCache {
 
 impl ScheduleCache {
     /// An empty cache; when `enabled` is false every lookup builds fresh
-    /// (and counts as a miss), which the determinism tests use to compare
-    /// cold vs warm campaigns.
+    /// (and counts as a miss).
     pub fn new(enabled: bool) -> Self {
         ScheduleCache {
             shards: (0..CACHE_SHARDS)
@@ -251,7 +204,9 @@ impl ScheduleCache {
 pub struct CampaignConfig {
     /// Worker threads (clamped to ≥ 1; results are independent of this).
     pub workers: usize,
-    /// Whether workers share built schedules through a [`ScheduleCache`].
+    /// Whether the traffic builders (`crate::traffic`) share relocated
+    /// schedules through a [`ScheduleCache`]; campaign points themselves
+    /// always build their own.
     pub cache: bool,
     /// Repetitions per point (each `(point, rep)` is one job).
     pub reps: u32,
@@ -278,14 +233,11 @@ fn default_workers() -> usize {
 
 impl CampaignConfig {
     /// The defaults overridden by `MHA_CAMPAIGN_WORKERS`,
-    /// `MHA_CAMPAIGN_CACHE`, `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`.
+    /// `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`.
     pub fn from_env() -> Self {
         let mut cfg = CampaignConfig::default();
         if let Some(w) = parse_env::<usize>("MHA_CAMPAIGN_WORKERS") {
             cfg.workers = w.max(1);
-        }
-        if let Ok(v) = std::env::var("MHA_CAMPAIGN_CACHE") {
-            cfg.cache = !matches!(v.trim(), "0" | "false" | "off" | "no");
         }
         if let Some(r) = parse_env::<u32>("MHA_CAMPAIGN_REPS") {
             cfg.reps = r.max(1);
@@ -299,12 +251,6 @@ impl CampaignConfig {
     /// Replaces the worker count (builder style).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Enables or disables the schedule cache (builder style).
-    pub fn with_cache(mut self, cache: bool) -> Self {
-        self.cache = cache;
         self
     }
 }
@@ -346,25 +292,22 @@ impl Row {
     }
 }
 
-/// A schedule-building closure (runs at most once per distinct
-/// [`ConfigKey`] when the cache is on).
+/// A schedule-building closure (runs once per `(point, rep)` job).
 pub type BuildFn = Arc<dyn Fn() -> Result<FrozenSchedule, String> + Send + Sync>;
 
 /// An arbitrary job body; receives the job seed, returns its rows.
 pub type CustomFn = Arc<dyn Fn(u64) -> Result<Vec<Row>, String> + Send + Sync>;
 
 /// What one campaign point executes.
-// `Sim` carries its full config inline (a `ClusterSpec` plus key and
-// fault timeline) while `Custom` is a single Arc; points live once per
+// `Sim` carries its full config inline (a `ClusterSpec` plus a fault
+// timeline) while `Custom` is a single Arc; points live once per
 // sweep cell in a `Vec<CampaignPoint>`, so the size gap is harmless and
 // boxing would only add an indirection on the hot job path.
 #[allow(clippy::large_enum_variant)]
 pub enum PointWork {
-    /// Build (or fetch) a frozen schedule, simulate it on `spec` under
-    /// `faults`, and report `[latency_us, makespan_s]`.
+    /// Build a frozen schedule, simulate it on `spec` under `faults`, and
+    /// report `[latency_us, makespan_s]`.
     Sim {
-        /// Cache key — must cover every build input.
-        key: ConfigKey,
         /// Cluster the simulation prices the schedule on.
         spec: ClusterSpec,
         /// Optional fault timeline. An empty timeline is treated exactly
@@ -372,7 +315,7 @@ pub enum PointWork {
         /// [`simulator_for`]), keeping the engine on its
         /// zero-fault-machinery path.
         faults: Option<FaultSpec>,
-        /// Builds the schedule on a cache miss.
+        /// Builds the schedule.
         build: BuildFn,
     },
     /// Anything else (microbenchmarks, model curves, rendered artifacts).
@@ -382,9 +325,8 @@ pub enum PointWork {
 impl std::fmt::Debug for PointWork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PointWork::Sim { key, faults, .. } => f
+            PointWork::Sim { faults, .. } => f
                 .debug_struct("Sim")
-                .field("key", key)
                 .field("faults", faults)
                 .finish_non_exhaustive(),
             PointWork::Custom(_) => f.debug_struct("Custom").finish_non_exhaustive(),
@@ -405,17 +347,15 @@ impl CampaignPoint {
     /// A fault-free simulation point.
     pub fn sim(
         label: impl Into<String>,
-        key: ConfigKey,
         spec: ClusterSpec,
         build: impl Fn() -> Result<FrozenSchedule, String> + Send + Sync + 'static,
     ) -> Self {
-        Self::sim_faulty(label, key, spec, None, build)
+        Self::sim_faulty(label, spec, None, build)
     }
 
     /// A simulation point under an optional fault timeline.
     pub fn sim_faulty(
         label: impl Into<String>,
-        key: ConfigKey,
         spec: ClusterSpec,
         faults: Option<FaultSpec>,
         build: impl Fn() -> Result<FrozenSchedule, String> + Send + Sync + 'static,
@@ -423,7 +363,6 @@ impl CampaignPoint {
         CampaignPoint {
             label: label.into(),
             work: PointWork::Sim {
-                key,
                 spec,
                 faults,
                 build: Arc::new(build),
@@ -460,10 +399,6 @@ pub struct PointResult {
 pub struct CampaignReport {
     /// One entry per job, sorted by `(point, rep)`.
     pub results: Vec<PointResult>,
-    /// Schedule-cache hits across the run.
-    pub cache_hits: u64,
-    /// Schedule-cache misses (= builds) across the run.
-    pub cache_misses: u64,
 }
 
 impl CampaignReport {
@@ -506,22 +441,10 @@ pub fn simulator_for(spec: &ClusterSpec, faults: Option<&FaultSpec>) -> Result<S
     .map_err(|e| e.to_string())
 }
 
-/// Runs `points` under `cfg` on a fresh [`ScheduleCache`].
+/// Runs `points` under `cfg`.
 pub fn run_campaign(
     points: &[CampaignPoint],
     cfg: &CampaignConfig,
-) -> Result<CampaignReport, String> {
-    let cache = ScheduleCache::new(cfg.cache);
-    run_campaign_with(points, cfg, &cache)
-}
-
-/// Runs `points` under `cfg` against a caller-owned cache (so consecutive
-/// campaigns can share warm schedules; the tuner's search, the traffic
-/// sweeps and the cache-reuse tests drive this directly).
-pub fn run_campaign_with(
-    points: &[CampaignPoint],
-    cfg: &CampaignConfig,
-    cache: &ScheduleCache,
 ) -> Result<CampaignReport, String> {
     let reps = cfg.reps.max(1);
     let jobs: Vec<(usize, u32)> = (0..points.len())
@@ -544,7 +467,7 @@ pub fn run_campaign_with(
                     let j = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(pi, rep)) = jobs.get(j) else { break };
                     let seed = job_seed(cfg.seed, pi, rep);
-                    let out = run_point(&points[pi], seed, cache, &mut arena);
+                    let out = run_point(&points[pi], seed, &mut arena);
                     let _ = slots[j].set(out);
                 }
             });
@@ -563,11 +486,7 @@ pub fn run_campaign_with(
             rows,
         });
     }
-    Ok(CampaignReport {
-        results,
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-    })
+    Ok(CampaignReport { results })
 }
 
 /// The seed handed to job `(point, rep)` — a pure function of the campaign
@@ -581,17 +500,15 @@ fn job_seed(seed: u64, point: usize, rep: u32) -> u64 {
 fn run_point(
     point: &CampaignPoint,
     seed: u64,
-    cache: &ScheduleCache,
     arena: &mut EngineArena,
 ) -> Result<Vec<Row>, String> {
     match &point.work {
         PointWork::Sim {
-            key,
             spec,
             faults,
             build,
         } => {
-            let sched = cache.get_or_build(key, || build())?;
+            let sched = build()?;
             let sim = simulator_for(spec, faults.as_ref())?;
             let r = sim.run_in(&sched, arena).map_err(|e| e.to_string())?;
             Ok(vec![Row::new(
@@ -634,8 +551,8 @@ pub fn campaign_table(
 
 /// Sweeps `osu_allgather` over `sizes` for each contestant: a table of
 /// latencies in microseconds (rows = message sizes). Every cell is a
-/// [`PointWork::Sim`] point — built schedules are cached and priced in
-/// reused engine arenas across the worker pool.
+/// [`PointWork::Sim`] point, priced in reused engine arenas across the
+/// worker pool.
 pub fn allgather_sweep(
     title: &str,
     grid: ProcGrid,
@@ -672,9 +589,8 @@ pub fn allgather_sweep_tuned(
     let mut cells = Vec::with_capacity(sizes.len() * ncols);
     for &msg in sizes {
         for &c in contestants {
-            let key = ConfigKey::new(format!("allgather/{}", c.name()), grid, msg, spec);
             let spec2 = spec.clone();
-            cells.push(CampaignPoint::sim(c.name(), key, spec.clone(), move || {
+            cells.push(CampaignPoint::sim(c.name(), spec.clone(), move || {
                 c.build_allgather(grid, msg, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| e.to_string())
@@ -682,10 +598,9 @@ pub fn allgather_sweep_tuned(
         }
         if let Some(table) = tuned {
             let served = table.lookup(grid, msg, spec.rails);
-            let key = ConfigKey::for_algo(&served, grid, msg, spec);
             let sim_spec = served.effective_spec(spec).into_owned();
             let build_spec = sim_spec.clone();
-            cells.push(CampaignPoint::sim(TUNED_COLUMN, key, sim_spec, move || {
+            cells.push(CampaignPoint::sim(TUNED_COLUMN, sim_spec, move || {
                 mha_collectives::build(&served, grid, msg, &build_spec)
                     .map(|b| b.sched)
                     .map_err(|e| e.to_string())
@@ -718,9 +633,8 @@ pub fn allreduce_sweep(
     for &bytes in sizes_bytes {
         let elems = (bytes / 4).div_ceil(r) * r; // pad to divisibility
         for &c in contestants {
-            let key = ConfigKey::new(format!("allreduce/{}", c.name()), grid, elems, spec);
             let spec2 = spec.clone();
-            cells.push(CampaignPoint::sim(c.name(), key, spec.clone(), move || {
+            cells.push(CampaignPoint::sim(c.name(), spec.clone(), move || {
                 c.build_allreduce(grid, elems, &spec2)
                     .map(|b| b.sched)
                     .map_err(|e| e.to_string())
@@ -735,9 +649,7 @@ mod tests {
     use super::*;
 
     fn tiny_point(label: &str, msg: usize) -> CampaignPoint {
-        let spec = ClusterSpec::thor();
-        let key = ConfigKey::new("test/pt2pt", ProcGrid::new(2, 1), msg, &spec);
-        CampaignPoint::sim(label, key, spec, move || {
+        CampaignPoint::sim(label, ClusterSpec::thor(), move || {
             Ok(crate::pt2pt_rails_schedule(msg))
         })
     }
@@ -751,7 +663,6 @@ mod tests {
         let m = report.makespan(0);
         assert!(v > 0.0 && m > 0.0);
         assert_eq!(v.to_bits(), (m * 1e6).to_bits());
-        assert_eq!(report.cache_misses, 1);
     }
 
     #[test]
@@ -771,16 +682,66 @@ mod tests {
     }
 
     #[test]
-    fn reps_share_one_build_and_seeds_are_stable() {
-        let points = vec![tiny_point("p", 4096)];
+    fn every_job_builds_its_own_schedule() {
+        let builds = Arc::new(AtomicUsize::new(0));
+        let points: Vec<CampaignPoint> = [4096usize, 65536, 1 << 20]
+            .iter()
+            .map(|&m| {
+                let builds = Arc::clone(&builds);
+                CampaignPoint::sim("p", ClusterSpec::thor(), move || {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                    Ok(crate::pt2pt_rails_schedule(m))
+                })
+            })
+            .collect();
         let cfg = CampaignConfig {
             reps: 5,
             ..CampaignConfig::default()
         };
         let report = run_campaign(&points, &cfg).unwrap();
-        assert_eq!(report.results.len(), 5);
-        assert_eq!(report.cache_misses, 1);
-        assert_eq!(report.cache_hits, 4);
+        assert_eq!(report.results.len(), 3 * 5);
+        assert_eq!(builds.load(Ordering::Relaxed), 3 * 5);
+    }
+
+    #[test]
+    fn one_schedule_under_two_fault_timelines_matches_across_pool_widths() {
+        // The `ablate_faults` shape: points that build the same schedule
+        // and differ only in their fault timeline.
+        let spec = ClusterSpec::thor();
+        let sched = crate::pt2pt_rails_schedule(1 << 20);
+        let timelines = [None, Some(FaultSpec::rail_down_at(0, 1e-5))];
+        let points: Vec<CampaignPoint> = timelines
+            .iter()
+            .map(|faults| {
+                let sched = sched.clone();
+                CampaignPoint::sim_faulty("p", spec.clone(), faults.clone(), move || {
+                    Ok(sched.clone())
+                })
+            })
+            .collect();
+        let bits = |workers| {
+            run_campaign(&points, &CampaignConfig::default().with_workers(workers))
+                .unwrap()
+                .results
+                .iter()
+                .map(|r| r.rows[0].values.iter().map(|v| v.to_bits()).collect())
+                .collect::<Vec<Vec<u64>>>()
+        };
+        let serial = bits(1);
+        assert_eq!(serial, bits(8));
+        for (faults, row) in timelines.iter().zip(&serial) {
+            let sim = simulator_for(&spec, faults.as_ref()).unwrap();
+            let want = sim.run(&sched).unwrap();
+            assert_eq!(
+                row,
+                &vec![want.latency_us().to_bits(), want.makespan.to_bits()]
+            );
+        }
+        assert_ne!(serial[0], serial[1], "the rail fault must cost time");
+    }
+
+    #[test]
+    fn job_seeds_are_stable_across_pool_widths() {
         // Seed policy: a custom point sees the same per-rep seeds on every
         // run regardless of worker count.
         let seen = |workers| {
@@ -839,7 +800,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.len(), 2);
         let rows = t.rows();
-        // Same build key -> identical cached latency down each column.
+        // Same build -> identical latency down each column.
         assert_eq!(rows[0].1[0].to_bits(), rows[1].1[0].to_bits());
         assert_eq!(rows[0].1[1].to_bits(), rows[1].1[1].to_bits());
 
@@ -861,26 +822,6 @@ mod tests {
         assert_eq!(t.len(), 1);
         let want = mha.allreduce_latency_us(grid, 252, &spec).unwrap();
         assert_eq!(t.rows()[0].1[0].to_bits(), want.to_bits());
-    }
-
-    #[test]
-    fn config_key_distinguishes_every_field() {
-        let spec = ClusterSpec::thor();
-        let base = ConfigKey::new("f", ProcGrid::new(2, 4), 1024, &spec);
-        assert_ne!(base, ConfigKey::new("g", ProcGrid::new(2, 4), 1024, &spec));
-        assert_ne!(base, ConfigKey::new("f", ProcGrid::new(4, 2), 1024, &spec));
-        assert_ne!(base, ConfigKey::new("f", ProcGrid::new(2, 4), 2048, &spec));
-        assert_ne!(
-            base,
-            ConfigKey::new(
-                "f",
-                ProcGrid::new(2, 4),
-                1024,
-                &ClusterSpec::thor_single_rail()
-            )
-        );
-        assert_ne!(base, base.clone().with_salt(1));
-        assert_eq!(base, ConfigKey::new("f", ProcGrid::new(2, 4), 1024, &spec));
     }
 
     #[test]
@@ -950,30 +891,5 @@ mod tests {
             let want = sim.run(&built.sched).unwrap().latency_us();
             assert_eq!(row.last().unwrap().to_bits(), want.to_bits(), "msg={msg}");
         }
-    }
-
-    #[test]
-    fn topology_keys_pin_the_full_tree() {
-        use mha_sched::{TopoLevel, Topology};
-        let spec = ClusterSpec::thor();
-        let grid_key = ConfigKey::new("f", ProcGrid::new(2, 4), 1024, &spec);
-        let two = Topology::two_level(2, 4);
-        let two_key = ConfigKey::for_topology("f", &two, 1024, &spec);
-        // Same flattened grid, but the explicit tree is a distinct key.
-        assert_eq!((two_key.nodes, two_key.ppn), (2, 4));
-        assert_ne!(grid_key, two_key);
-        // Deeper tree over the same grid: distinct again.
-        let three = Topology::three_level(2, 2, 2);
-        assert_ne!(two_key, ConfigKey::for_topology("f", &three, 1024, &spec));
-        // Same shape, different link parameters: distinct.
-        let fast = Topology::new(vec![
-            TopoLevel::new(2).with_link(4, 24.0e9, 1.0e-6),
-            TopoLevel::new(4),
-        ]);
-        assert_ne!(two_key, ConfigKey::for_topology("f", &fast, 1024, &spec));
-        // Same tree: equal key and digest.
-        let again = ConfigKey::for_topology("f", &Topology::two_level(2, 4), 1024, &spec);
-        assert_eq!(two_key, again);
-        assert_eq!(two_key.digest(), again.digest());
     }
 }

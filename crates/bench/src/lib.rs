@@ -154,8 +154,12 @@ pub fn emit_text(content: &str, name: &str) {
 
 /// Writes `body` to `file` under [`results_dir`], warning on failure.
 fn save(body: &str, file: &str) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+    save_in(&results_dir(), body, file);
+}
+
+/// Writes `body` to `dir/file`, creating `dir` and warning on failure.
+fn save_in(dir: &Path, body: &str, file: &str) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
@@ -229,10 +233,10 @@ mod tests {
 
     #[test]
     fn emit_text_writes_artifact() {
-        std::env::set_var("MHA_RESULTS_DIR", "/tmp/mha-bench-selftest");
-        emit_text("hello", "selftest");
-        let body = std::fs::read_to_string("/tmp/mha-bench-selftest/selftest.txt").unwrap();
+        let dir = std::env::temp_dir().join(format!("mha-bench-save-{}", std::process::id()));
+        save_in(&dir, "hello", "selftest.txt");
+        let body = std::fs::read_to_string(dir.join("selftest.txt")).unwrap();
         assert_eq!(body, "hello");
-        std::env::remove_var("MHA_RESULTS_DIR");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -21,9 +21,7 @@ use mha_traffic::{
     PlacementPolicy, TrafficReport, TrafficSpec, WorkloadMix,
 };
 
-use crate::campaign::{
-    run_campaign_with, CampaignConfig, CampaignPoint, ConfigKey, Row, ScheduleCache,
-};
+use crate::campaign::{run_campaign, CampaignConfig, CampaignPoint, ConfigKey, Row, ScheduleCache};
 use mha_apps::report::Table;
 
 /// A builder for [`run_jobs`] that memoizes *relocated* frozen schedules
@@ -159,10 +157,8 @@ pub fn offered_load_points(sweep: &TrafficSweep, cache: Arc<ScheduleCache>) -> V
 /// Jain fairness index.
 pub fn offered_load_table(sweep: &TrafficSweep, cfg: &CampaignConfig) -> Result<Table, String> {
     let cache = Arc::new(ScheduleCache::new(cfg.cache));
-    let points = offered_load_points(sweep, Arc::clone(&cache));
-    // The campaign's own cache goes unused by custom points; the traffic
-    // cache above is the one the builders share.
-    let report = run_campaign_with(&points, cfg, &cache)?;
+    let points = offered_load_points(sweep, cache);
+    let report = run_campaign(&points, cfg)?;
     let mut table = Table::new(
         format!(
             "Traffic: offered load sweep, {}x{} {} placement, {} tenants",

@@ -1,14 +1,12 @@
-//! Worker-count and cache-state independence of the campaign runner.
+//! Worker-count independence of the campaign runner.
 //!
 //! Every golden paper-figure workload (the same 14 constants as the root
 //! `golden_latencies` suite) goes through [`run_campaign`] at 1, 2 and 8
-//! workers, cold- and warm-cache, and must land on the *bit-identical*
+//! workers and must land on the *bit-identical*
 //! makespan the serial engine produces — the campaign pool is a pure
 //! scheduling layer with zero numeric surface.
 
-use mha_bench::campaign::{
-    run_campaign, run_campaign_with, CampaignConfig, CampaignPoint, ConfigKey, ScheduleCache,
-};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
@@ -143,16 +141,11 @@ fn points(spec: &ClusterSpec) -> Vec<CampaignPoint> {
         .into_iter()
         .map(|w| {
             let spec2 = spec.clone();
-            CampaignPoint::sim(
-                w.name,
-                ConfigKey::new(format!("golden/{}", w.name), w.grid, w.msg, spec),
-                spec.clone(),
-                move || {
-                    build(&w.algo, w.grid, w.msg, &spec2)
-                        .map(|b| b.sched)
-                        .map_err(|e| format!("{e:?}"))
-                },
-            )
+            CampaignPoint::sim(w.name, spec.clone(), move || {
+                build(&w.algo, w.grid, w.msg, &spec2)
+                    .map(|b| b.sched)
+                    .map_err(|e| format!("{e:?}"))
+            })
         })
         .collect()
 }
@@ -195,40 +188,4 @@ fn golden_workloads_are_bit_identical_through_every_pool_width() {
         let report = run_campaign(&points(&spec), &cfg).unwrap();
         assert_report_matches_goldens(&report, &format!("workers={workers}"));
     }
-}
-
-#[test]
-fn golden_workloads_are_bit_identical_cold_and_warm() {
-    let spec = ClusterSpec::thor();
-    let cfg = CampaignConfig::default().with_workers(4);
-    let cache = ScheduleCache::new(true);
-
-    let cold = run_campaign_with(&points(&spec), &cfg, &cache).unwrap();
-    assert_report_matches_goldens(&cold, "cold");
-    assert_eq!(cold.cache_misses, workloads().len() as u64);
-
-    // Same cache, second sweep: every schedule is a hit, every makespan
-    // still lands on the golden bits.
-    let warm = run_campaign_with(&points(&spec), &cfg, &cache).unwrap();
-    assert_report_matches_goldens(&warm, "warm");
-    assert_eq!(warm.cache_misses, cold.cache_misses);
-    assert_eq!(
-        warm.cache_hits,
-        cold.cache_hits + workloads().len() as u64,
-        "warm sweep should have hit the cache once per workload"
-    );
-}
-
-#[test]
-fn cache_off_matches_cache_on() {
-    let spec = ClusterSpec::thor();
-    let on = run_campaign(&points(&spec), &CampaignConfig::default().with_cache(true)).unwrap();
-    let off = run_campaign(&points(&spec), &CampaignConfig::default().with_cache(false)).unwrap();
-    for i in 0..workloads().len() {
-        assert_eq!(on.makespan(i).to_bits(), off.makespan(i).to_bits());
-    }
-    // A disabled cache never hits — every lookup builds (and counts as a
-    // miss).
-    assert_eq!(off.cache_hits, 0);
-    assert_eq!(off.cache_misses, workloads().len() as u64);
 }

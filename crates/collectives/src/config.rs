@@ -199,7 +199,7 @@ impl AlgoConfig {
     }
 
     /// Stable FNV-1a digest over every field — the one hash path shared
-    /// by campaign cache keys (`mha_bench::ConfigKey::for_algo`) and
+    /// by schedule-cache keys (`mha_bench::ConfigKey::for_algo`) and
     /// tuning-table digests. Two configs collide iff they are equal (up
     /// to the 64-bit bound); every field is framed by a type tag.
     pub fn digest(&self) -> u64 {

@@ -156,17 +156,19 @@ pub fn run_single(sch: &FrozenSchedule, store: &BufferStore) -> Result<(), ExecE
     Ok(())
 }
 
-/// Executes the unfinished suffix of `sch` sequentially, skipping ops
-/// `journal` already records and appending each newly retired op.
+/// Finishes a crashed run from its journal: executes the unfinished
+/// suffix of `sch` sequentially, skipping ops `journal` already records
+/// and appending each newly retired op.
 ///
 /// With an empty journal this is [`run_single`] plus journaling; with a
 /// partially filled one it is crash recovery: journaled ops' byte effects
 /// are already durable in `store` (ops are journaled only after they fully
 /// execute), so only the suffix runs — which is what keeps recovery
-/// byte-exact even for non-idempotent `Reduce` ops. Fails with
-/// [`ExecError::Journal`] if the journal is not a valid partial execution
-/// of `sch`.
-pub fn run_single_journaled(
+/// byte-exact even for non-idempotent `Reduce` ops. Safe to call again on
+/// an already-complete journal (a no-op), which makes resume idempotent.
+/// Fails with [`ExecError::Journal`] if the journal is not a valid partial
+/// execution of `sch`.
+pub fn resume_single(
     sch: &FrozenSchedule,
     store: &BufferStore,
     journal: &CompletionJournal,
@@ -174,18 +176,7 @@ pub fn run_single_journaled(
     run_single_limited(sch, store, journal, usize::MAX)
 }
 
-/// Finishes a crashed run from its journal: [`run_single_journaled`] under
-/// its recovery name. Safe to call again on an already-complete journal (a
-/// no-op), which makes resume idempotent.
-pub fn resume_single(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    journal: &CompletionJournal,
-) -> Result<(), ExecError> {
-    run_single_journaled(sch, store, journal)
-}
-
-/// [`run_single_journaled`] that deliberately crashes — returns
+/// [`resume_single`] that deliberately crashes — returns
 /// [`ExecError::Killed`] instead of executing further — once `journal`
 /// holds `stop_after` entries. The op claimed at the stop point is *not*
 /// executed and *not* journaled, exactly like a [`KillPlan`] victim dying
@@ -243,13 +234,15 @@ pub fn run_threaded(
     run_threaded_inner(sch, store, threads, None, None, &[], None)
 }
 
-/// [`run_threaded`] with per-op completion journaling, resume-aware: ops
-/// `journal` already records are pre-released (their successors' indegrees
-/// seeded down via [`AtomicReadySet::from_completed`]) and only the
-/// unfinished suffix executes. Each op is journaled after its byte effects
-/// land and before any successor is released, so the journal is
-/// dependency-closed at every instant — including mid-crash.
-pub fn run_threaded_journaled(
+/// Finishes a crashed run from its journal on the worker pool:
+/// [`run_threaded`] with per-op completion journaling. Ops `journal`
+/// already records are pre-released (their successors' indegrees seeded
+/// down via [`AtomicReadySet::from_completed`]) and only the unfinished
+/// suffix executes. Each op is journaled after its byte effects land and
+/// before any successor is released, so the journal is dependency-closed
+/// at every instant — including mid-crash. Idempotent — on an
+/// already-complete journal it is a no-op.
+pub fn resume_threaded(
     sch: &FrozenSchedule,
     store: &BufferStore,
     threads: usize,
@@ -259,19 +252,7 @@ pub fn run_threaded_journaled(
     run_threaded_inner(sch, store, threads, None, Some(journal), &completed, None)
 }
 
-/// Finishes a crashed run from its journal on the worker pool:
-/// [`run_threaded_journaled`] under its recovery name. Idempotent — on an
-/// already-complete journal it is a no-op.
-pub fn resume_threaded(
-    sch: &FrozenSchedule,
-    store: &BufferStore,
-    threads: usize,
-    journal: &CompletionJournal,
-) -> Result<(), ExecError> {
-    run_threaded_journaled(sch, store, threads, journal)
-}
-
-/// [`run_threaded_journaled`] under a deterministic kill plan: each victim
+/// [`resume_threaded`] under a deterministic kill plan: each victim
 /// worker dies — via the same contained-panic release machinery as
 /// [`ExecError::WorkerPanicked`] — instead of executing the op it just
 /// claimed, once the journaled-op count reaches its threshold. The claimed
@@ -791,12 +772,12 @@ mod tests {
         let store = fill_chain(&sch, &bufs);
         // Claims op 2 complete while its dependency (op 1) is not.
         let journal = CompletionJournal::from_entries(sch.n_ops(), vec![0, 2]);
-        let err = run_single_journaled(&sch, &store, &journal).unwrap_err();
+        let err = resume_single(&sch, &store, &journal).unwrap_err();
         assert!(matches!(
             err,
             ExecError::Journal(JournalError::DepIncomplete { op: 2, dep: 1 })
         ));
-        let err = run_threaded_journaled(&sch, &store, 2, &journal).unwrap_err();
+        let err = resume_threaded(&sch, &store, 2, &journal).unwrap_err();
         assert!(matches!(err, ExecError::Journal(_)));
     }
 

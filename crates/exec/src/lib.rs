@@ -34,8 +34,8 @@ mod memory;
 mod verify;
 
 pub use executor::{
-    resume_single, resume_threaded, run_single, run_single_journaled, run_single_killed,
-    run_threaded, run_threaded_journaled, run_threaded_killed, run_threaded_probed, ExecError,
+    resume_single, resume_threaded, run_single, run_single_killed, run_threaded,
+    run_threaded_killed, run_threaded_probed, ExecError,
 };
 pub use journal::{CompletionJournal, JournalError, JournalSink, KillPlan};
 pub use memory::BufferStore;

@@ -12,11 +12,10 @@
 //! Each level also carries the link characteristics of the interconnect
 //! that joins its groups (rail count, per-rail bandwidth, startup
 //! latency), allowing heterogeneous speeds per level. The *shape* (fanouts)
-//! drives schedule construction; the link parameters feed cost models and
-//! cache fingerprints, never op emission — so two trees with equal shapes
-//! build identical schedules.
+//! drives schedule construction; the link parameters feed cost models,
+//! never op emission — so two trees with equal shapes build identical
+//! schedules.
 
-use crate::fingerprint::Fingerprinter;
 use crate::grid::ProcGrid;
 use crate::ids::{GroupId, RankId};
 
@@ -188,23 +187,6 @@ impl Topology {
         self.flatten() == *grid
     }
 
-    /// A stable structural digest of the full tree — shape *and* link
-    /// parameters (see [`Fingerprinter`] for the guarantees). Distinct
-    /// trees that merely flatten to the same grid digest differently,
-    /// which is what lets cache keys distinguish a 2-level from a 3-level
-    /// build of the same `nodes × ppn`.
-    pub fn digest(&self) -> u64 {
-        let mut fp = Fingerprinter::new();
-        fp.push_usize(self.depth());
-        for lvl in &self.levels {
-            fp.push_u32(lvl.fanout)
-                .push_u8(lvl.rails)
-                .push_f64(lvl.bw)
-                .push_f64(lvl.alpha);
-        }
-        fp.finish().0
-    }
-
     /// Sanity-checks the link parameters (the shape is validated at
     /// construction).
     pub fn validate(&self) -> Result<(), String> {
@@ -283,22 +265,6 @@ mod tests {
         assert_eq!(t.flatten(), ProcGrid::single_node(7));
         assert_eq!(t.nranks(), 7);
         assert_eq!(t.group_size(0), 7);
-    }
-
-    #[test]
-    fn digest_separates_shape_and_links() {
-        let base = Topology::from_fanouts(&[4, 8]);
-        assert_eq!(base.digest(), Topology::from_fanouts(&[4, 8]).digest());
-        // Different shape, same rank count.
-        assert_ne!(base.digest(), Topology::from_fanouts(&[8, 4]).digest());
-        // Same flattened grid, different depth.
-        assert_ne!(base.digest(), Topology::from_fanouts(&[4, 2, 4]).digest());
-        // Same shape, different link speed.
-        let fast = Topology::new(vec![
-            TopoLevel::new(4).with_link(2, 12.0e9, 1.6e-6),
-            TopoLevel::new(8),
-        ]);
-        assert_ne!(base.digest(), fast.digest());
     }
 
     #[test]

@@ -200,7 +200,7 @@ impl ClusterSpec {
     /// A stable structural digest of everything that affects simulated
     /// timing (see [`mha_sched::Fingerprinter`] for the guarantees). Two
     /// specs with equal digests price any schedule identically; the
-    /// campaign runner folds this into its schedule-cache key.
+    /// schedule-cache key (`mha_bench::campaign::ConfigKey`) folds it in.
     pub fn digest(&self) -> u64 {
         let mut fp = mha_sched::Fingerprinter::new();
         fp.push_u8(self.rails)
@@ -415,11 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn topology_digest_separates_numa_from_flat_specs() {
+    fn topology_of_separates_numa_from_flat_specs() {
         use mha_sched::ProcGrid;
         let grid = ProcGrid::new(2, 16);
         let flat = ClusterSpec::thor().topology_of(&grid);
         let numa = ClusterSpec::thor_numa().topology_of(&grid);
-        assert_ne!(flat.digest(), numa.digest());
+        assert_ne!(flat, numa);
     }
 }

@@ -8,7 +8,7 @@
 //! `tuned ≤ untuned` at every point. Emits `results/ablate_tune.csv`.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{CampaignConfig, ScheduleCache};
+use mha_bench::campaign::CampaignConfig;
 use mha_tune::search::price_configs;
 use mha_tune::{fig_grids, untuned_families};
 
@@ -18,7 +18,6 @@ fn main() {
 
     let spec = mha_simnet::ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();
-    let cache = ScheduleCache::new(cfg.cache);
     let mut sizes = mha_bench::medium_sizes();
     sizes.extend(mha_bench::large_sizes());
 
@@ -40,7 +39,7 @@ fn main() {
             let mut configs: Vec<mha_collectives::AlgoConfig> =
                 untuned.iter().map(|(_, c)| c.clone()).collect();
             configs.push(served);
-            let prices = price_configs(&configs, grid, msg, None, &spec, &cfg, &cache).unwrap();
+            let prices = price_configs(&configs, grid, msg, None, &spec, &cfg).unwrap();
             let tuned_us = *prices.last().unwrap();
             let best_untuned = prices[..prices.len() - 1]
                 .iter()

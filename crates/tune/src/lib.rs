@@ -9,9 +9,8 @@
 //!    [`mha_collectives::AlgoConfig`] design space ([`space::candidates`] —
 //!    families × phase-2 algorithm × overlap × offload × exchange chunk ×
 //!    stripe threshold, plus degraded-rail variants), price candidates on
-//!    the simulator through the campaign runner (shared
-//!    [`mha_bench::campaign::ScheduleCache`], deterministic across worker
-//!    counts), and prune with **successive halving**: a cheap full sweep
+//!    the simulator through the campaign runner (deterministic across
+//!    worker counts), and prune with **successive halving**: a cheap full sweep
 //!    on a quarter-size proxy grid, then only the survivors — joined by
 //!    every untuned baseline family — priced on the true grid. The winner
 //!    is the rung-1 argmin, so the tuned pick is ≤ every untuned family at

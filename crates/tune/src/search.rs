@@ -19,13 +19,10 @@
 //! Degraded points (`rails_up <` the spec's rail count) price every
 //! candidate under a rail-down fault timeline from time 0, with MHA-inter
 //! candidates *built* rail-aware (`down_rails`), reproducing the repo's
-//! degraded-operation story. All pricing goes through the campaign runner
-//! on one shared schedule cache, so repeated configs (across rungs and
-//! points) build exactly once and results are worker-count independent.
+//! degraded-operation story. All pricing goes through the campaign runner,
+//! so results are worker-count independent.
 
-use mha_bench::campaign::{
-    run_campaign_with, CampaignConfig, CampaignPoint, ConfigKey, ScheduleCache,
-};
+use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::{AlgoConfig, TableKey, TunedTable};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultEvent, FaultKind, FaultSpec};
@@ -182,8 +179,8 @@ pub fn fault_timeline(down: &[u8]) -> Option<FaultSpec> {
 }
 
 /// Prices `configs` at `(grid, msg)` under an optional fault timeline:
-/// one campaign, one shared cache, one latency per config (µs). Shared by
-/// the search rungs, the `ablate_tune` binary and the serving tests.
+/// one campaign, one latency per config (µs). Shared by the search rungs,
+/// the `ablate_tune` binary and the serving tests.
 pub fn price_configs(
     configs: &[AlgoConfig],
     grid: ProcGrid,
@@ -191,29 +188,21 @@ pub fn price_configs(
     faults: Option<&FaultSpec>,
     spec: &ClusterSpec,
     cfg: &CampaignConfig,
-    cache: &ScheduleCache,
 ) -> Result<Vec<f64>, String> {
     let points: Vec<CampaignPoint> = configs
         .iter()
         .map(|c| {
-            let key = ConfigKey::for_algo(c, grid, msg, spec);
             let sim_spec = c.effective_spec(spec).into_owned();
             let build_spec = sim_spec.clone();
             let c = c.clone();
-            CampaignPoint::sim_faulty(
-                c.family.token(),
-                key,
-                sim_spec,
-                faults.cloned(),
-                move || {
-                    mha_collectives::build(&c, grid, msg, &build_spec)
-                        .map(|b| b.sched)
-                        .map_err(|e| e.to_string())
-                },
-            )
+            CampaignPoint::sim_faulty(c.family.token(), sim_spec, faults.cloned(), move || {
+                mha_collectives::build(&c, grid, msg, &build_spec)
+                    .map(|b| b.sched)
+                    .map_err(|e| e.to_string())
+            })
         })
         .collect();
-    let report = run_campaign_with(&points, cfg, cache)?;
+    let report = run_campaign(&points, cfg)?;
     Ok((0..configs.len()).map(|i| report.value(i)).collect())
 }
 
@@ -241,7 +230,6 @@ pub fn run_search(
     spec: &ClusterSpec,
     cfg: &CampaignConfig,
 ) -> Result<SearchOutcome, String> {
-    let cache = ScheduleCache::new(cfg.cache);
     let mut table = TunedTable::new(spec.digest());
     let mut summaries = Vec::with_capacity(points.len());
     for &point in points {
@@ -253,7 +241,7 @@ pub fn run_search(
             .into_iter()
             .filter(|c| c.valid_for(proxy))
             .collect();
-        let p0 = price_configs(&pool, proxy, point.msg, faults.as_ref(), spec, cfg, &cache)?;
+        let p0 = price_configs(&pool, proxy, point.msg, faults.as_ref(), spec, cfg)?;
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by(|&a, &b| {
             p0[a]
@@ -278,7 +266,6 @@ pub fn run_search(
             faults.as_ref(),
             spec,
             cfg,
-            &cache,
         )?;
         let win = argmin(&p1, &finalists);
         let by_digest: std::collections::HashMap<u64, f64> = finalists

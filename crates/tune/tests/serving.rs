@@ -5,7 +5,7 @@
 //! the suite stays fast; set `MHA_TUNE_FULL=1` to sweep every grid × size
 //! × rail state the tuner emits.
 
-use mha_bench::campaign::{CampaignConfig, ScheduleCache};
+use mha_bench::campaign::CampaignConfig;
 use mha_sched::ProcGrid;
 use mha_tune::search::price_configs;
 use mha_tune::{fig_grids, untuned_families, TableKey, TunedTable};
@@ -70,7 +70,6 @@ fn tuned_serving_never_loses_to_an_untuned_family() {
     let table = shipped_table();
     let spec = mha_simnet::ClusterSpec::thor();
     let cfg = CampaignConfig::from_env();
-    let cache = ScheduleCache::new(cfg.cache);
     let untuned = untuned_families();
 
     let (grids, sizes): (Vec<ProcGrid>, Vec<usize>) = if full() {
@@ -87,7 +86,7 @@ fn tuned_serving_never_loses_to_an_untuned_family() {
             let mut configs: Vec<mha_tune::AlgoConfig> =
                 untuned.iter().map(|(_, c)| c.clone()).collect();
             configs.push(served.clone());
-            let prices = price_configs(&configs, grid, msg, None, &spec, &cfg, &cache).unwrap();
+            let prices = price_configs(&configs, grid, msg, None, &spec, &cfg).unwrap();
             let tuned_us = *prices.last().unwrap();
             for (i, (label, _)) in untuned.iter().enumerate() {
                 assert!(

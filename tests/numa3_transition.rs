@@ -6,7 +6,7 @@
 //! the fingerprints here are that captured record. If a composer change
 //! breaks one of these constants, the 3-level schedule shape changed — that
 //! may be intentional, but it must be a conscious decision, because it also
-//! invalidates golden latencies and campaign cache entries.
+//! invalidates golden latencies.
 
 use mha::collectives::mha::{build_mha_numa3, Numa3Config};
 use mha::collectives::{build_composed, ComposePlan};
