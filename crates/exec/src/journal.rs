@@ -2,7 +2,7 @@
 //!
 //! The frozen schedule is immutable, so the *only* state a crashed
 //! execution needs to resume is which ops retired — the
-//! [`mha_sched::FrozenSchedule`] indegree vector replayed over that set is
+//! [`mha_sched::FrozenSchedule`]'s indegrees replayed over that set are
 //! exactly the recoverable frontier (see
 //! [`mha_sched::ReadySet::from_completed`]). A [`CompletionJournal`]
 //! records completions in retire order as execution proceeds; the executors

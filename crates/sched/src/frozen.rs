@@ -15,13 +15,16 @@
 //! * the predecessor view (an op's dependencies) is the schedule's own flat
 //!   dependency list ([`Schedule::deps`]), moved in with it rather than
 //!   copied;
-//! * `indegree`, `roots`: the Kahn bootstrap state every readiness driver
-//!   needs (see [`crate::runtime`]). No topological order is stored: the
+//! * `roots`: the ops with no dependencies, where every readiness driver
+//!   starts (see [`crate::runtime`]). An op's indegree is the length of its
+//!   dependency list, so none is stored. Nor is a topological order: the
 //!   builder only accepts backward dependencies, so op ids `0..n_ops()`
-//!   already are one;
-//! * `rows`: a dense per-op summary ([`OpRow`]) — kind class, bytes, step,
-//!   lane rank — so probes and trace sinks classify ops without matching on
-//!   [`OpKind`] themselves.
+//!   already are one.
+//!
+//! Probes and trace sinks classify ops through [`FrozenSchedule::row`], a
+//! per-op summary ([`OpRow`]: kind class, bytes, step, lane rank) derived
+//! from the op on demand rather than stored: it is read once per run, so a
+//! table of it would cost 24 bytes per op for nothing.
 //!
 //! `FrozenSchedule` derefs to [`Schedule`], so everything that inspects a
 //! schedule (`validate`, `stats`, buffer lookups) keeps working unchanged.
@@ -70,7 +73,7 @@ impl OpClass {
     }
 }
 
-/// Dense per-op summary row, precomputed at freeze time.
+/// Per-op summary row, derived from the op by [`FrozenSchedule::row`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpRow {
     /// Kind classification.
@@ -85,8 +88,8 @@ pub struct OpRow {
 }
 
 /// An immutable, execution-ready schedule: the original [`Schedule`] plus
-/// CSR successor adjacency, indegrees and the dense op table. Op ids
-/// `0..n_ops()` are a topological order.
+/// CSR successor adjacency and its roots. Op ids `0..n_ops()` are a
+/// topological order.
 ///
 /// Produced by [`Schedule::freeze`]; consumed by `mha-simnet`'s engine and
 /// `mha-exec`'s executors via the readiness drivers in [`crate::runtime`].
@@ -95,9 +98,7 @@ pub struct FrozenSchedule {
     sched: Schedule,
     succ_off: Vec<u32>,
     succ: Vec<u32>,
-    indegree: Vec<u32>,
     roots: Vec<u32>,
-    rows: Vec<OpRow>,
     /// Rail count this schedule last validated cleanly against (see
     /// [`FrozenSchedule::validate_for`]).
     validated: std::sync::OnceLock<Option<u8>>,
@@ -135,20 +136,16 @@ impl Schedule {
         let n = self.ops().len();
         let n_edges = self.dep_lists().1.len();
 
-        let mut indegree = Vec::with_capacity(n);
         let mut succ_off = vec![0u32; n + 1];
-        let mut rows = Vec::with_capacity(n);
         let mut n_roots = 0;
         for (i, op) in self.ops().iter().enumerate() {
             debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
             let preds = self.deps(op.id);
-            indegree.push(preds.len() as u32);
             n_roots += usize::from(preds.is_empty());
             for d in preds {
                 debug_assert!(d.index() < i, "dependencies must point backwards");
                 succ_off[d.index() + 1] += 1;
             }
-            rows.push(row_of(&op.kind, op.step));
         }
         for i in 0..n {
             succ_off[i + 1] += succ_off[i];
@@ -167,15 +164,13 @@ impl Schedule {
         }
 
         let mut roots = Vec::with_capacity(n_roots);
-        roots.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0));
+        roots.extend((0..n as u32).filter(|&i| self.deps(OpId(i)).is_empty()));
 
         FrozenSchedule {
             sched: self,
             succ_off,
             succ,
-            indegree,
             roots,
-            rows,
             validated: std::sync::OnceLock::new(),
         }
     }
@@ -185,7 +180,7 @@ impl FrozenSchedule {
     /// Number of ops.
     #[inline]
     pub fn n_ops(&self) -> usize {
-        self.rows.len()
+        self.sched.ops().len()
     }
 
     /// Number of dependency edges.
@@ -207,16 +202,17 @@ impl FrozenSchedule {
         self.sched.deps(OpId(op))
     }
 
-    /// Dependency count of `op`.
+    /// Dependency count of `op`: the length of [`FrozenSchedule::preds`].
     #[inline]
     pub fn indegree(&self, op: u32) -> u32 {
-        self.indegree[op as usize]
+        self.preds(op).len() as u32
     }
 
-    /// All indegrees, indexed by op.
+    /// Every op's dependency count, in op order: the spans of the
+    /// schedule's flat dependency list.
     #[inline]
-    pub fn indegrees(&self) -> &[u32] {
-        &self.indegree
+    pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        self.sched.dep_lists().0.windows(2).map(|w| w[1] - w[0])
     }
 
     /// Ops with no dependencies, in creation order.
@@ -225,16 +221,16 @@ impl FrozenSchedule {
         &self.roots
     }
 
-    /// The dense per-op summary table.
-    #[inline]
-    pub fn rows(&self) -> &[OpRow] {
-        &self.rows
+    /// Every op's summary row, in op order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = OpRow> + '_ {
+        self.sched.ops().iter().map(|op| row_of(&op.kind, op.step))
     }
 
     /// Summary row of `op`.
     #[inline]
-    pub fn row(&self, op: u32) -> &OpRow {
-        &self.rows[op as usize]
+    pub fn row(&self, op: u32) -> OpRow {
+        let op = &self.sched.ops()[op as usize];
+        row_of(&op.kind, op.step)
     }
 
     /// [`crate::validate`] with a success memo: an immutable frozen
@@ -318,7 +314,7 @@ mod tests {
         assert_eq!(fs.succs(3), &[] as &[u32]);
         assert_eq!(fs.preds(3), &[OpId(1), OpId(2)]);
         assert!(fs.preds(0).is_empty());
-        assert_eq!(fs.indegrees(), &[0, 1, 1, 2]);
+        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1, 1, 2]);
         assert_eq!(fs.roots(), &[0]);
     }
 

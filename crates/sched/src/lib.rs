@@ -12,9 +12,9 @@
 //! * [`validate`]/[`check_races`] which prove a schedule is structurally
 //!   sound and deterministic under any interleaving,
 //! * [`Schedule::freeze`] → [`FrozenSchedule`], the execution-ready form:
-//!   CSR successor adjacency beside the schedule's flat predecessor list,
-//!   indegrees and a dense per-op table, shared by every interpreter (op
-//!   ids are a topological order),
+//!   CSR successor adjacency beside the schedule's flat predecessor list
+//!   and its roots, shared by every interpreter (op ids are a topological
+//!   order),
 //! * [`runtime`], the indegree-counter readiness drivers ([`ReadySet`],
 //!   [`AtomicReadySet`]) both backends schedule with, and
 //! * [`probe`], the pluggable observability seam ([`Probe`] sinks: JSONL

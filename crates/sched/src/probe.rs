@@ -260,7 +260,7 @@ impl<W: Write> Probe for JsonlProbe<W> {
             fs.n_ops(),
             fs.n_edges()
         ));
-        for (i, row) in fs.rows().iter().enumerate() {
+        for (i, row) in fs.rows().enumerate() {
             let step = match row.step {
                 Some(s) => s.to_string(),
                 None => "null".into(),
@@ -475,7 +475,7 @@ impl Probe for SummaryProbe {
     fn begin_run(&mut self, fs: &FrozenSchedule, backend: &'static str) {
         self.backend = backend;
         self.schedule = fs.name().to_string();
-        self.is_net = fs.rows().iter().map(|r| r.class.is_network()).collect();
+        self.is_net = fs.rows().map(|r| r.class.is_network()).collect();
         // Compute ops burn CPU but move no data; they still count as CPU
         // lane time for the overlap metric (matches OpClass semantics).
         self.start = vec![f64::NAN; fs.n_ops()];

@@ -30,7 +30,7 @@ impl ReadySet {
     /// A fresh driver with every op unfinished.
     pub fn new(fs: &FrozenSchedule) -> Self {
         ReadySet {
-            indeg: fs.indegrees().to_vec(),
+            indeg: fs.indegrees().collect(),
             remaining: fs.n_ops(),
         }
     }
@@ -40,7 +40,7 @@ impl ReadySet {
     /// driver is indistinguishable from `ReadySet::new(fs)`.
     pub fn reset(&mut self, fs: &FrozenSchedule) {
         self.indeg.clear();
-        self.indeg.extend_from_slice(fs.indegrees());
+        self.indeg.extend(fs.indegrees());
         self.remaining = fs.n_ops();
     }
 
@@ -105,7 +105,7 @@ fn seed_frontier(fs: &FrozenSchedule, completed: &[u32]) -> (Vec<u32>, Vec<u32>)
         debug_assert!(!done[c as usize], "op {c} completed twice");
         done[c as usize] = true;
     }
-    let mut indeg = fs.indegrees().to_vec();
+    let mut indeg: Vec<u32> = fs.indegrees().collect();
     for &c in completed {
         debug_assert!(
             fs.preds(c).iter().all(|&p| done[p.index()]),
@@ -136,7 +136,7 @@ impl AtomicReadySet {
     /// A fresh driver with every op unfinished.
     pub fn new(fs: &FrozenSchedule) -> Self {
         AtomicReadySet {
-            indeg: fs.indegrees().iter().map(|&d| AtomicU32::new(d)).collect(),
+            indeg: fs.indegrees().map(AtomicU32::new).collect(),
         }
     }
 

@@ -293,7 +293,7 @@ mod tests {
         let fs = tiny().freeze();
         assert_eq!(fs.succs(0), &[1]);
         assert!(fs.succs(1).is_empty());
-        assert_eq!(fs.indegrees(), &[0, 1]);
+        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1]);
         assert_eq!(fs.ops().len(), 2);
     }
 

@@ -31,6 +31,12 @@
 //! width self-tunes: when the average pop starts sweeping too many empty
 //! cells, a same-size rebuild re-derives it from sampled inter-event gaps
 //! (Brown's rule).
+//!
+//! A bucket that empties gives its buffer back once that buffer outgrew
+//! [`KEEP_CAP`] entries. Collective schedules drain in synchronized bursts
+//! of thousands of same-instant events into one bucket; kept, each burst's
+//! buffer would stay allocated for the rest of the run (and, through a
+//! reused engine arena, into the next one) long after it emptied.
 
 use std::collections::VecDeque;
 
@@ -69,6 +75,14 @@ const MAX_BITS: u32 = 20;
 /// inter-event gap.
 const TUNE_INTERVAL: u32 = 256;
 const SCAN_BUDGET: u64 = 8;
+
+/// Entries an empty bucket may keep capacity for. A bucket that empties
+/// with a larger buffer frees it; smaller ones keep theirs, so neither the
+/// common one-or-two-event bucket nor one that routinely holds a contended
+/// component's few hundred predictions reallocates on every drain. (A
+/// 64-entry floor did, and raised the contended traffic workload's peak
+/// RSS.)
+const KEEP_CAP: usize = 256;
 
 /// A min-queue over `(time, seq)` with O(1) typical insert and pop and a
 /// keyed removal. `time` must be non-negative and finite; `seq` must be
@@ -125,11 +139,19 @@ impl<T> CalendarQueue<T> {
         self.count
     }
 
-    /// Drops every entry, keeping bucket allocations, the learned width (a
-    /// warm queue re-runs without re-tuning) and the [`CalendarQueue::work`].
+    /// Each bucket's buffer capacity, in entries.
+    #[cfg(test)]
+    fn bucket_capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        self.buckets.iter().map(VecDeque::capacity)
+    }
+
+    /// Drops every entry, keeping the learned width (a warm queue re-runs
+    /// without re-tuning), the [`CalendarQueue::work`] and bucket buffers
+    /// up to [`KEEP_CAP`] entries.
     pub fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
+            release_if_large(b);
         }
         self.count = 0;
         self.cur_cell = 0;
@@ -214,6 +236,7 @@ impl<T> CalendarQueue<T> {
         match bucket.binary_search_by(|e| e.key.cmp(&key_of(time, seq))) {
             Ok(i) => {
                 bucket.remove(i);
+                release_if_large(bucket);
                 self.count -= 1;
                 true
             }
@@ -269,7 +292,9 @@ impl<T> CalendarQueue<T> {
     }
 
     fn take_front(&mut self, b: usize) -> (f64, u64, T) {
-        let e = self.buckets[b].pop_front().expect("checked non-empty");
+        let bucket = &mut self.buckets[b];
+        let e = bucket.pop_front().expect("checked non-empty");
+        release_if_large(bucket);
         self.count -= 1;
         if self.count * 4 < self.buckets.len() && self.nbits > MIN_BITS {
             self.rebuild(self.nbits - 1);
@@ -285,6 +310,7 @@ impl<T> CalendarQueue<T> {
         self.scratch.clear();
         for b in &mut self.buckets {
             self.scratch.extend(b.drain(..));
+            release_if_large(b);
         }
         // Sample up to 64 event times for the width estimate.
         let mut times: Vec<f64> = self
@@ -341,6 +367,15 @@ impl<T> CalendarQueue<T> {
             self.cur_cell = 0;
         }
         self.close_window();
+    }
+}
+
+/// Frees an emptied bucket's buffer if it holds more than [`KEEP_CAP`]
+/// entries.
+#[inline]
+fn release_if_large<E>(bucket: &mut VecDeque<E>) {
+    if bucket.is_empty() && bucket.capacity() > KEEP_CAP {
+        *bucket = VecDeque::new();
     }
 }
 
@@ -566,6 +601,60 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
+    }
+
+    /// A burst of same-instant events fills one bucket; once it drains,
+    /// by pops or by keyed removal, the bucket keeps at most `KEEP_CAP`
+    /// entries of capacity. So does `clear` on a queue that holds one.
+    #[test]
+    fn drained_bursts_release_their_buffers() {
+        const BURST: u64 = 4096;
+        let kept_at_most_the_floor = |cal: &CalendarQueue<u64>, what: &str| {
+            let caps: Vec<usize> = cal.bucket_capacities().collect();
+            let max = caps.iter().copied().max().unwrap_or(0);
+            assert!(
+                max <= KEEP_CAP,
+                "{what}: an empty bucket kept {max} entries"
+            );
+            let total: usize = caps.iter().sum();
+            assert!(
+                total <= KEEP_CAP * caps.len(),
+                "{what}: {total} entries kept over {} buckets",
+                caps.len()
+            );
+        };
+        let mut cal = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut burst = |cal: &mut CalendarQueue<u64>, t: f64| {
+            let first = seq + 1;
+            for _ in 0..BURST {
+                seq += 1;
+                cal.push(t, seq, seq);
+            }
+            first..=seq
+        };
+
+        burst(&mut cal, 1e-3);
+        let max = cal.bucket_capacities().max().unwrap_or(0);
+        assert!(max >= BURST as usize, "the burst shares one bucket");
+        let mut last = 0;
+        while let Some((_, s, _)) = cal.pop() {
+            assert!(s > last);
+            last = s;
+        }
+        kept_at_most_the_floor(&cal, "popped");
+
+        for s in burst(&mut cal, 2e-3) {
+            assert!(cal.remove(2e-3, s), "live ({s}) missing");
+        }
+        assert_eq!(cal.len(), 0);
+        kept_at_most_the_floor(&cal, "removed");
+
+        burst(&mut cal, 3e-3);
+        cal.clear();
+        kept_at_most_the_floor(&cal, "cleared");
+        cal.push(4e-3, seq + 1, 7);
+        assert_eq!(cal.pop().map(|(_, _, item)| item), Some(7));
     }
 
     /// `clear` empties the queue but keeps it usable.

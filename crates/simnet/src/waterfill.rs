@@ -162,12 +162,6 @@ impl WaterFiller {
     ) -> Result<(), FillError> {
         rates.clear();
         rates.resize(n, 0.0);
-        if n == 0 {
-            self.local_ids.clear();
-            self.levels.clear();
-            return Ok(());
-        }
-
         // Un-map the previous component's resources (cheap: O(previous
         // component size)), then rebuild for this call. `flows_of` entries
         // are recycled slot-wise below instead of dropped.
@@ -175,6 +169,10 @@ impl WaterFiller {
             self.local_of[r.index()] = u32::MAX;
         }
         self.local_ids.clear();
+        if n == 0 {
+            self.levels.clear();
+            return Ok(());
+        }
         self.rem.clear();
         self.wsum.clear();
         self.fixed.clear();
@@ -734,6 +732,39 @@ mod tests {
 
     fn unit(rs: &[ResourceId]) -> Vec<(ResourceId, f64)> {
         rs.iter().map(|&r| (r, 1.0)).collect()
+    }
+
+    /// An empty fill between two real ones must forget the first
+    /// component's resources: a reused filler answers like a fresh one.
+    #[test]
+    fn empty_fill_between_components_forgets_the_first() {
+        let both = unit(&[R0, R1]);
+        let r1 = unit(&[R1]);
+        let two_on_r1 = [
+            FlowSpec {
+                cap: 100.0,
+                resources: &r1,
+            },
+            FlowSpec {
+                cap: 100.0,
+                resources: &r1,
+            },
+        ];
+        let caps = [10.0, 10.0];
+        let mut filler = WaterFiller::new();
+        let mut rates = Vec::new();
+        let one = [FlowSpec {
+            cap: 100.0,
+            resources: &both,
+        }];
+        filler.fill(&one, cap_table(&caps), &mut rates).unwrap();
+        filler.fill(&[], cap_table(&caps), &mut rates).unwrap();
+        assert!(rates.is_empty());
+        filler
+            .fill(&two_on_r1, cap_table(&caps), &mut rates)
+            .unwrap();
+        assert_eq!(rates, [5.0, 5.0]);
+        assert_eq!(rates, max_min_rates(&two_on_r1, cap_table(&caps)));
     }
 
     #[test]
