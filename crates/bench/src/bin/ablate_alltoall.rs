@@ -17,7 +17,9 @@ fn main() {
     let mut cells = Vec::new();
     for &msg in &sizes {
         cells.push(CampaignPoint::sim("flat", spec.clone(), move || {
-            Ok(build_direct_alltoall(grid, msg).sched)
+            build_direct_alltoall(grid, msg)
+                .map(|b| b.sched)
+                .map_err(|e| format!("{e:?}"))
         }));
         let spec2 = spec.clone();
         cells.push(CampaignPoint::sim("mha", spec.clone(), move || {

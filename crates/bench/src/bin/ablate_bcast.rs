@@ -17,7 +17,9 @@ fn main() {
     let mut cells = Vec::new();
     for &msg in &sizes {
         cells.push(CampaignPoint::sim("binomial", spec.clone(), move || {
-            Ok(build_binomial_bcast(grid, msg, RankId(0)).sched)
+            build_binomial_bcast(grid, msg, RankId(0))
+                .map(|b| b.sched)
+                .map_err(|e| format!("{e:?}"))
         }));
         let spec2 = spec.clone();
         cells.push(CampaignPoint::sim("mha", spec.clone(), move || {

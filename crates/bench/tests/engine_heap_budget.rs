@@ -2,7 +2,7 @@
 //! and how far a run's peak heap climbs above it.
 //!
 //! Flat Ring 256×1 at 64 KiB on the Thor preset, 65,536 ops. The frozen
-//! schedule holds the ops (80 B each), the dependency and successor lists
+//! schedule holds the ops (40 B each), the dependency and successor lists
 //! and their offsets, and the roots; everything else it can report is
 //! derived on demand. A run needs one `op_end` time, one flows-left count
 //! and one readiness counter per op (about 1 MB here), plus the event queue
@@ -74,9 +74,10 @@ fn peak_above<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (PEAK.load(Ordering::Relaxed) - base, out)
 }
 
-/// Most bytes a frozen schedule may keep per op: 108 are used, 136 when it
-/// also stored a 24 B summary row and a 4 B indegree per op.
-const SCHEDULE_BYTES_PER_OP: usize = 116;
+/// Most bytes a frozen schedule may keep per op: 68 are used, 108 with an
+/// 80 B op (`usize` offsets and lengths, a stored id, a `&str` marker) and
+/// 136 when it also stored a 24 B summary row and a 4 B indegree per op.
+const SCHEDULE_BYTES_PER_OP: usize = 72;
 /// Most bytes a run's peak heap may reach above the frozen schedule: 1.9 MB
 /// are used, 5.4 MB when the event queue's buckets kept every drained
 /// burst's buffer.

@@ -9,7 +9,7 @@
 use mha_sched::{DType, Loc, ProcGrid, RankId, RedOp};
 use mha_simnet::ClusterSpec;
 
-use crate::ctx::{BuildError, Built, Ctx};
+use crate::ctx::{check_extent, BuildError, Built, Ctx};
 use crate::flat::emit_ring;
 use crate::mha::{emit_mha_inter, MhaInterConfig};
 
@@ -31,7 +31,8 @@ pub enum AllgatherPhase {
 ///
 /// [`BuildError::IndivisibleVector`] unless `elems` divides evenly by the
 /// rank count (callers pad, as DL frameworks do with fusion buffers);
-/// plus any error from the chosen Allgather phase.
+/// [`BuildError::BufferTooLarge`] when the `elems * 4`-byte vector would
+/// pass `u32::MAX` bytes; plus any error from the chosen Allgather phase.
 pub fn build_ring_allreduce(
     grid: ProcGrid,
     elems: usize,
@@ -43,6 +44,7 @@ pub fn build_ring_allreduce(
         return Err(BuildError::IndivisibleVector { elems, ranks: r });
     }
     let chunk_elems = elems / r as usize;
+    check_extent(r as usize, chunk_elems.saturating_mul(4))?;
     let chunk = chunk_elems * 4;
     let name = match phase_b {
         AllgatherPhase::FlatRing => "ring-allreduce(flat)",
@@ -142,6 +144,19 @@ mod tests {
 
     fn thor() -> ClusterSpec {
         ClusterSpec::thor()
+    }
+
+    #[test]
+    fn vectors_past_u32_offsets_are_rejected() {
+        let grid = ProcGrid::new(1024, 1);
+        let err = build_ring_allreduce(grid, 1 << 30, AllgatherPhase::FlatRing, &thor());
+        assert_eq!(
+            err.unwrap_err(),
+            BuildError::BufferTooLarge {
+                blocks: 1024,
+                block: 4 << 20
+            }
+        );
     }
 
     fn assert_allreduce_correct(built: &Built, elems: usize) {

@@ -17,7 +17,7 @@
 use mha_sched::{BufId, Channel, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBuilder};
 use mha_simnet::ClusterSpec;
 
-use crate::ctx::BuildError;
+use crate::ctx::{check_extent, BuildError};
 
 /// A built Alltoall: `send[r]`/`recv[r]` are rank `r`'s buffers, each
 /// `nranks * msg` bytes; block `d` of `send[r]` is rank `r`'s payload for
@@ -48,8 +48,17 @@ fn declare(b: &mut ScheduleBuilder, grid: ProcGrid, msg: usize) -> (Vec<BufId>, 
 }
 
 /// Builds the flat shifted-direct Alltoall.
-pub fn build_direct_alltoall(grid: ProcGrid, msg: usize) -> AlltoallBuilt {
-    assert!(msg > 0, "message size must be positive");
+///
+/// # Errors
+///
+/// [`BuildError::BadParameter`] for an empty message;
+/// [`BuildError::BufferTooLarge`] when a rank's `nranks × msg`-byte
+/// buffer would pass `u32::MAX` bytes.
+pub fn build_direct_alltoall(grid: ProcGrid, msg: usize) -> Result<AlltoallBuilt, BuildError> {
+    if msg == 0 {
+        return Err(BuildError::BadParameter("empty alltoall".into()));
+    }
+    check_extent(grid.nranks() as usize, msg)?;
     let r = grid.nranks();
     let mut b = ScheduleBuilder::new(grid, "flat-direct-alltoall");
     let (send, recv) = declare(&mut b, grid, msg);
@@ -88,15 +97,21 @@ pub fn build_direct_alltoall(grid: ProcGrid, msg: usize) -> AlltoallBuilt {
             cursor[me.index()] = Some(t);
         }
     }
-    AlltoallBuilt {
+    Ok(AlltoallBuilt {
         sched: b.finish().freeze(),
         send,
         recv,
         msg,
-    }
+    })
 }
 
 /// Builds the hierarchical multi-HCA-aware Alltoall.
+///
+/// # Errors
+///
+/// [`BuildError::BadParameter`] for an empty message;
+/// [`BuildError::BufferTooLarge`] when a node's staging segment,
+/// `nranks × ppn × msg` bytes, would pass `u32::MAX` bytes.
 pub fn build_mha_alltoall(
     grid: ProcGrid,
     msg: usize,
@@ -105,6 +120,7 @@ pub fn build_mha_alltoall(
     if msg == 0 {
         return Err(BuildError::BadParameter("empty alltoall".into()));
     }
+    check_extent(grid.nranks() as usize * grid.ppn() as usize, msg)?;
     let _ = spec;
     let n = grid.nodes();
     let l = grid.ppn() as usize;
@@ -223,6 +239,27 @@ mod tests {
     use mha_exec::{verify_alltoall, Mode};
     use mha_simnet::Simulator;
 
+    #[test]
+    fn buffers_past_u32_offsets_are_rejected() {
+        let err = build_direct_alltoall(ProcGrid::new(1024, 1), 4 << 20);
+        assert_eq!(
+            err.unwrap_err(),
+            BuildError::BufferTooLarge {
+                blocks: 1024,
+                block: 4 << 20
+            }
+        );
+        // The hierarchical staging segment is ppn times the recv buffer.
+        let err = build_mha_alltoall(ProcGrid::new(16, 16), 1 << 20, &ClusterSpec::thor());
+        assert_eq!(
+            err.unwrap_err(),
+            BuildError::BufferTooLarge {
+                blocks: 256 * 16,
+                block: 1 << 20
+            }
+        );
+    }
+
     fn assert_a2a_correct(built: &AlltoallBuilt) {
         mha_sched::validate(&built.sched, Some(2)).unwrap();
         let races = mha_sched::check_races(&built.sched);
@@ -235,7 +272,7 @@ mod tests {
     #[test]
     fn direct_alltoall_is_correct() {
         for (nodes, ppn) in [(1u32, 1u32), (1, 4), (2, 2), (3, 2), (2, 4)] {
-            assert_a2a_correct(&build_direct_alltoall(ProcGrid::new(nodes, ppn), 12));
+            assert_a2a_correct(&build_direct_alltoall(ProcGrid::new(nodes, ppn), 12).unwrap());
         }
     }
 
@@ -252,7 +289,7 @@ mod tests {
     fn aggregation_cuts_inter_node_message_count() {
         let grid = ProcGrid::new(4, 8);
         let spec = ClusterSpec::thor();
-        let flat = build_direct_alltoall(grid, 64);
+        let flat = build_direct_alltoall(grid, 64).unwrap();
         let mha = build_mha_alltoall(grid, 64, &spec).unwrap();
         let count_rail = |s: &mha_sched::Schedule| s.stats().rail_transfers;
         // Flat: every cross-node (src, dst) pair is its own message.
@@ -269,7 +306,7 @@ mod tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(8, 8);
         let msg = 512;
-        let flat = build_direct_alltoall(grid, msg);
+        let flat = build_direct_alltoall(grid, msg).unwrap();
         let mha = build_mha_alltoall(grid, msg, &spec).unwrap();
         let t_flat = sim.run(&flat.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();

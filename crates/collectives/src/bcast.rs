@@ -14,7 +14,7 @@ use mha_sched::{BufId, Channel, Loc, NodeId, OpId, ProcGrid, RankId, ScheduleBui
 use mha_simnet::ClusterSpec;
 
 use crate::chunks::chunk_bounds;
-use crate::ctx::BuildError;
+use crate::ctx::{check_extent, BuildError};
 
 /// A built broadcast schedule: `bufs[r]` is rank `r`'s broadcast buffer
 /// (the root's holds the payload before execution).
@@ -37,9 +37,18 @@ fn declare_bufs(b: &mut ScheduleBuilder, grid: ProcGrid, msg: usize) -> Vec<BufI
 }
 
 /// Builds the flat binomial-tree broadcast from `root`.
-pub fn build_binomial_bcast(grid: ProcGrid, msg: usize, root: RankId) -> BcastBuilt {
-    assert!(msg > 0, "message size must be positive");
-    assert!(root.0 < grid.nranks(), "root outside grid");
+///
+/// # Errors
+///
+/// [`BuildError::BadParameter`] for an empty message or a root outside
+/// the grid; [`BuildError::BufferTooLarge`] when `msg` passes `u32::MAX`
+/// bytes.
+pub fn build_binomial_bcast(
+    grid: ProcGrid,
+    msg: usize,
+    root: RankId,
+) -> Result<BcastBuilt, BuildError> {
+    check_bcast(grid, msg, root)?;
     let r = grid.nranks();
     let mut b = ScheduleBuilder::new(grid, "flat-binomial-bcast");
     let bufs = declare_bufs(&mut b, grid, msg);
@@ -76,25 +85,16 @@ pub fn build_binomial_bcast(grid: ProcGrid, msg: usize, root: RankId) -> BcastBu
         dist *= 2;
         step += 1;
     }
-    BcastBuilt {
+    Ok(BcastBuilt {
         sched: b.finish().freeze(),
         bufs,
         root,
         msg,
-    }
+    })
 }
 
-/// Builds the hierarchical, segmented, multi-HCA-aware broadcast.
-///
-/// `segment` bounds the pipeline granularity (clamped to at least 4 KB and
-/// at most the payload); `spec` supplies the rail count used by validation.
-pub fn build_mha_bcast(
-    grid: ProcGrid,
-    msg: usize,
-    root: RankId,
-    segment: usize,
-    spec: &ClusterSpec,
-) -> Result<BcastBuilt, BuildError> {
+/// The preconditions both broadcasts share.
+fn check_bcast(grid: ProcGrid, msg: usize, root: RankId) -> Result<(), BuildError> {
     if msg == 0 {
         return Err(BuildError::BadParameter("empty broadcast".into()));
     }
@@ -103,6 +103,25 @@ pub fn build_mha_bcast(
             "root {root} outside grid"
         )));
     }
+    check_extent(1, msg)
+}
+
+/// Builds the hierarchical, segmented, multi-HCA-aware broadcast.
+///
+/// `segment` bounds the pipeline granularity (clamped to at least 4 KB and
+/// at most the payload); `spec` supplies the rail count used by validation.
+///
+/// # Errors
+///
+/// As [`build_binomial_bcast`].
+pub fn build_mha_bcast(
+    grid: ProcGrid,
+    msg: usize,
+    root: RankId,
+    segment: usize,
+    spec: &ClusterSpec,
+) -> Result<BcastBuilt, BuildError> {
+    check_bcast(grid, msg, root)?;
     let _ = spec; // structural parameter only (kept for API symmetry)
     let seg = segment.max(4096).min(msg);
     let nseg = msg.div_ceil(seg);
@@ -222,6 +241,19 @@ mod tests {
     use mha_exec::{verify_bcast, Mode};
     use mha_simnet::Simulator;
 
+    #[test]
+    fn payloads_past_u32_offsets_are_rejected() {
+        let grid = ProcGrid::new(2, 1);
+        let too_large = BuildError::BufferTooLarge {
+            blocks: 1,
+            block: 1 << 32,
+        };
+        let flat = build_binomial_bcast(grid, 1 << 32, RankId(0));
+        assert_eq!(flat.unwrap_err(), too_large);
+        let mha = build_mha_bcast(grid, 1 << 32, RankId(0), 1 << 20, &ClusterSpec::thor());
+        assert_eq!(mha.unwrap_err(), too_large);
+    }
+
     fn assert_bcast_correct(built: &BcastBuilt) {
         mha_sched::validate(&built.sched, Some(2)).unwrap();
         let races = mha_sched::check_races(&built.sched);
@@ -243,7 +275,7 @@ mod tests {
         for (nodes, ppn) in [(1u32, 1u32), (1, 5), (2, 3), (3, 2), (4, 4)] {
             let grid = ProcGrid::new(nodes, ppn);
             for root in [0, grid.nranks() - 1, grid.nranks() / 2] {
-                let built = build_binomial_bcast(grid, 40, RankId(root));
+                let built = build_binomial_bcast(grid, 40, RankId(root)).unwrap();
                 assert_bcast_correct(&built);
             }
         }
@@ -263,7 +295,7 @@ mod tests {
 
     #[test]
     fn binomial_takes_log2_steps() {
-        let built = build_binomial_bcast(ProcGrid::new(1, 8), 64, RankId(0));
+        let built = build_binomial_bcast(ProcGrid::new(1, 8), 64, RankId(0)).unwrap();
         let max_step = built.sched.ops().iter().map(|o| o.step).max().unwrap();
         assert_eq!(max_step, 2); // steps 0,1,2 for 8 ranks
         assert_eq!(built.sched.ops().len(), 7); // R-1 transfers
@@ -275,7 +307,7 @@ mod tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(8, 16);
         let msg = 8 << 20;
-        let flat = build_binomial_bcast(grid, msg, RankId(0));
+        let flat = build_binomial_bcast(grid, msg, RankId(0)).unwrap();
         let mha = build_mha_bcast(grid, msg, RankId(0), 256 * 1024, &spec).unwrap();
         let t_flat = sim.run(&flat.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();
@@ -295,7 +327,7 @@ mod tests {
         let sim = Simulator::new(spec.clone()).unwrap();
         let grid = ProcGrid::new(4, 4);
         let msg = 512;
-        let flat = build_binomial_bcast(grid, msg, RankId(0));
+        let flat = build_binomial_bcast(grid, msg, RankId(0)).unwrap();
         let mha = build_mha_bcast(grid, msg, RankId(0), 4096, &spec).unwrap();
         let t_flat = sim.run(&flat.sched).unwrap().latency_us();
         let t_mha = sim.run(&mha.sched).unwrap().latency_us();

@@ -23,11 +23,13 @@
 //! roles compose unchanged. Emission depends only on the tree *shape*;
 //! link speeds feed models and cache keys.
 
-use mha_sched::{BufId, Channel, DepList, GroupId, Loc, OpId, OpKind, RailSet, RankId, Topology};
+use mha_sched::{
+    BufId, Channel, DepList, GroupId, Loc, Marker, OpId, OpKind, RailSet, RankId, Topology,
+};
 use mha_simnet::ClusterSpec;
 
 use crate::chunks::chunk_bounds;
-use crate::ctx::{BuildError, Built, Ctx};
+use crate::ctx::{check_extent, BuildError, Built, Ctx};
 use crate::mha::{resolve_offload, InterAlgo, Offload};
 use crate::{flat, twolevel};
 
@@ -420,7 +422,9 @@ fn need_spec(spec: Option<&ClusterSpec>) -> Result<&ClusterSpec, BuildError> {
 /// # Errors
 ///
 /// [`BuildError::BadParameter`] if the plan's shape does not fit the tree;
-/// [`BuildError::RequiresPowerOfTwo`] for the algorithms that need one.
+/// [`BuildError::RequiresPowerOfTwo`] for the algorithms that need one;
+/// [`BuildError::BufferTooLarge`] when the `nranks × msg`-byte receive
+/// buffer would pass `u32::MAX` bytes.
 pub fn build_composed(
     topo: &Topology,
     msg: usize,
@@ -428,6 +432,7 @@ pub fn build_composed(
     spec: &ClusterSpec,
 ) -> Result<Built, BuildError> {
     let grid = topo.flatten();
+    check_extent(grid.nranks() as usize, msg)?;
     let fanouts: Vec<String> = topo.levels().iter().map(|l| l.fanout.to_string()).collect();
     let name = format!("composed({};{})", fanouts.join("x"), plan.name());
     let mut ctx = Ctx::new(grid, msg, name);
@@ -543,8 +548,8 @@ pub(crate) fn leader_chunk_transfer(
         let t = ctx.b.transfer(
             lsrc,
             ldst,
-            Loc::new(src.buf, src.offset + lo),
-            Loc::new(dst.buf, dst.offset + lo),
+            src.at(lo),
+            dst.at(lo),
             hi - lo,
             Channel::Rail(h),
             deps,
@@ -562,7 +567,7 @@ pub(crate) fn leader_chunk_transfer(
         },
         &parts,
         step,
-        Some("stripe-join"),
+        Some(Marker::StripeJoin),
     )
 }
 

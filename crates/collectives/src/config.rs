@@ -34,7 +34,7 @@ use mha_simnet::ClusterSpec;
 
 use crate::baselines::Library;
 use crate::compose::{emit_plan, ComposePlan};
-use crate::ctx::{BuildError, Built, Ctx};
+use crate::ctx::{check_extent, BuildError, Built, Ctx};
 use crate::mha::{resolve_offload, InterAlgo, MhaInterConfig, Offload};
 use crate::{flat, twolevel};
 
@@ -418,14 +418,18 @@ impl AlgoConfig {
 ///
 /// # Errors
 ///
-/// The underlying family's [`BuildError`] (power-of-two preconditions,
-/// bad parameters); [`AlgoConfig::valid_for`] predicts success.
+/// [`BuildError::BufferTooLarge`] when the receive buffer, `nranks × msg`
+/// bytes and every family's largest, would pass `u32::MAX` bytes;
+/// otherwise the underlying family's [`BuildError`] (power-of-two
+/// preconditions, bad parameters), which [`AlgoConfig::valid_for`]
+/// predicts.
 pub fn build(
     cfg: &AlgoConfig,
     grid: ProcGrid,
     msg: usize,
     spec: &ClusterSpec,
 ) -> Result<Built, BuildError> {
+    check_extent(grid.nranks() as usize, msg)?;
     let eff = cfg.effective_spec(spec);
     let spec = eff.as_ref();
     match cfg.family {
@@ -494,6 +498,25 @@ mod tests {
 
     fn ops_of(b: &Built) -> String {
         format!("{:?}", b.sched.ops())
+    }
+
+    #[test]
+    fn buffers_past_u32_offsets_are_rejected_before_building() {
+        let ring = AlgoConfig::flat(Family::Ring);
+        let too_large = |nodes: u32, msg: usize| {
+            assert_eq!(
+                build(&ring, ProcGrid::new(nodes, 1), msg, &thor()).unwrap_err(),
+                BuildError::BufferTooLarge {
+                    blocks: nodes as usize,
+                    block: msg
+                },
+                "{nodes}x1 at {msg} B"
+            );
+        };
+        too_large(1024, 4 << 20);
+        too_large(2, 1 << 31);
+        let built = build(&ring, ProcGrid::new(1024, 1), 256 << 10, &thor()).unwrap();
+        assert_eq!(built.sched.buffer(built.recv[0]).len, 256 << 20);
     }
 
     fn sample_configs() -> Vec<AlgoConfig> {

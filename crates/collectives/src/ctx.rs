@@ -6,7 +6,8 @@
 //! `k * msg`) being rank `k`'s contribution (MPI_Allgather semantics).
 
 use mha_sched::{
-    BufId, Channel, FrozenSchedule, Loc, OpId, ProcGrid, RankCursors, RankId, ScheduleBuilder,
+    BufId, Channel, FrozenSchedule, Loc, Marker, OpId, ProcGrid, RankCursors, RankId,
+    ScheduleBuilder,
 };
 
 /// A finished collective schedule plus the handles verification needs.
@@ -153,7 +154,7 @@ impl Ctx {
                 },
                 deps,
                 step,
-                Some("sync"),
+                Some(Marker::Sync),
             )
         } else {
             let src = self.send_loc(rank);
@@ -188,7 +189,7 @@ impl Ctx {
                 mha_sched::OpKind::Compute { actor: r, flops: 0 },
                 self.cur.deps_of(r),
                 0,
-                Some("empty"),
+                Some(Marker::Empty),
             );
             self.cur.advance(r, op);
         }
@@ -230,6 +231,25 @@ pub enum BuildError {
     },
     /// A parameter was out of range (e.g. more leader groups than ranks).
     BadParameter(String),
+    /// The schedule's largest buffer, `blocks` blocks of `block` bytes,
+    /// would pass `u32::MAX` bytes, which the op table's `u32` offsets
+    /// and lengths cannot address.
+    BufferTooLarge {
+        /// Blocks in the largest buffer (e.g. the rank count for an
+        /// Allgather's receive buffer).
+        blocks: usize,
+        /// Bytes per block.
+        block: usize,
+    },
+}
+
+/// Checks, before a builder declares anything, that a buffer of `blocks`
+/// blocks of `block` bytes fits the op table's `u32` offsets.
+pub(crate) fn check_extent(blocks: usize, block: usize) -> Result<(), BuildError> {
+    match blocks.checked_mul(block).map(u32::try_from) {
+        Some(Ok(_)) => Ok(()),
+        _ => Err(BuildError::BufferTooLarge { blocks, block }),
+    }
 }
 
 impl std::fmt::Display for BuildError {
@@ -245,6 +265,10 @@ impl std::fmt::Display for BuildError {
                 )
             }
             BuildError::BadParameter(msg) => write!(f, "bad parameter: {msg}"),
+            BuildError::BufferTooLarge { blocks, block } => write!(
+                f,
+                "a buffer of {blocks} blocks of {block} bytes exceeds u32::MAX bytes"
+            ),
         }
     }
 }

@@ -147,7 +147,7 @@ mod tests {
     fn bruck_last_round_is_partial_for_non_powers() {
         // 5 ranks: rounds transfer 1, 2, then only 1 block (5 − 4).
         let built = build_bruck(ProcGrid::new(1, 5), 8);
-        let sizes: Vec<usize> = built
+        let sizes: Vec<u32> = built
             .sched
             .ops()
             .iter()

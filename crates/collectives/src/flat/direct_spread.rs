@@ -74,9 +74,9 @@ mod tests {
     fn no_cross_rank_dependencies() {
         // Every transfer's deps belong to the same receiving rank.
         let built = build_direct_spread(ProcGrid::new(1, 5), 8);
-        for op in built.sched.ops() {
+        for (i, op) in built.sched.ops().iter().enumerate() {
             if let mha_sched::OpKind::Transfer { dst_rank, .. } = &op.kind {
-                for &d in built.sched.deps(op.id) {
+                for &d in built.sched.deps(mha_sched::OpId::from(i)) {
                     let dep = built.sched.op(d);
                     let actor = match &dep.kind {
                         mha_sched::OpKind::Transfer { dst_rank, .. } => *dst_rank,

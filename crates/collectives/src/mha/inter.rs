@@ -258,7 +258,7 @@ mod tests {
                 assert_allgather_correct(&built);
                 let name = built.sched.name();
                 assert!(name.ends_with(",rails=1/2)"), "{name}");
-                for op in built.sched.ops() {
+                for (i, op) in built.sched.ops().iter().enumerate() {
                     if let mha_sched::OpKind::Transfer {
                         src_rank,
                         dst_rank,
@@ -269,8 +269,7 @@ mod tests {
                         if !built.sched.grid().same_node(*src_rank, *dst_rank) {
                             assert!(
                                 matches!(channel, Channel::Rail(h) if *h != 0),
-                                "inter-node op {:?} rides {channel:?} with rail 0 down",
-                                op.id
+                                "inter-node op {i} rides {channel:?} with rail 0 down"
                             );
                         }
                     }

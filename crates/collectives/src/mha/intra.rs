@@ -82,16 +82,15 @@ mod tests {
             &thor(),
         )
         .unwrap();
-        for op in built.sched.ops() {
+        for (i, op) in built.sched.ops().iter().enumerate() {
             if let OpKind::Transfer {
                 channel: Channel::AllRails,
                 ..
             } = op.kind
             {
                 assert!(
-                    built.sched.deps(op.id).is_empty(),
-                    "HCA transfer {:?} has deps",
-                    op.id
+                    built.sched.deps(mha_sched::OpId::from(i)).is_empty(),
+                    "HCA transfer op {i} has deps"
                 );
             }
         }

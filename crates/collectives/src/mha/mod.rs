@@ -27,7 +27,7 @@ use mha_sched::{ProcGrid, Topology};
 use mha_simnet::ClusterSpec;
 
 use crate::compose::{emit_plan, ComposePlan};
-use crate::ctx::{BuildError, Built, Ctx};
+use crate::ctx::{check_extent, BuildError, Built, Ctx};
 
 /// Configuration of the 3-level design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +53,9 @@ impl Default for Numa3Config {
 /// # Errors
 ///
 /// [`BuildError::BadParameter`] unless the cluster spec carries a NUMA
-/// layout and the socket count divides the processes per node.
+/// layout and the socket count divides the processes per node;
+/// [`BuildError::BufferTooLarge`] when the `nranks × msg`-byte receive
+/// buffer would pass `u32::MAX` bytes.
 pub fn build_mha_numa3(
     grid: ProcGrid,
     msg: usize,
@@ -73,6 +75,7 @@ pub fn build_mha_numa3(
             "{s} sockets do not divide {l} processes per node"
         )));
     }
+    check_extent(grid.nranks() as usize, msg)?;
     let mut ctx = Ctx::new(grid, msg, "mha-numa3");
     let topo = Topology::three_level(grid.nodes(), s, l / s);
     emit_plan(

@@ -42,7 +42,7 @@ pub fn check_allgather_coverage(built: &Built) -> Result<(), String> {
             OpKind::Compute { .. } => continue,
         };
         if let Some(&r) = recv_rank.get(&dst.buf.0) {
-            writes[r].push((dst.offset, dst.offset + len));
+            writes[r].push((dst.offset as usize, dst.offset as usize + *len as usize));
         }
     }
 

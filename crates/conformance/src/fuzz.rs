@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 use mha_collectives::{build, AlgoConfig, Built, Family};
 use mha_exec::Mode;
 use mha_sched::{
-    BufId, BufKind, BufferDecl, Channel, OpId, OpKind, ProcGrid, Schedule, ScheduleBuilder,
+    BufId, BufKind, BufferDecl, Channel, Marker, OpId, OpKind, ProcGrid, Schedule, ScheduleBuilder,
 };
 use mha_simnet::ClusterSpec;
 use rand::{rngs::StdRng, Rng};
@@ -50,7 +50,7 @@ pub struct OpSpec {
     /// Algorithm step (kept for trace fidelity).
     pub step: u32,
     /// Fixed trace name in place of the derived label, if any.
-    pub marker: Option<&'static str>,
+    pub marker: Option<Marker>,
 }
 
 impl SchedSpec {
@@ -63,9 +63,10 @@ impl SchedSpec {
             ops: sch
                 .ops()
                 .iter()
-                .map(|op| OpSpec {
+                .enumerate()
+                .map(|(i, op)| OpSpec {
                     kind: op.kind.clone(),
-                    deps: sch.deps(op.id).to_vec(),
+                    deps: sch.deps(OpId::from(i)).to_vec(),
                     step: op.step,
                     marker: op.marker,
                 })
@@ -528,6 +529,18 @@ mod tests {
         mha_sched::validate(&rebuilt, Some(2)).unwrap();
         let frozen = rebuilt.freeze();
         mha_exec::verify_allgather(&frozen, &target.send, &target.recv, 64, Mode::Single).unwrap();
+    }
+
+    #[test]
+    fn round_trip_keeps_markers() {
+        // A zero-byte Allgather is one `empty` marker per rank.
+        let ring = AlgoConfig::flat(Family::Ring);
+        let built = build(&ring, ProcGrid::new(2, 2), 0, &ClusterSpec::thor()).unwrap();
+        let spec = SchedSpec::from_schedule(built.sched.schedule());
+        assert!(spec.ops.iter().all(|o| o.marker == Some(Marker::Empty)));
+        let rebuilt = spec.build();
+        assert_eq!(rebuilt.ops(), built.sched.ops());
+        assert_eq!(rebuilt.ops()[0].label().to_string(), "empty");
     }
 
     #[test]

@@ -120,7 +120,7 @@ fn max_elem(dtype: DType, acc: &mut [u8], op: &[u8]) {
 fn execute_op(kind: &OpKind, store: &BufferStore) {
     match kind {
         OpKind::Transfer { src, dst, len, .. } | OpKind::Copy { src, dst, len, .. } => {
-            store.copy_bytes(*src, *dst, *len);
+            store.copy_bytes(*src, *dst, *len as usize);
         }
         OpKind::Reduce {
             acc,
@@ -133,10 +133,14 @@ fn execute_op(kind: &OpKind, store: &BufferStore) {
             let d = *dtype;
             match op {
                 RedOp::Sum => {
-                    store.combine_bytes(*acc, *operand, *len, d.size(), |a, o| sum_elem(d, a, o))
+                    store.combine_bytes(*acc, *operand, *len as usize, d.size(), |a, o| {
+                        sum_elem(d, a, o)
+                    })
                 }
                 RedOp::Max => {
-                    store.combine_bytes(*acc, *operand, *len, d.size(), |a, o| max_elem(d, a, o))
+                    store.combine_bytes(*acc, *operand, *len as usize, d.size(), |a, o| {
+                        max_elem(d, a, o)
+                    })
                 }
             }
         }

@@ -65,7 +65,7 @@ impl BufferStore {
             let mut guard = self.bufs[src.buf.index()].lock();
             // Validation forbids overlapping same-buffer copies, so a
             // temporary split via copy_within is safe.
-            guard.copy_within(src.offset..src.offset + len, dst.offset);
+            guard.copy_within(span(src, len), dst.offset as usize);
         } else {
             // Lock in id order to avoid deadlock between concurrent ops.
             let (first, second) = if src.buf < dst.buf {
@@ -76,7 +76,7 @@ impl BufferStore {
             let g1 = self.bufs[first.index()].lock();
             let g2 = self.bufs[second.index()].lock();
             let (sg, mut dg) = if src.buf == first { (g1, g2) } else { (g2, g1) };
-            dg[dst.offset..dst.offset + len].copy_from_slice(&sg[src.offset..src.offset + len]);
+            dg[span(dst, len)].copy_from_slice(&sg[span(src, len)]);
         }
     }
 
@@ -96,8 +96,8 @@ impl BufferStore {
             // Ranges are validated non-overlapping only for Copy; reduce may
             // legally read and write the same buffer at disjoint offsets.
             // Work on a copied operand to sidestep aliasing.
-            let op_copy = guard[operand.offset..operand.offset + len].to_vec();
-            let acc_slice = &mut guard[acc.offset..acc.offset + len];
+            let op_copy = guard[span(operand, len)].to_vec();
+            let acc_slice = &mut guard[span(acc, len)];
             for (a, o) in acc_slice
                 .chunks_exact_mut(elem_size)
                 .zip(op_copy.chunks_exact(elem_size))
@@ -113,8 +113,8 @@ impl BufferStore {
             let g1 = self.bufs[first.index()].lock();
             let g2 = self.bufs[second.index()].lock();
             let (mut ag, og) = if acc.buf == first { (g1, g2) } else { (g2, g1) };
-            let acc_slice = &mut ag[acc.offset..acc.offset + len];
-            let op_slice = &og[operand.offset..operand.offset + len];
+            let acc_slice = &mut ag[span(acc, len)];
+            let op_slice = &og[span(operand, len)];
             for (a, o) in acc_slice
                 .chunks_exact_mut(elem_size)
                 .zip(op_slice.chunks_exact(elem_size))
@@ -123,6 +123,12 @@ impl BufferStore {
             }
         }
     }
+}
+
+/// The bytes `len` long at `loc`, as a slice range.
+fn span(loc: Loc, len: usize) -> std::ops::Range<usize> {
+    let start = loc.offset as usize;
+    start..start + len
 }
 
 #[cfg(test)]

@@ -71,29 +71,56 @@ impl BufferDecl {
     }
 }
 
-/// A byte range within a declared buffer.
+/// A byte position within a declared buffer, 8 bytes in all.
+///
+/// The offset is a `u32`, like the length of every op that reads or
+/// writes through a `Loc`: the builder rejects a buffer longer than
+/// `u32::MAX` bytes, so every in-bounds offset fits. The constructors
+/// take `usize` and panic on an offset that does not fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Loc {
     /// Target buffer.
     pub buf: BufId,
     /// Byte offset from the start of the buffer.
-    pub offset: usize,
+    pub offset: u32,
 }
 
 impl Loc {
     /// Convenience constructor.
+    ///
+    /// # Panics
+    ///
+    /// If `offset` exceeds `u32::MAX`.
     #[inline]
     pub fn new(buf: BufId, offset: usize) -> Self {
-        Loc { buf, offset }
+        Loc {
+            buf,
+            offset: extent(offset),
+        }
     }
 
     /// The same buffer at `offset + delta`.
+    ///
+    /// # Panics
+    ///
+    /// If the new offset exceeds `u32::MAX`.
     #[inline]
     pub fn at(self, delta: usize) -> Self {
-        Loc {
-            buf: self.buf,
-            offset: self.offset + delta,
-        }
+        Loc::new(self.buf, self.offset as usize + delta)
+    }
+}
+
+/// Narrows a byte offset or length to the op table's `u32`.
+///
+/// # Panics
+///
+/// If `bytes` exceeds `u32::MAX`; builders check their buffer sizes
+/// first, so only an out-of-bounds offset gets here.
+#[inline]
+pub(crate) fn extent(bytes: usize) -> u32 {
+    match u32::try_from(bytes) {
+        Ok(b) => b,
+        Err(_) => panic!("byte extent {bytes} exceeds u32::MAX"),
     }
 }
 
@@ -135,5 +162,19 @@ mod tests {
     fn loc_at_advances_offset() {
         let l = Loc::new(BufId(3), 16);
         assert_eq!(l.at(8), Loc::new(BufId(3), 24));
+        let last = Loc::new(BufId(0), u32::MAX as usize);
+        assert_eq!(last.offset, u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn loc_past_u32_panics() {
+        Loc::new(BufId(0), 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds u32::MAX")]
+    fn loc_at_past_u32_panics() {
+        Loc::new(BufId(0), u32::MAX as usize).at(1);
     }
 }

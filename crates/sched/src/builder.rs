@@ -5,10 +5,10 @@
 //! depend on ops created before it), so creation order is a topological order
 //! and the DAG is acyclic by construction.
 
-use crate::buffer::{BufKind, BufferDecl, Loc};
+use crate::buffer::{extent, BufKind, BufferDecl, Loc};
 use crate::grid::ProcGrid;
 use crate::ids::{BufId, NodeId, OpId, RankId};
-use crate::op::{Channel, DType, Op, OpKind, RedOp};
+use crate::op::{Channel, DType, Marker, Op, OpKind, RedOp};
 use crate::schedule::Schedule;
 
 /// Builds a [`Schedule`] incrementally.
@@ -81,6 +81,12 @@ impl ScheduleBuilder {
     }
 
     /// Declares a buffer private to `rank`.
+    ///
+    /// # Panics
+    ///
+    /// If `rank` is outside the grid or `len` exceeds `u32::MAX` (ops
+    /// address buffers with `u32` offsets; see [`Loc`]). The same holds
+    /// for every buffer declaration.
     pub fn private_buf(&mut self, rank: RankId, len: usize, label: impl Into<String>) -> BufId {
         assert!(
             rank.0 < self.grid.nranks(),
@@ -124,6 +130,10 @@ impl ScheduleBuilder {
         home_socket: Option<u32>,
         label: impl Into<String>,
     ) -> BufId {
+        assert!(
+            u32::try_from(len).is_ok(),
+            "buffer of {len} bytes overflows the op table's u32 offsets"
+        );
         let id = BufId::from(self.buffers.len());
         self.buffers.push(BufferDecl {
             id,
@@ -137,20 +147,15 @@ impl ScheduleBuilder {
 
     /// Adds an op with explicit dependencies and step tag. `marker` names
     /// the op in traces in place of the label derived from its kind (the
-    /// zero-flop `sync` markers, for instance); `None` keeps the derived
-    /// label. Duplicate dependencies are dropped and the rest sorted.
+    /// zero-flop [`Marker::Sync`] markers, for instance); `None` keeps the
+    /// derived label. Duplicate dependencies are dropped and the rest
+    /// sorted.
     ///
     /// # Panics
     ///
     /// Panics if a dependency refers to an op not yet created (this is what
     /// keeps the graph acyclic).
-    pub fn push(
-        &mut self,
-        kind: OpKind,
-        deps: &[OpId],
-        step: u32,
-        marker: Option<&'static str>,
-    ) -> OpId {
+    pub fn push(&mut self, kind: OpKind, deps: &[OpId], step: u32, marker: Option<Marker>) -> OpId {
         let id = OpId::from(self.ops.len());
         for &d in deps {
             assert!(
@@ -173,16 +178,16 @@ impl ScheduleBuilder {
         self.deps.truncate(start + kept);
         self.dep_off
             .push(u32::try_from(self.deps.len()).expect("dependency count overflows u32"));
-        self.ops.push(Op {
-            id,
-            kind,
-            step,
-            marker,
-        });
+        self.ops.push(Op { kind, step, marker });
         id
     }
 
     /// Convenience: a transfer op.
+    ///
+    /// # Panics
+    ///
+    /// If `len` exceeds `u32::MAX`, like [`ScheduleBuilder::copy`] and
+    /// [`ScheduleBuilder::reduce`].
     #[allow(clippy::too_many_arguments)]
     pub fn transfer(
         &mut self,
@@ -201,7 +206,7 @@ impl ScheduleBuilder {
                 dst_rank,
                 src,
                 dst,
-                len,
+                len: extent(len),
                 channel,
             },
             deps,
@@ -225,7 +230,7 @@ impl ScheduleBuilder {
                 actor,
                 src,
                 dst,
-                len,
+                len: extent(len),
             },
             deps,
             step,
@@ -256,7 +261,7 @@ impl ScheduleBuilder {
                 actor,
                 acc,
                 operand,
-                len,
+                len: extent(len),
                 dtype,
                 op,
             },
@@ -470,6 +475,13 @@ mod tests {
             let d = DepList::from(&ids[..n]);
             assert_eq!(&*d, &ids[..n]);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the op table's u32 offsets")]
+    fn buffer_past_u32_rejected() {
+        let mut b = ScheduleBuilder::new(ProcGrid::single_node(1), "t");
+        b.private_buf(RankId(0), 1 << 32, "x");
     }
 
     #[test]

@@ -20,6 +20,7 @@
 
 use crate::buffer::BufKind;
 use crate::frozen::FrozenSchedule;
+use crate::ids::OpId;
 use crate::op::{Channel, OpKind};
 
 /// A 64-bit stable digest (see module docs for guarantees).
@@ -119,8 +120,10 @@ impl Fingerprinter {
     }
 }
 
+// Offsets and lengths are pushed as `usize`, the width the pinned
+// digests were taken at.
 fn push_loc(fp: &mut Fingerprinter, loc: &crate::buffer::Loc) {
-    fp.push_u32(loc.buf.0).push_usize(loc.offset);
+    fp.push_u32(loc.buf.0).push_usize(loc.offset as usize);
 }
 
 impl FrozenSchedule {
@@ -147,7 +150,7 @@ impl FrozenSchedule {
         }
 
         fp.push_usize(self.ops().len());
-        for op in self.ops() {
+        for (i, op) in self.ops().iter().enumerate() {
             match &op.kind {
                 OpKind::Transfer {
                     src_rank,
@@ -160,7 +163,7 @@ impl FrozenSchedule {
                     fp.push_u8(10).push_u32(src_rank.0).push_u32(dst_rank.0);
                     push_loc(&mut fp, src);
                     push_loc(&mut fp, dst);
-                    fp.push_usize(*len);
+                    fp.push_usize(*len as usize);
                     match channel {
                         Channel::Cma => fp.push_u8(0),
                         Channel::Rail(h) => fp.push_u8(1).push_u8(*h),
@@ -176,7 +179,7 @@ impl FrozenSchedule {
                     fp.push_u8(11).push_u32(actor.0);
                     push_loc(&mut fp, src);
                     push_loc(&mut fp, dst);
-                    fp.push_usize(*len);
+                    fp.push_usize(*len as usize);
                 }
                 OpKind::Reduce {
                     actor,
@@ -189,8 +192,8 @@ impl FrozenSchedule {
                     fp.push_u8(12).push_u32(actor.0);
                     push_loc(&mut fp, acc);
                     push_loc(&mut fp, operand);
-                    fp.push_usize(*len)
-                        .push_u8(dtype.size() as u8)
+                    fp.push_usize(*len as usize)
+                        .push_u8(u8::try_from(dtype.size()).expect("element sizes are 4 or 8"))
                         .push_u8(*red as u8);
                 }
                 OpKind::Compute { actor, flops } => {
@@ -198,7 +201,7 @@ impl FrozenSchedule {
                 }
             }
             fp.push_u32(op.step);
-            let deps = self.deps(op.id);
+            let deps = self.deps(OpId::from(i));
             fp.push_usize(deps.len());
             for d in deps {
                 fp.push_u32(d.0);

@@ -138,9 +138,8 @@ impl Schedule {
 
         let mut succ_off = vec![0u32; n + 1];
         let mut n_roots = 0;
-        for (i, op) in self.ops().iter().enumerate() {
-            debug_assert_eq!(op.id.index(), i, "ops must be stored in id order");
-            let preds = self.deps(op.id);
+        for i in 0..n {
+            let preds = self.deps(OpId::from(i));
             n_roots += usize::from(preds.is_empty());
             for d in preds {
                 debug_assert!(d.index() < i, "dependencies must point backwards");
@@ -155,16 +154,22 @@ impl Schedule {
         // adjacency (each dep pushes the depending op in id order).
         let mut cursor: Vec<u32> = succ_off[..n].to_vec();
         let mut succ = vec![0u32; n_edges];
-        for op in self.ops() {
-            for d in self.deps(op.id) {
+        for i in 0..n {
+            let id = OpId::from(i);
+            for d in self.deps(id) {
                 let c = &mut cursor[d.index()];
-                succ[*c as usize] = op.id.0;
+                succ[*c as usize] = id.0;
                 *c += 1;
             }
         }
 
         let mut roots = Vec::with_capacity(n_roots);
-        roots.extend((0..n as u32).filter(|&i| self.deps(OpId(i)).is_empty()));
+        roots.extend(
+            (0..n)
+                .map(OpId::from)
+                .filter(|&id| self.deps(id).is_empty())
+                .map(|id| id.0),
+        );
 
         FrozenSchedule {
             sched: self,
@@ -205,7 +210,8 @@ impl FrozenSchedule {
     /// Dependency count of `op`: the length of [`FrozenSchedule::preds`].
     #[inline]
     pub fn indegree(&self, op: u32) -> u32 {
-        self.preds(op).len() as u32
+        let off = self.sched.dep_lists().0;
+        off[op as usize + 1] - off[op as usize]
     }
 
     /// Every op's dependency count, in op order: the spans of the

@@ -301,14 +301,11 @@ impl InvariantProbe {
 impl Probe for InvariantProbe {
     fn begin_run(&mut self, fs: &FrozenSchedule, _backend: &'static str) {
         let n = fs.n_ops();
+        let (off, list) = fs.schedule().dep_lists();
         self.pred_off.clear();
+        self.pred_off.extend_from_slice(off);
         self.pred_list.clear();
-        self.pred_off.reserve(n + 1);
-        self.pred_off.push(0);
-        for i in 0..n {
-            self.pred_list.extend_from_slice(fs.preds(i as u32));
-            self.pred_off.push(self.pred_list.len() as u32);
-        }
+        self.pred_list.extend_from_slice(list);
         self.start = vec![f64::NAN; n];
         self.end = vec![f64::NAN; n];
         self.caps.clear();
@@ -453,7 +450,7 @@ impl Probe for InvariantProbe {
             if let Some(f) = self.flows[i].take() {
                 self.record(Violation::UnfinishedFlow {
                     op: f.op,
-                    flow: i as u32,
+                    flow: u32::try_from(i).expect("flow ids are u32"),
                 });
             }
         }
@@ -462,7 +459,9 @@ impl Probe for InvariantProbe {
         for op in 0..self.start.len() {
             let (s, e) = (self.start[op], self.end[op]);
             if s.is_nan() || e.is_nan() {
-                self.record(Violation::MissingSpan { op: op as u32 });
+                self.record(Violation::MissingSpan {
+                    op: OpId::from(op).0,
+                });
                 continue;
             }
             let (lo, hi) = (self.pred_off[op] as usize, self.pred_off[op + 1] as usize);
@@ -474,8 +473,8 @@ impl Probe for InvariantProbe {
                 }
                 if pe > s + 1e-12 * s.abs().max(1e-18) {
                     self.record(Violation::Causality {
-                        op: op as u32,
-                        pred: p as u32,
+                        op: OpId::from(op).0,
+                        pred: OpId::from(p).0,
                         pred_end: pe,
                         start: s,
                     });

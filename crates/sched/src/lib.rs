@@ -66,7 +66,7 @@ pub use grid::ProcGrid;
 pub use ids::{BufId, GroupId, NodeId, OpId, RankId};
 pub use invariant::{InvariantProbe, Violation};
 pub use merge::{merge_parts, MergeError, MergePart, Merged};
-pub use op::{Channel, DType, Op, OpKind, OpLabel, RailSet, RedOp};
+pub use op::{Channel, DType, Marker, Op, OpKind, OpLabel, RailSet, RedOp};
 pub use probe::{
     intersection_length, union_length, JsonlProbe, NullProbe, Probe, ResourceUtil, RunSummary,
     SummaryProbe, Tee,

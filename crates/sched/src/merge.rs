@@ -21,6 +21,10 @@
 //! *exactly* (same ops, buffers, ids, labels), which is what makes the
 //! solo-vs-merged bit-equality oracle in `mha-conformance` hold trivially
 //! for the K = 1 case and meaningfully for K > 1 disjoint placements.
+//!
+//! Op ids, buffer ids and dependency offsets are `u32`, so a merge whose
+//! op, buffer or edge total would pass `u32::MAX` is rejected with
+//! [`MergeError::TooLarge`] before the merged tables are allocated.
 
 use crate::buffer::Loc;
 use crate::grid::ProcGrid;
@@ -92,6 +96,14 @@ pub enum MergeError {
         /// Offending part index.
         part: usize,
     },
+    /// The merged schedule would hold more ops, buffers or dependency
+    /// edges than its `u32` ids and offsets can index.
+    TooLarge {
+        /// What overflows: `"ops"`, `"buffers"` or `"dependencies"`.
+        what: &'static str,
+        /// How many the merge would hold.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for MergeError {
@@ -107,6 +119,9 @@ impl std::fmt::Display for MergeError {
             MergeError::BadRelease { part } => {
                 write!(f, "part {part} has a negative or non-finite release")
             }
+            MergeError::TooLarge { what, count } => {
+                write!(f, "merge of {count} {what} overflows u32 ids")
+            }
         }
     }
 }
@@ -114,19 +129,46 @@ impl std::fmt::Display for MergeError {
 impl std::error::Error for MergeError {}
 
 /// Ops of `sch` no other op depends on — the part's completion frontier.
-fn sinks(sch: &Schedule) -> Vec<u32> {
+fn sinks(sch: &Schedule) -> Vec<OpId> {
     let mut has_succ = vec![false; sch.ops().len()];
     for &d in sch.dep_lists().1 {
         has_succ[d.index()] = true;
     }
-    (0..sch.ops().len() as u32)
-        .filter(|&i| !has_succ[i as usize])
+    has_succ
+        .iter()
+        .enumerate()
+        .filter(|&(_, &s)| !s)
+        .map(|(i, _)| OpId::from(i))
         .collect()
+}
+
+/// Number of ops of `sch` with no dependencies.
+fn root_count(sch: &Schedule) -> usize {
+    sch.dep_lists()
+        .0
+        .windows(2)
+        .filter(|w| w[0] == w[1])
+        .count()
+}
+
+/// Whether `count` ids or offsets fit a `u32`.
+fn fits(what: &'static str, count: usize) -> Result<(), MergeError> {
+    match u32::try_from(count) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(MergeError::TooLarge { what, count }),
+    }
 }
 
 /// Merges `parts` into one schedule over `cluster`, offsetting every op
 /// and buffer id, wiring chained parts' roots onto their predecessor's
 /// sinks, and recording each part's release delay on its roots.
+///
+/// # Errors
+///
+/// A [`MergeError`] for no parts, a part off the cluster grid, a chain
+/// to a non-earlier part, a bad release, or a merged op, buffer or edge
+/// count past `u32::MAX`. Every check runs before the merged schedule's
+/// tables are allocated.
 pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, MergeError> {
     if parts.is_empty() {
         return Err(MergeError::Empty);
@@ -147,21 +189,41 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
 
     let n_ops: usize = parts.iter().map(|p| p.sched.ops().len()).sum();
     let n_bufs: usize = parts.iter().map(|p| p.sched.buffers().len()).sum();
+    let own_deps: usize = parts.iter().map(|p| p.sched.dep_lists().1.len()).sum();
+    fits("ops", n_ops)?;
+    fits("buffers", n_bufs)?;
+    fits("dependencies", own_deps)?;
+    // Sinks (part-local ids) of every part a later part chains on; each
+    // root of a chained part gains an edge to each of them.
+    let mut part_sinks: Vec<Vec<OpId>> = Vec::new();
+    let mut n_deps = own_deps;
+    if parts.iter().any(|p| p.after.is_some()) {
+        part_sinks.resize(parts.len(), Vec::new());
+        for p in parts {
+            if let Some(a) = p.after {
+                if part_sinks[a].is_empty() {
+                    part_sinks[a] = sinks(parts[a].sched);
+                }
+                n_deps += root_count(p.sched) * part_sinks[a].len();
+            }
+        }
+        fits("dependencies", n_deps)?;
+    }
+
     let mut buffers = Vec::with_capacity(n_bufs);
-    let n_deps: usize = parts.iter().map(|p| p.sched.dep_lists().1.len()).sum();
     let mut ops = Vec::with_capacity(n_ops);
     let mut dep_off = Vec::with_capacity(n_ops + 1);
     dep_off.push(0u32);
     let mut deps = Vec::with_capacity(n_deps);
     let mut release = vec![0.0f64; n_ops];
     let mut any_release = false;
-    let mut spans = Vec::with_capacity(parts.len());
-    // Global sink ids per already-merged part, for chaining.
-    let mut part_sinks: Vec<Vec<OpId>> = Vec::with_capacity(parts.len());
+    let mut spans: Vec<std::ops::Range<u32>> = Vec::with_capacity(parts.len());
 
+    // Every count below is bounded by a total checked above.
+    let narrow = |n: usize| u32::try_from(n).expect("merge totals were checked");
     for p in parts {
-        let op_off = ops.len() as u32;
-        let buf_off = buffers.len() as u32;
+        let op_off = narrow(ops.len());
+        let buf_off = narrow(buffers.len());
         let remap_loc = |l: Loc| Loc {
             buf: BufId(l.buf.0 + buf_off),
             offset: l.offset,
@@ -173,35 +235,28 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
             buffers.push(b);
         }
 
-        part_sinks.push(
-            sinks(p.sched)
-                .into_iter()
-                .map(|i| OpId(i + op_off))
-                .collect(),
-        );
-
-        for op in p.sched.ops() {
-            let gid = OpId(op.id.0 + op_off);
-            let own = p.sched.deps(op.id);
+        for (i, op) in p.sched.ops().iter().enumerate() {
+            let id = OpId::from(i);
+            let own = p.sched.deps(id);
             let is_root = own.is_empty();
             deps.extend(own.iter().map(|d| OpId(d.0 + op_off)));
             if is_root {
                 if let Some(a) = p.after {
-                    deps.extend_from_slice(&part_sinks[a]);
+                    let a_off = spans[a].start;
+                    deps.extend(part_sinks[a].iter().map(|s| OpId(s.0 + a_off)));
                 }
             }
-            dep_off.push(u32::try_from(deps.len()).expect("dependency count overflows u32"));
-            let mut rel = p.sched.release_of(op.id);
+            dep_off.push(narrow(deps.len()));
+            let mut rel = p.sched.release_of(id);
             if is_root {
                 rel += p.release;
             }
             if rel > 0.0 {
                 any_release = true;
             }
-            release[gid.index()] = rel;
+            release[op_off as usize + i] = rel;
 
             let mut op = op.clone();
-            op.id = gid;
             op.kind = match op.kind {
                 OpKind::Transfer {
                     src_rank,
@@ -248,7 +303,7 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
             };
             ops.push(op);
         }
-        spans.push(op_off..ops.len() as u32);
+        spans.push(op_off..narrow(ops.len()));
     }
 
     let name = if parts.len() == 1 {
@@ -390,6 +445,30 @@ mod tests {
         assert_eq!(sch.deps(OpId(2)), &[OpId(1)]);
         assert_eq!(sch.release_of(OpId(2)), 5e-4);
         assert!(crate::validate(sch, Some(2)).is_ok());
+    }
+
+    #[test]
+    fn chained_edges_past_u32_are_rejected() {
+        // 70,000 independent ops: each is both a root and a sink, so
+        // chaining one such part on another adds 70,000² edges.
+        let grid = ProcGrid::new(1, 1);
+        let mut b = ScheduleBuilder::new(grid, "flat");
+        for _ in 0..70_000 {
+            b.compute(RankId(0), 1, &[], 0);
+        }
+        let flat = b.finish();
+        let part = |after| MergePart {
+            sched: &flat,
+            release: 0.0,
+            after,
+        };
+        assert_eq!(
+            merge_parts(grid, &[part(None), part(Some(0))]).unwrap_err(),
+            MergeError::TooLarge {
+                what: "dependencies",
+                count: 70_000 * 70_000
+            }
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `Compute` | the actor's CPU (pure FLOPs, no memory traffic modeled) | `cpu(actor)` |
 
 use crate::buffer::Loc;
-use crate::ids::{OpId, RankId};
+use crate::ids::RankId;
 
 /// Which communication channel a [`OpKind::Transfer`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -142,7 +142,7 @@ pub enum OpKind {
         /// Destination byte range.
         dst: Loc,
         /// Length in bytes.
-        len: usize,
+        len: u32,
         /// Transport.
         channel: Channel,
     },
@@ -157,7 +157,7 @@ pub enum OpKind {
         /// Destination byte range (must be local to `actor`).
         dst: Loc,
         /// Length in bytes.
-        len: usize,
+        len: u32,
     },
     /// Elementwise `acc[i] = op(acc[i], operand[i])` over `len` bytes
     /// interpreted as `dtype` — the arithmetic step of reduce-scatter.
@@ -169,7 +169,7 @@ pub enum OpKind {
         /// Operand range (read-only; must be local to `actor`).
         operand: Loc,
         /// Length in bytes; must be a multiple of `dtype.size()`.
-        len: usize,
+        len: u32,
         /// Element type.
         dtype: DType,
         /// Combining operator.
@@ -207,7 +207,7 @@ impl OpKind {
         match *self {
             OpKind::Transfer { len, .. }
             | OpKind::Copy { len, .. }
-            | OpKind::Reduce { len, .. } => len,
+            | OpKind::Reduce { len, .. } => len as usize,
             OpKind::Compute { .. } => 0,
         }
     }
@@ -234,23 +234,47 @@ impl OpKind {
     }
 }
 
-/// An operation plus its DAG bookkeeping.
+/// A fixed name shown in place of the label an op's kind would render:
+/// the zero-flop markers emitters place in a schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Marker {
+    /// Carries a rank's program order into a later phase (`sync`).
+    Sync,
+    /// The whole body of a zero-byte collective (`empty`).
+    Empty,
+    /// Joins the stripes of one striped transfer (`stripe-join`).
+    StripeJoin,
+}
+
+impl Marker {
+    /// The name traces and labels show.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Marker::Sync => "sync",
+            Marker::Empty => "empty",
+            Marker::StripeJoin => "stripe-join",
+        }
+    }
+}
+
+/// An operation plus its DAG bookkeeping: one row of the op table.
 ///
-/// An op owns no heap memory: its dependencies live in the schedule's flat
-/// predecessor list ([`crate::Schedule::deps`]) and its label is rendered
-/// from the kind on demand ([`Op::label`]).
+/// An op is 40 bytes and owns no heap memory. Its id is its index in
+/// [`crate::Schedule::ops`], its dependencies live in the schedule's flat
+/// predecessor list ([`crate::Schedule::deps`]), and its label is rendered
+/// from the kind or the marker on demand ([`Op::label`]). Offsets and
+/// lengths are `u32`, so no buffer of a schedule exceeds `u32::MAX` bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
-    /// Dense identifier (creation order; dependencies always point backwards).
-    pub id: OpId,
     /// What the op does.
     pub kind: OpKind,
     /// Algorithm step this op belongs to (for step-count assertions, traces
     /// and the Fig. 2-style timeline). Zero-based; `u32::MAX` = unassigned.
     pub step: u32,
-    /// A fixed name (e.g. `sync`) shown in place of the label derived from
-    /// the kind; `None` for ops made by the builder's typed constructors.
-    pub marker: Option<&'static str>,
+    /// A fixed name (e.g. [`Marker::Sync`]) shown in place of the label
+    /// derived from the kind; `None` for ops made by the builder's typed
+    /// constructors.
+    pub marker: Option<Marker>,
 }
 
 impl Op {
@@ -275,7 +299,7 @@ pub struct OpLabel<'a>(&'a Op);
 impl std::fmt::Display for OpLabel<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if let Some(m) = self.0.marker {
-            return f.write_str(m);
+            return f.write_str(m.as_str());
         }
         match self.0.kind {
             OpKind::Transfer {
@@ -362,7 +386,6 @@ mod tests {
     #[test]
     fn labels_render_the_former_strings() {
         let op = |kind, marker| Op {
-            id: OpId(0),
             kind,
             step: 0,
             marker,
@@ -399,9 +422,22 @@ mod tests {
             flops: 0,
         };
         assert_eq!(label(comp()), "comp@r2");
-        for m in ["sync", "empty", "stripe-join"] {
-            assert_eq!(op(comp(), Some(m)).label().to_string(), m);
+        for (m, s) in [
+            (Marker::Sync, "sync"),
+            (Marker::Empty, "empty"),
+            (Marker::StripeJoin, "stripe-join"),
+        ] {
+            assert_eq!(op(comp(), Some(m)).label().to_string(), s);
         }
+    }
+
+    #[test]
+    fn the_op_table_row_is_40_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Loc>(), 8);
+        assert_eq!(size_of::<OpKind>(), 32);
+        assert_eq!(size_of::<Option<Marker>>(), 1);
+        assert_eq!(size_of::<Op>(), 40);
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use crate::frozen::FrozenSchedule;
+use crate::ids::OpId;
 
 /// Single-threaded readiness driver.
 ///
@@ -116,8 +117,9 @@ fn seed_frontier(fs: &FrozenSchedule, completed: &[u32]) -> (Vec<u32>, Vec<u32>)
             indeg[s as usize] -= 1;
         }
     }
-    let frontier: Vec<u32> = (0..n as u32)
-        .filter(|&i| !done[i as usize] && indeg[i as usize] == 0)
+    let frontier: Vec<u32> = (0..n)
+        .filter(|&i| !done[i] && indeg[i] == 0)
+        .map(|i| OpId::from(i).0)
         .collect();
     (indeg, frontier)
 }
@@ -213,13 +215,10 @@ mod tests {
             }
             p
         };
-        for op in fs.ops() {
-            for d in fs.deps(op.id) {
-                assert!(
-                    pos[d.index()] < pos[op.id.index()],
-                    "{d} must precede {}",
-                    op.id
-                );
+        for i in 0..fs.n_ops() {
+            let id = OpId::from(i);
+            for d in fs.deps(id) {
+                assert!(pos[d.index()] < pos[i], "{d} must precede {id}");
             }
         }
     }

@@ -166,15 +166,15 @@ impl Schedule {
         // depth[i] = longest chain ending at op i (ops are topologically
         // ordered because deps always point backwards).
         let mut depth = vec![0usize; self.ops.len()];
-        for op in &self.ops {
+        for (i, op) in self.ops.iter().enumerate() {
             let d = self
-                .deps(op.id)
+                .deps(OpId::from(i))
                 .iter()
                 .map(|p| depth[p.index()])
                 .max()
                 .unwrap_or(0)
                 + 1;
-            depth[op.id.index()] = d;
+            depth[i] = d;
             s.critical_path = s.critical_path.max(d);
             if op.has_step() {
                 s.steps = s.steps.max(op.step + 1);
@@ -182,19 +182,19 @@ impl Schedule {
             match &op.kind {
                 OpKind::Transfer { len, channel, .. } => match channel {
                     Channel::Cma => {
-                        s.cma_bytes += *len as u64;
+                        s.cma_bytes += u64::from(*len);
                         s.cma_transfers += 1;
                     }
                     Channel::Rail(_) | Channel::AllRails => {
-                        s.rail_bytes += *len as u64;
+                        s.rail_bytes += u64::from(*len);
                         s.rail_transfers += 1;
                     }
                 },
                 OpKind::Copy { len, .. } => {
-                    s.copy_bytes += *len as u64;
+                    s.copy_bytes += u64::from(*len);
                     s.copies += 1;
                 }
-                OpKind::Reduce { len, .. } => s.reduce_bytes += *len as u64,
+                OpKind::Reduce { len, .. } => s.reduce_bytes += u64::from(*len),
                 OpKind::Compute { .. } => {}
             }
         }
@@ -215,18 +215,18 @@ impl Schedule {
         let mut out = String::new();
         let _ = writeln!(out, "digraph \"{}\" {{", self.name);
         let _ = writeln!(out, "  rankdir=LR; node [shape=box, fontsize=9];");
-        for op in &self.ops {
+        for (i, op) in self.ops.iter().enumerate() {
             let _ = writeln!(
                 out,
                 "  {} [label=\"{}\\n{} {}B s{}\"];",
-                op.id.index(),
+                i,
                 op.label(),
                 op.kind.kind_name(),
                 op.kind.bytes(),
                 if op.has_step() { op.step as i64 } else { -1 },
             );
-            for &d in self.deps(op.id) {
-                let _ = writeln!(out, "  {} -> {};", d.index(), op.id.index());
+            for &d in self.deps(OpId::from(i)) {
+                let _ = writeln!(out, "  {} -> {};", d.index(), i);
             }
         }
         out.push_str("}\n");

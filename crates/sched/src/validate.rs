@@ -87,25 +87,16 @@ impl fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
-fn check_range(sch: &Schedule, op: OpId, loc: Loc, len: usize) -> Result<(), ValidateError> {
+fn check_range(sch: &Schedule, op: OpId, loc: Loc, len: u32) -> Result<(), ValidateError> {
     let Some(buf) = sch.buffers().get(loc.buf.index()) else {
         return Err(ValidateError::UnknownBuffer { op, buf: loc.buf });
     };
-    let end = loc
-        .offset
-        .checked_add(len)
-        .ok_or(ValidateError::OutOfBounds {
-            op,
-            buf: loc.buf,
-            offset: loc.offset,
-            len,
-            buf_len: buf.len,
-        })?;
-    if end > buf.len {
+    let (offset, len) = (loc.offset as usize, len as usize);
+    if offset + len > buf.len {
         return Err(ValidateError::OutOfBounds {
             op,
             buf: loc.buf,
-            offset: loc.offset,
+            offset,
             len,
             buf_len: buf.len,
         });
@@ -119,8 +110,8 @@ fn check_range(sch: &Schedule, op: OpId, loc: Loc, len: usize) -> Result<(), Val
 /// to skip rail-index checking (e.g. when the schedule is cluster-agnostic).
 pub fn validate(sch: &Schedule, rails: Option<u8>) -> Result<(), ValidateError> {
     let grid = sch.grid();
-    for op in sch.ops() {
-        let id = op.id;
+    for (i, op) in sch.ops().iter().enumerate() {
+        let id = OpId::from(i);
         match &op.kind {
             OpKind::Transfer {
                 src_rank,
@@ -208,7 +199,7 @@ pub fn validate(sch: &Schedule, rails: Option<u8>) -> Result<(), ValidateError> 
                 if *len == 0 {
                     return Err(ValidateError::EmptyOp { op: id });
                 }
-                if *len % dtype.size() != 0 {
+                if !(*len as usize).is_multiple_of(dtype.size()) {
                     return Err(ValidateError::MisalignedReduce { op: id });
                 }
                 check_range(sch, id, *acc, *len)?;
@@ -247,7 +238,7 @@ struct Access {
     write: bool,
 }
 
-fn accesses_of(kind: &OpKind, mut f: impl FnMut(Loc, usize, bool)) {
+fn accesses_of(kind: &OpKind, mut f: impl FnMut(Loc, u32, bool)) {
     match *kind {
         OpKind::Transfer { src, dst, len, .. } => {
             f(src, len, false);
@@ -278,12 +269,11 @@ impl Reach {
         let n = sch.ops().len();
         let words = n.div_ceil(64);
         let mut bits = vec![0u64; words * n];
-        for op in sch.ops() {
-            let i = op.id.index();
+        for i in 0..n {
             // Split at the current op's row to borrow ancestor rows immutably.
             let (prev, cur) = bits.split_at_mut(i * words);
             let row = &mut cur[..words];
-            for &d in sch.deps(op.id) {
+            for &d in sch.deps(OpId::from(i)) {
                 let j = d.index();
                 row[j / 64] |= 1 << (j % 64);
                 let drow = &prev[j * words..(j + 1) * words];
@@ -316,12 +306,12 @@ impl Reach {
 pub fn check_races(sch: &Schedule) -> Vec<Race> {
     let nbuf = sch.buffers().len();
     let mut per_buf: Vec<Vec<Access>> = vec![Vec::new(); nbuf];
-    for op in sch.ops() {
+    for (i, op) in sch.ops().iter().enumerate() {
         accesses_of(&op.kind, |loc, len, write| {
             per_buf[loc.buf.index()].push(Access {
-                op: op.id,
-                start: loc.offset,
-                end: loc.offset + len,
+                op: OpId::from(i),
+                start: loc.offset as usize,
+                end: loc.offset as usize + len as usize,
                 write,
             });
         });

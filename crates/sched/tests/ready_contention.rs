@@ -25,7 +25,7 @@ fn random_dag(rng: &mut StdRng, n_ops: usize) -> FrozenSchedule {
             deps.sort_unstable();
             deps.dedup();
         }
-        ids.push(b.compute(RankId((i % 4) as u32), 1, &deps, 0));
+        ids.push(b.compute(RankId::from(i % 4), 1, &deps, 0));
     }
     b.finish().freeze()
 }

@@ -1374,7 +1374,7 @@ impl Simulator {
                         .map_or(0.0, |n| n.xsocket_alpha);
                     self.spec.cma_alpha + xs
                 }
-                Channel::Rail(_) | Channel::AllRails => self.spec.rail_startup(*len),
+                Channel::Rail(_) | Channel::AllRails => self.spec.rail_startup(*len as usize),
             },
             OpKind::Copy { .. } | OpKind::Reduce { .. } => self.spec.copy_alpha,
             OpKind::Compute { .. } => 0.0,
@@ -1458,7 +1458,8 @@ impl Simulator {
                             cap_scale[rmap.tx(sn, r).index()] > 0.0
                                 && cap_scale[rmap.rx(dn, r).index()] > 0.0
                         };
-                        if spec.stripes(*len) {
+                        let len = *len as usize;
+                        if spec.stripes(len) {
                             // Resolve against the surviving-rail set. Only
                             // consulted under a fault timeline; otherwise
                             // every rail is up and the tiling is identical
@@ -1475,8 +1476,8 @@ impl Simulator {
                                 rails.extend(0..spec.rails);
                             }
                             let k = rails.len();
-                            let base = *len / k;
-                            let rem = *len % k;
+                            let base = len / k;
+                            let rem = len % k;
                             for (i, &r) in rails.iter().enumerate() {
                                 let bytes = base + usize::from(i < rem);
                                 if bytes == 0 {
@@ -1503,7 +1504,7 @@ impl Simulator {
                             let lo = res.len();
                             res.push((rmap.tx(sn, h), 1.0));
                             res.push((rmap.rx(dn, h), 1.0));
-                            seal(out, res, lo, spec.rail_bw, *len as f64, Some((sn, dn, h)));
+                            seal(out, res, lo, spec.rail_bw, len as f64, Some((sn, dn, h)));
                         }
                     }
                 }
@@ -1558,7 +1559,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_sched::{Loc, RankId, ScheduleBuilder};
+    use mha_sched::{Loc, OpId, RankId, ScheduleBuilder};
 
     fn sim() -> Simulator {
         Simulator::new(ClusterSpec::thor()).unwrap()
@@ -1792,9 +1793,9 @@ mod tests {
         }
         let sch = b.finish().freeze();
         let r = sim().run(&sch).unwrap();
-        for op in sch.ops() {
-            for &d in sch.deps(op.id) {
-                assert!(r.op_end[d.index()] <= r.op_end[op.id.index()]);
+        for (i, &end) in r.op_end.iter().enumerate() {
+            for &d in sch.deps(OpId::from(i)) {
+                assert!(r.op_end[d.index()] <= end);
             }
         }
     }

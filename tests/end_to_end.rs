@@ -6,7 +6,7 @@
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha::collectives::{build, AlgoConfig, AllgatherPhase, Family};
 use mha::exec::{verify_allgather, verify_allreduce_sum_f32, Mode};
-use mha::sched::ProcGrid;
+use mha::sched::{OpId, ProcGrid};
 use mha::simnet::{ClusterSpec, Simulator};
 
 fn all_algorithms() -> Vec<AlgoConfig> {
@@ -57,9 +57,9 @@ fn every_allgather_survives_the_full_pipeline() {
         let res = sim.run(&built.sched).unwrap();
         assert!(res.makespan > 0.0, "{}", algo.to_kv());
         // Every op completed in finite time and respects dependencies.
-        for op in built.sched.ops() {
-            for &d in built.sched.deps(op.id) {
-                assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
+        for (i, &end) in res.op_end.iter().enumerate() {
+            for &d in built.sched.deps(OpId::from(i)) {
+                assert!(res.op_end[d.index()] <= end);
             }
         }
     }

@@ -95,7 +95,7 @@ fn bcast_full_pipeline_with_overlap_measurement() {
     // The segmented pipeline hides most network time under shm copies.
     assert!(overlap > 0.5, "overlap fraction {overlap}");
 
-    let flat = build_binomial_bcast(grid, msg, root);
+    let flat = build_binomial_bcast(grid, msg, root).unwrap();
     verify_bcast(&flat.sched, &flat.bufs, root.index(), msg, Mode::Single).unwrap();
     let t_flat = sim.run(&flat.sched).unwrap().latency_us();
     assert!(t_mha < t_flat, "{t_mha} vs {t_flat}");

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use mha::collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha::collectives::{build, AlgoConfig, AllgatherPhase, Family};
 use mha::exec::{verify_allgather, verify_allreduce_sum_f32, Mode};
-use mha::sched::{ProcGrid, SummaryProbe};
+use mha::sched::{OpId, ProcGrid, SummaryProbe};
 use mha::simnet::{ClusterSpec, Simulator};
 
 fn arb_grid() -> impl Strategy<Value = ProcGrid> {
@@ -63,9 +63,9 @@ proptest! {
         let mut sp = SummaryProbe::new();
         let res = sim.run_probed(&built.sched, &mut sp).unwrap();
         prop_assert!(res.makespan > 0.0 && res.makespan.is_finite());
-        for op in built.sched.ops() {
-            for &d in built.sched.deps(op.id) {
-                prop_assert!(res.op_end[d.index()] <= res.op_end[op.id.index()]);
+        for (i, &end) in res.op_end.iter().enumerate() {
+            for &d in built.sched.deps(OpId::from(i)) {
+                prop_assert!(res.op_end[d.index()] <= end);
             }
         }
         // No resource can be more than fully utilized.
