@@ -1,14 +1,17 @@
 //! Heap budget of a simulated run: what a frozen schedule keeps per op,
-//! and how far a run's peak heap climbs above it.
+//! how high building it peaks, and how far a run's peak heap climbs above
+//! it.
 //!
 //! Flat Ring 256×1 at 64 KiB on the Thor preset, 65,536 ops. The frozen
-//! schedule holds the ops (40 B each), the dependency and successor lists
-//! and their offsets, and the roots; everything else it can report is
-//! derived on demand. A run needs one `op_end` time, one flows-left count
-//! and one readiness counter per op (about 1 MB here), plus the event queue
-//! and the flow table. The ring drains in synchronized bursts of
-//! same-instant events, so an event queue whose buckets kept every burst's
-//! buffer would add megabytes on top.
+//! schedule holds the ops (40 B each), the successor lists and their
+//! offsets, and the roots; everything else it can report, the dependency
+//! lists included, is derived on demand. Freezing holds the builder's
+//! dependency lists and their transpose at once, so the build peaks above
+//! what it keeps. A run needs one `op_end` time and one readiness counter
+//! per op (about 0.8 MB here; a started op's counter doubles as its
+//! live-flow count), plus the event queue and the flow table. The ring
+//! drains in synchronized bursts of same-instant events, so an event queue
+//! whose buckets kept every burst's buffer would add megabytes on top.
 //!
 //! The counting allocator is process-global, so this binary holds exactly
 //! one test: a second one running on another thread would add its
@@ -74,14 +77,20 @@ fn peak_above<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (PEAK.load(Ordering::Relaxed) - base, out)
 }
 
-/// Most bytes a frozen schedule may keep per op: 68 are used, 108 with an
+/// Most bytes a frozen schedule may keep per op: 52 are used, 68 when it
+/// also kept the dependency lists beside the successor lists, 108 with an
 /// 80 B op (`usize` offsets and lengths, a stored id, a `&str` marker) and
 /// 136 when it also stored a 24 B summary row and a 4 B indegree per op.
-const SCHEDULE_BYTES_PER_OP: usize = 72;
-/// Most bytes a run's peak heap may reach above the frozen schedule: 1.9 MB
-/// are used, 5.4 MB when the event queue's buckets kept every drained
-/// burst's buffer.
-const RUN_PEAK_BYTES: usize = 5 << 19;
+const SCHEDULE_BYTES_PER_OP: usize = 56;
+/// Most bytes per op the build may peak at: 64 are used, 72 when freezing
+/// copied the successor offsets into a cursor and the builder's offsets
+/// kept the slack of growing one push per op.
+const BUILD_PEAK_BYTES_PER_OP: usize = 66;
+/// Most bytes a run's peak heap may reach above the frozen schedule:
+/// 1.65 MB are used, 1.92 MB with a per-op flows-left table beside the
+/// readiness counters, and 5.4 MB when the event queue's buckets also
+/// kept every drained burst's buffer.
+const RUN_PEAK_BYTES: usize = 7 << 18;
 
 #[test]
 fn ring_256_schedule_and_run_stay_within_their_heap_budgets() {
@@ -90,20 +99,27 @@ fn ring_256_schedule_and_run_stay_within_their_heap_budgets() {
     let mut arena = EngineArena::new();
 
     let base = live();
-    let fs = build(
-        &AlgoConfig::flat(Family::Ring),
-        ProcGrid::new(256, 1),
-        64 * 1024,
-        &spec,
-    )
-    .unwrap()
-    .sched;
+    let (build_peak, built) = peak_above(|| {
+        build(
+            &AlgoConfig::flat(Family::Ring),
+            ProcGrid::new(256, 1),
+            64 * 1024,
+            &spec,
+        )
+        .unwrap()
+    });
+    let fs = built.sched;
     let ops = fs.n_ops();
     assert_eq!(ops, 256 * 256);
     let per_op = (live() - base) / ops;
     assert!(
         per_op <= SCHEDULE_BYTES_PER_OP,
         "the frozen schedule keeps {per_op} B per op, budget {SCHEDULE_BYTES_PER_OP}"
+    );
+    let build_per_op = build_peak / ops;
+    assert!(
+        build_per_op <= BUILD_PEAK_BYTES_PER_OP,
+        "the build peaked at {build_per_op} B per op, budget {BUILD_PEAK_BYTES_PER_OP}"
     );
 
     let (peak, r) = peak_above(|| sim.run_in(&fs, &mut arena).unwrap());

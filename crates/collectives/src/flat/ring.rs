@@ -30,6 +30,15 @@ pub(crate) fn emit_ring(ctx: &mut Ctx) {
         return;
     }
 
+    // r − 1 steps of r transfers. Each waits on the sender's and the
+    // receiver's previous op, so the r² ops of the ring need at most two
+    // edges each; that bound overshoots by the r self copies' 2r. The
+    // overshoot is kept on purpose: the list freezing frees is then as
+    // large as a run's 8 B-per-op end-time table, which takes its place
+    // instead of growing the heap (by 8 MiB at 1024 nodes).
+    let transfers = r as usize * (r as usize - 1);
+    ctx.b.reserve(transfers, 2 * (transfers + r as usize));
+
     // arrival[rank] = op that delivered the most recent block to `rank`.
     let mut arrival: Vec<mha_sched::OpId> = self_copies;
     for s in 0..r - 1 {

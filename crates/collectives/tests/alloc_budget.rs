@@ -1,5 +1,6 @@
 //! Allocation budget of the schedule compiler: building a schedule makes no
-//! heap allocation per op, and freezing one makes a fixed number.
+//! heap allocation per op, freezing one makes a fixed number, and
+//! refreezing an unwrapped frozen schedule makes none.
 //!
 //! The counting allocator is process-global, so this binary holds exactly
 //! one test: a second one running on another thread would add its
@@ -9,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mha_collectives::{build, AlgoConfig, Family};
-use mha_sched::ProcGrid;
+use mha_sched::{merge_parts, MergePart, ProcGrid};
 use mha_simnet::ClusterSpec;
 
 struct Counting;
@@ -61,14 +62,29 @@ fn build_and_freeze_allocate_per_schedule_not_per_op() {
         "building flat Ring on 256x1 made {n} allocations for {ops} ops"
     );
 
-    // Freezing makes the same number of allocations at any op count.
+    // Freezing makes the same number of allocations at any op count. A
+    // one-part merge hands back the schedule with the builder's
+    // dependency lists, which freezing transposes.
     let freeze_allocs = |nodes| {
-        let sch = build_ring(nodes).sched.into_schedule();
+        let fs = build_ring(nodes).sched;
+        let part = MergePart {
+            sched: fs.schedule(),
+            release: 0.0,
+            after: None,
+        };
+        let sch = merge_parts(*fs.grid(), &[part]).unwrap().schedule;
+        assert!(sch.holds_dep_lists());
         allocs(|| sch.freeze()).0
     };
     let (small, large) = (freeze_allocs(16), freeze_allocs(256));
+    assert!(small > 0);
     assert_eq!(
         small, large,
         "freeze allocations grew with the op count: {small} at 16x1, {large} at 256x1"
     );
+
+    // An unwrapped frozen schedule keeps its successor lists: refreezing
+    // it allocates nothing.
+    let sch = build_ring(256).sched.into_schedule();
+    assert_eq!(allocs(|| sch.freeze()).0, 0);
 }

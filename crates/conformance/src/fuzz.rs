@@ -442,6 +442,8 @@ pub fn fuzz_targets() -> &'static [(String, FuzzTarget)] {
 /// still verify on the thread pool (a genuinely correct schedule) and is
 /// tallied `"survived"`; a draw with no applicable mutation is tallied
 /// `"inapplicable"`. [`check_kill_rate`] holds the tally to its bars.
+/// Every drawn schedule, the base of an inapplicable draw included, must
+/// first pass [`check_frozen_edges`].
 pub struct Fuzz;
 
 /// One random draw: a target index and the mutation drawn for it.
@@ -471,11 +473,13 @@ impl Oracle for Fuzz {
     }
 
     fn check(&self, case: &FuzzCase) -> Result<&'static str, String> {
+        let (name, target) = &fuzz_targets()[case.target];
         let Some(m) = case.mutation else {
+            check_frozen_edges(&target.spec).map_err(|e| format!("{name}: {e}"))?;
             return Ok("inapplicable");
         };
-        let (name, target) = &fuzz_targets()[case.target];
         let mutant = apply(&target.spec, m).ok_or("drawn mutation does not apply")?;
+        check_frozen_edges(&mutant).map_err(|e| format!("{name} {m:?}: {e}"))?;
         if judge(target, &mutant).killed() {
             return Ok("killed");
         }
@@ -492,6 +496,50 @@ impl Oracle for Fuzz {
         .map_err(|e| format!("{name}: survivor fails threaded verify: {e:?}"))?;
         Ok("survived")
     }
+}
+
+/// Checks the edges of `spec`'s schedule through a freeze: the builder
+/// keeps each op's dependencies ascending and deduped, the dependency
+/// lists a frozen schedule derives from its successor lists equal them,
+/// each op's successors are in creation order, and unwrapping and
+/// refreezing keeps the fingerprint. [`Fuzz`] runs it on every schedule
+/// it draws, mutants included.
+pub fn check_frozen_edges(spec: &SchedSpec) -> Result<(), String> {
+    let sch = spec.build();
+    let n = sch.ops().len();
+    let built: Vec<Vec<OpId>> = (0..n).map(|i| sch.deps(OpId::from(i)).to_vec()).collect();
+    let fs = sch.freeze();
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (i, deps) in built.iter().enumerate() {
+        let mut pushed = spec.ops[i].deps.clone();
+        pushed.sort_unstable();
+        pushed.dedup();
+        if *deps != pushed {
+            return Err(format!("op {i}: builder kept {deps:?} for {pushed:?}"));
+        }
+        let id = OpId::from(i);
+        let derived = fs.preds(id.0);
+        if derived != &deps[..] {
+            return Err(format!("op {i}: derived deps {derived:?}, built {deps:?}"));
+        }
+        for d in deps {
+            succs[d.index()].push(id.0);
+        }
+    }
+    for (i, want) in succs.iter().enumerate() {
+        let got = fs.succs(OpId::from(i).0);
+        if got != &want[..] {
+            return Err(format!(
+                "op {i}: successors {got:?}, creation order {want:?}"
+            ));
+        }
+    }
+    let fp = fs.fingerprint();
+    let refrozen = spec.build().freeze().into_schedule().freeze();
+    if refrozen.fingerprint() != fp {
+        return Err("refreezing changed the fingerprint".into());
+    }
+    Ok(())
 }
 
 /// The bars over a [`Fuzz`] sweep's tally: at least half the draws apply

@@ -1,9 +1,10 @@
 //! The fuzzer acceptance bar: every seeded mutant killed, killed mutants
-//! shrink to verdict-preserving minimal reproductions, and survivors of
-//! random fuzzing are genuinely correct schedules.
+//! shrink to verdict-preserving minimal reproductions, survivors of
+//! random fuzzing are genuinely correct schedules, and every target and
+//! mutant keeps its edges through a freeze.
 
 use mha_bench::campaign::CampaignConfig;
-use mha_conformance::fuzz::{apply, find_killable_edge_drop};
+use mha_conformance::fuzz::{apply, check_frozen_edges, find_killable_edge_drop};
 use mha_conformance::{
     check_kill_rate, fuzz_targets, judge, run, seeded_mutants, shrink, Fuzz, Oracle,
 };
@@ -29,6 +30,17 @@ fn every_seeded_mutant_is_killed() {
             .unwrap_or_else(|| panic!("{name}: every single edge drop survived"));
         let mutant = apply(&target.spec, drop).unwrap();
         assert!(judge(target, &mutant).killed());
+    }
+}
+
+#[test]
+fn targets_and_seeded_mutants_keep_their_edges_through_a_freeze() {
+    for (name, target) in fuzz_targets() {
+        check_frozen_edges(&target.spec).unwrap_or_else(|e| panic!("{name}: {e}"));
+        for (class, m) in seeded_mutants(&target.spec) {
+            let mutant = apply(&target.spec, m).unwrap();
+            check_frozen_edges(&mutant).unwrap_or_else(|e| panic!("{name} {class}: {e}"));
+        }
     }
 }
 

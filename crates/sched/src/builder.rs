@@ -6,6 +6,7 @@
 //! and the DAG is acyclic by construction.
 
 use crate::buffer::{extent, BufKind, BufferDecl, Loc};
+use crate::edges::{Csr, Edges};
 use crate::grid::ProcGrid;
 use crate::ids::{BufId, NodeId, OpId, RankId};
 use crate::op::{Channel, DType, Marker, Op, OpKind, RedOp};
@@ -60,6 +61,15 @@ impl ScheduleBuilder {
             self.release.resize(self.ops.len(), 0.0);
         }
         self.release[op.index()] = secs;
+    }
+
+    /// Reserves room for `ops` more ops and `deps` more dependency edges,
+    /// exactly: an algorithm that knows (or bounds) its size up front
+    /// builds its tables without regrowing them.
+    pub fn reserve(&mut self, ops: usize, deps: usize) {
+        self.ops.reserve_exact(ops);
+        self.dep_off.reserve_exact(ops);
+        self.deps.reserve_exact(deps);
     }
 
     /// The grid being scheduled against.
@@ -282,12 +292,19 @@ impl ScheduleBuilder {
         if !self.release.is_empty() {
             self.release.resize(self.ops.len(), 0.0);
         }
+        // Pushed one op at a time, the offsets hold n + 1 entries in a
+        // buffer sized for 2n at a power-of-two n; release the slack so
+        // that freezing, which holds these lists and their transpose at
+        // once, peaks no higher than it must.
+        self.dep_off.shrink_to_fit();
         Schedule::from_parts(
             self.grid,
             self.buffers,
             self.ops,
-            self.dep_off,
-            self.deps,
+            Edges::Deps(Csr {
+                off: self.dep_off,
+                adj: self.deps,
+            }),
             self.name,
             self.release,
         )

@@ -128,10 +128,12 @@ fn push_loc(fp: &mut Fingerprinter, loc: &crate::buffer::Loc) {
 
 impl FrozenSchedule {
     /// A stable structural digest of the schedule: grid, buffers, op kinds
-    /// with all operands, dependency edges and step tags. Everything the
-    /// simulator and executors can observe contributes; the human-readable
-    /// schedule name does not (two identically-built schedules with
-    /// different names are interchangeable for execution).
+    /// with all operands, dependency edges, step tags and release delays.
+    /// Everything the simulator and executors can observe contributes; the
+    /// human-readable schedule name does not (two identically-built
+    /// schedules with different names are interchangeable for execution).
+    /// Release delays are mixed in only when the schedule has any, so a
+    /// release-free schedule's digest does not depend on them.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut fp = Fingerprinter::new();
         fp.push_u32(self.grid().nodes()).push_u32(self.grid().ppn());
@@ -207,6 +209,12 @@ impl FrozenSchedule {
                 fp.push_u32(d.0);
             }
         }
+        if self.has_releases() {
+            fp.push_u8(14);
+            for i in 0..self.ops().len() {
+                fp.push_u64(self.release_of(OpId::from(i)).to_bits());
+            }
+        }
         fp.finish()
     }
 }
@@ -263,6 +271,31 @@ mod tests {
             a.finish().freeze().fingerprint(),
             b.finish().freeze().fingerprint()
         );
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_release_delays() {
+        let with_release = |secs: Option<f64>| {
+            let mut b = ScheduleBuilder::new(ProcGrid::single_node(1), "r");
+            let a = b.compute(RankId(0), 7, &[], 0);
+            b.compute(RankId(0), 7, &[a], 1);
+            if let Some(secs) = secs {
+                b.set_release(a, secs);
+            }
+            b.finish().freeze().fingerprint()
+        };
+        let free = with_release(None);
+        assert_eq!(free, with_release(Some(0.0)));
+        assert_ne!(free, with_release(Some(1e-6)));
+        assert_ne!(with_release(Some(1e-6)), with_release(Some(2e-6)));
+        assert_eq!(with_release(Some(1e-6)), with_release(Some(1e-6)));
+    }
+
+    #[test]
+    fn refreezing_keeps_the_fingerprint() {
+        let fs = sched(1024, Channel::AllRails);
+        let before = fs.fingerprint();
+        assert_eq!(fs.into_schedule().freeze().fingerprint(), before);
     }
 
     #[test]

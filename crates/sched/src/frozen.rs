@@ -1,25 +1,30 @@
 //! The frozen schedule IR: an immutable, cache-friendly compilation of a
 //! [`Schedule`] that both execution backends consume.
 //!
-//! A [`Schedule`] is convenient to *build* — ops carry their dependency
-//! lists inline — but awkward to *execute*: every interpreter used to
-//! re-derive successor adjacency (`Vec<Vec<OpId>>`) and indegree counts on
-//! entry, walking heap-scattered edge lists on the hot path.
-//! [`FrozenSchedule`] does this once, at build time, into flat CSR
-//! (compressed sparse row) arrays:
+//! A [`Schedule`] is convenient to *build*: the builder appends each op's
+//! dependency list. An interpreter wants the opposite direction, the ops
+//! a completion releases. [`Schedule::freeze`] transposes the edges once
+//! into flat CSR (compressed sparse row) arrays and keeps only those:
 //!
 //! * `succ_off`/`succ`: for op `i`, the ops depending on it are
-//!   `succ[succ_off[i]..succ_off[i+1]]`, in the same order the ad-hoc
-//!   adjacency used to produce them (so event ordering — and therefore
-//!   simulated timing — is bit-identical to the pre-CSR engine);
-//! * the predecessor view (an op's dependencies) is the schedule's own flat
-//!   dependency list ([`Schedule::deps`]), moved in with it rather than
-//!   copied;
+//!   `succ[succ_off[i]..succ_off[i+1]]`, in creation order (so event
+//!   ordering, and therefore simulated timing, is that of the builder's
+//!   edge order);
 //! * `roots`: the ops with no dependencies, where every readiness driver
-//!   starts (see [`crate::runtime`]). An op's indegree is the length of its
-//!   dependency list, so none is stored. Nor is a topological order: the
-//!   builder only accepts backward dependencies, so op ids `0..n_ops()`
-//!   already are one.
+//!   starts (see [`crate::runtime`]).
+//!
+//! The builder's dependency lists are dropped, so every edge is stored
+//! once: a flat Ring keeps 52 B per op, the 40 B op plus about 8 B of
+//! successors and their 4 B offset. Indegrees are one counting pass over
+//! the successors, made when a readiness driver is seeded. The
+//! predecessor view ([`FrozenSchedule::preds`], [`Schedule::deps`]) is
+//! derived from the successors on first use and kept; the build →
+//! freeze → validate → simulate path never asks for it. No topological
+//! order is stored either: the builder only accepts backward
+//! dependencies, so op ids `0..n_ops()` already are one.
+//!
+//! [`FrozenSchedule::into_schedule`] keeps the successor form, so
+//! freezing the unwrapped schedule again is free.
 //!
 //! Probes and trace sinks classify ops through [`FrozenSchedule::row`], a
 //! per-op summary ([`OpRow`]: kind class, bytes, step, lane rank) derived
@@ -87,18 +92,16 @@ pub struct OpRow {
     pub rank: u32,
 }
 
-/// An immutable, execution-ready schedule: the original [`Schedule`] plus
-/// CSR successor adjacency and its roots. Op ids `0..n_ops()` are a
-/// topological order.
+/// An immutable, execution-ready schedule: the original [`Schedule`] with
+/// its edges as CSR successor lists, plus its roots. Op ids `0..n_ops()`
+/// are a topological order.
 ///
 /// Produced by [`Schedule::freeze`]; consumed by `mha-simnet`'s engine and
 /// `mha-exec`'s executors via the readiness drivers in [`crate::runtime`].
 #[derive(Debug, Clone)]
 pub struct FrozenSchedule {
+    /// Invariant: `sched.edges` is in the successor form.
     sched: Schedule,
-    succ_off: Vec<u32>,
-    succ: Vec<u32>,
-    roots: Vec<u32>,
     /// Rail count this schedule last validated cleanly against (see
     /// [`FrozenSchedule::validate_for`]).
     validated: std::sync::OnceLock<Option<u8>>,
@@ -130,52 +133,13 @@ fn row_of(kind: &OpKind, step: u32) -> OpRow {
 }
 
 impl Schedule {
-    /// Compiles the schedule into its frozen execution form. O(ops + edges),
-    /// with a fixed number of allocations whatever the op count.
-    pub fn freeze(self) -> FrozenSchedule {
-        let n = self.ops().len();
-        let n_edges = self.dep_lists().1.len();
-
-        let mut succ_off = vec![0u32; n + 1];
-        let mut n_roots = 0;
-        for i in 0..n {
-            let preds = self.deps(OpId::from(i));
-            n_roots += usize::from(preds.is_empty());
-            for d in preds {
-                debug_assert!(d.index() < i, "dependencies must point backwards");
-                succ_off[d.index() + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
-        }
-        // Fill successor edges in global creation order, which reproduces
-        // exactly the per-node ordering of the former `Vec<Vec<OpId>>`
-        // adjacency (each dep pushes the depending op in id order).
-        let mut cursor: Vec<u32> = succ_off[..n].to_vec();
-        let mut succ = vec![0u32; n_edges];
-        for i in 0..n {
-            let id = OpId::from(i);
-            for d in self.deps(id) {
-                let c = &mut cursor[d.index()];
-                succ[*c as usize] = id.0;
-                *c += 1;
-            }
-        }
-
-        let mut roots = Vec::with_capacity(n_roots);
-        roots.extend(
-            (0..n)
-                .map(OpId::from)
-                .filter(|&id| self.deps(id).is_empty())
-                .map(|id| id.0),
-        );
-
+    /// Compiles the schedule into its frozen execution form: O(ops + edges)
+    /// with a fixed number of allocations whatever the op count, and O(1)
+    /// for a schedule unwrapped by [`FrozenSchedule::into_schedule`].
+    pub fn freeze(mut self) -> FrozenSchedule {
+        self.edges.freeze();
         FrozenSchedule {
             sched: self,
-            succ_off,
-            succ,
-            roots,
             validated: std::sync::OnceLock::new(),
         }
     }
@@ -191,17 +155,17 @@ impl FrozenSchedule {
     /// Number of dependency edges.
     #[inline]
     pub fn n_edges(&self) -> usize {
-        self.succ.len()
+        self.sched.edges.len()
     }
 
     /// Ops that depend on `op`, in the order the builder recorded them.
     #[inline]
     pub fn succs(&self, op: u32) -> &[u32] {
-        let (a, b) = (self.succ_off[op as usize], self.succ_off[op as usize + 1]);
-        &self.succ[a as usize..b as usize]
+        self.sched.edges.frozen().0.row(op as usize)
     }
 
-    /// Dependencies of `op`: [`Schedule::deps`] by dense index.
+    /// Dependencies of `op`: [`Schedule::deps`] by dense index, derived
+    /// from the successor lists on the first call.
     #[inline]
     pub fn preds(&self, op: u32) -> &[OpId] {
         self.sched.deps(OpId(op))
@@ -210,21 +174,31 @@ impl FrozenSchedule {
     /// Dependency count of `op`: the length of [`FrozenSchedule::preds`].
     #[inline]
     pub fn indegree(&self, op: u32) -> u32 {
-        let off = self.sched.dep_lists().0;
-        off[op as usize + 1] - off[op as usize]
+        u32::try_from(self.preds(op).len()).expect("dependency counts fit u32")
     }
 
-    /// Every op's dependency count, in op order: the spans of the
-    /// schedule's flat dependency list.
-    #[inline]
-    pub fn indegrees(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
-        self.sched.dep_lists().0.windows(2).map(|w| w[1] - w[0])
+    /// Every op's dependency count, in op order: one counting pass over
+    /// the successor lists.
+    pub fn indegrees(&self) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.count_indegrees(&mut out);
+        out
+    }
+
+    /// Overwrites `out` with [`FrozenSchedule::indegrees`], reusing its
+    /// allocation.
+    pub(crate) fn count_indegrees(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.resize(self.n_ops(), 0);
+        for &s in &self.sched.edges.frozen().0.adj {
+            out[s as usize] += 1;
+        }
     }
 
     /// Ops with no dependencies, in creation order.
     #[inline]
     pub fn roots(&self) -> &[u32] {
-        &self.roots
+        self.sched.edges.frozen().1
     }
 
     /// Every op's summary row, in op order.
@@ -260,7 +234,8 @@ impl FrozenSchedule {
         &self.sched
     }
 
-    /// Unwraps the underlying schedule, discarding the compiled arrays.
+    /// Unwraps the underlying schedule. It keeps its successor lists and
+    /// roots, so [`Schedule::freeze`] on it again is O(1).
     pub fn into_schedule(self) -> Schedule {
         self.sched
     }
@@ -320,7 +295,8 @@ mod tests {
         assert_eq!(fs.succs(3), &[] as &[u32]);
         assert_eq!(fs.preds(3), &[OpId(1), OpId(2)]);
         assert!(fs.preds(0).is_empty());
-        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1, 1, 2]);
+        assert_eq!(fs.indegrees(), [0, 1, 1, 2]);
+        assert_eq!(fs.indegree(3), 2);
         assert_eq!(fs.roots(), &[0]);
     }
 

@@ -179,7 +179,8 @@ struct FlowState {
 /// [`InvariantProbe::take_violations`]).
 #[derive(Debug, Default)]
 pub struct InvariantProbe {
-    // Frozen DAG predecessors, copied as offsets + flat list.
+    // Frozen DAG predecessors (the schedule's derived dependency lists),
+    // copied as offsets + flat list.
     pred_off: Vec<u32>,
     pred_list: Vec<OpId>,
     // Per-op observed spans.

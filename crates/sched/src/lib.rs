@@ -12,9 +12,9 @@
 //! * [`validate`]/[`check_races`] which prove a schedule is structurally
 //!   sound and deterministic under any interleaving,
 //! * [`Schedule::freeze`] → [`FrozenSchedule`], the execution-ready form:
-//!   CSR successor adjacency beside the schedule's flat predecessor list
-//!   and its roots, shared by every interpreter (op ids are a topological
-//!   order),
+//!   CSR successor adjacency and its roots, each edge stored once (the
+//!   predecessor view is derived on demand), shared by every interpreter
+//!   (op ids are a topological order),
 //! * [`runtime`], the indegree-counter readiness drivers ([`ReadySet`],
 //!   [`AtomicReadySet`]) both backends schedule with, and
 //! * [`probe`], the pluggable observability seam ([`Probe`] sinks: JSONL
@@ -44,6 +44,7 @@
 
 mod buffer;
 mod builder;
+mod edges;
 mod fingerprint;
 mod frozen;
 mod grid;

@@ -27,6 +27,7 @@
 //! [`MergeError::TooLarge`] before the merged tables are allocated.
 
 use crate::buffer::Loc;
+use crate::edges::{Csr, Edges};
 use crate::grid::ProcGrid;
 use crate::ids::{BufId, OpId};
 use crate::op::OpKind;
@@ -169,6 +170,10 @@ fn fits(what: &'static str, count: usize) -> Result<(), MergeError> {
 /// to a non-earlier part, a bad release, or a merged op, buffer or edge
 /// count past `u32::MAX`. Every check runs before the merged schedule's
 /// tables are allocated.
+///
+/// Parts may be built or unwrapped frozen schedules; a frozen part's
+/// dependency lists are derived on first use (see [`Schedule::deps`]).
+/// The merged schedule holds dependency lists, as a built one does.
 pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, MergeError> {
     if parts.is_empty() {
         return Err(MergeError::Empty);
@@ -189,7 +194,7 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
 
     let n_ops: usize = parts.iter().map(|p| p.sched.ops().len()).sum();
     let n_bufs: usize = parts.iter().map(|p| p.sched.buffers().len()).sum();
-    let own_deps: usize = parts.iter().map(|p| p.sched.dep_lists().1.len()).sum();
+    let own_deps: usize = parts.iter().map(|p| p.sched.edges.len()).sum();
     fits("ops", n_ops)?;
     fits("buffers", n_bufs)?;
     fits("dependencies", own_deps)?;
@@ -315,8 +320,10 @@ pub fn merge_parts(cluster: ProcGrid, parts: &[MergePart]) -> Result<Merged, Mer
         cluster,
         buffers,
         ops,
-        dep_off,
-        deps,
+        Edges::Deps(Csr {
+            off: dep_off,
+            adj: deps,
+        }),
         name,
         if any_release { release } else { Vec::new() },
     );

@@ -260,8 +260,8 @@ impl Marker {
 /// An operation plus its DAG bookkeeping: one row of the op table.
 ///
 /// An op is 40 bytes and owns no heap memory. Its id is its index in
-/// [`crate::Schedule::ops`], its dependencies live in the schedule's flat
-/// predecessor list ([`crate::Schedule::deps`]), and its label is rendered
+/// [`crate::Schedule::ops`], its edges live in the schedule's edge lists
+/// ([`crate::Schedule::deps`]), and its label is rendered
 /// from the kind or the marker on demand ([`Op::label`]). Offsets and
 /// lengths are `u32`, so no buffer of a schedule exceeds `u32::MAX` bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]

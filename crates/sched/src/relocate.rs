@@ -213,14 +213,13 @@ pub fn relocate_onto(
     } else {
         Vec::new()
     };
-    let (dep_off, deps) = sch.dep_lists();
-
     Ok(Schedule::from_parts(
         cluster,
         buffers,
         ops,
-        dep_off.to_vec(),
-        deps.to_vec(),
+        // Whichever form the edges are in: an unwrapped frozen schedule
+        // stays frozen-ready.
+        sch.edges.clone(),
         sch.name().to_string(),
         release,
     ))

@@ -1,6 +1,13 @@
 //! Shared readiness runtime: indegree-counter (Kahn) drivers over the
 //! frozen CSR adjacency.
 //!
+//! A frozen schedule stores successor lists only, so a driver seeds its
+//! counters with one counting pass over them
+//! ([`FrozenSchedule::indegrees`]). A released op's counter is zero and
+//! no completion touches it again; the simulator parks the op's live-flow
+//! count there ([`ReadySet::hold`]) instead of keeping a second per-op
+//! table.
+//!
 //! Both execution backends used to carry their own copy of the same loop —
 //! "when an op completes, decrement each successor's remaining-dependency
 //! counter; a counter hitting zero makes that op ready". This module is the
@@ -31,7 +38,7 @@ impl ReadySet {
     /// A fresh driver with every op unfinished.
     pub fn new(fs: &FrozenSchedule) -> Self {
         ReadySet {
-            indeg: fs.indegrees().collect(),
+            indeg: fs.indegrees(),
             remaining: fs.n_ops(),
         }
     }
@@ -40,8 +47,7 @@ impl ReadySet {
     /// reusing the indegree vector's allocation. After this call the
     /// driver is indistinguishable from `ReadySet::new(fs)`.
     pub fn reset(&mut self, fs: &FrozenSchedule) {
-        self.indeg.clear();
-        self.indeg.extend(fs.indegrees());
+        fs.count_indegrees(&mut self.indeg);
         self.remaining = fs.n_ops();
     }
 
@@ -83,6 +89,27 @@ impl ReadySet {
         }
     }
 
+    /// Parks `count` in the counter of `op`, a released op (one whose
+    /// counter reached zero) that has not completed. No completion touches
+    /// a released op's counter, so a driver may keep per-op work there
+    /// until the op completes: the simulator keeps the op's live flows.
+    #[inline]
+    pub fn hold(&mut self, op: u32, count: u32) {
+        let c = &mut self.indeg[op as usize];
+        debug_assert_eq!(*c, 0, "op {op} is not released");
+        *c = count;
+    }
+
+    /// Takes one from the count [`ReadySet::hold`] parked on `op`; true
+    /// when none is left.
+    #[inline]
+    pub fn take_one(&mut self, op: u32) -> bool {
+        let c = &mut self.indeg[op as usize];
+        debug_assert!(*c > 0, "op {op} holds nothing");
+        *c -= 1;
+        *c == 0
+    }
+
     /// Ops not yet completed.
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -106,7 +133,7 @@ fn seed_frontier(fs: &FrozenSchedule, completed: &[u32]) -> (Vec<u32>, Vec<u32>)
         debug_assert!(!done[c as usize], "op {c} completed twice");
         done[c as usize] = true;
     }
-    let mut indeg: Vec<u32> = fs.indegrees().collect();
+    let mut indeg = fs.indegrees();
     for &c in completed {
         debug_assert!(
             fs.preds(c).iter().all(|&p| done[p.index()]),
@@ -138,7 +165,7 @@ impl AtomicReadySet {
     /// A fresh driver with every op unfinished.
     pub fn new(fs: &FrozenSchedule) -> Self {
         AtomicReadySet {
-            indeg: fs.indegrees().map(AtomicU32::new).collect(),
+            indeg: fs.indegrees().into_iter().map(AtomicU32::new).collect(),
         }
     }
 
@@ -221,6 +248,25 @@ mod tests {
                 assert!(pos[d.index()] < pos[i], "{d} must precede {id}");
             }
         }
+    }
+
+    #[test]
+    fn a_released_op_holds_a_count_no_completion_touches() {
+        let fs = chain_with_join();
+        let mut rs = ReadySet::new(&fs);
+        rs.hold(0, 2);
+        let mut released = Vec::new();
+        assert!(!rs.take_one(0));
+        assert!(rs.take_one(0));
+        rs.complete(&fs, 0, |s| released.push(s));
+        assert_eq!(released, [1, 2]);
+        // Op 1 is released and busy; completing op 2 must not touch it.
+        rs.hold(1, 1);
+        rs.complete(&fs, 2, |s| released.push(s));
+        assert_eq!(released, [1, 2]);
+        assert!(rs.take_one(1));
+        rs.complete(&fs, 1, |s| released.push(s));
+        assert_eq!(released, [1, 2, 3]);
     }
 
     #[test]

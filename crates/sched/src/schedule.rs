@@ -3,6 +3,7 @@
 //! both the simulator (`mha-simnet`) and the executors (`mha-exec`).
 
 use crate::buffer::{BufKind, BufferDecl};
+use crate::edges::Edges;
 use crate::grid::ProcGrid;
 use crate::ids::{BufId, NodeId, OpId, RankId};
 use crate::op::{Channel, Op, OpKind};
@@ -39,11 +40,10 @@ pub struct Schedule {
     grid: ProcGrid,
     buffers: Vec<BufferDecl>,
     ops: Vec<Op>,
-    /// Every op's dependencies as one flat list (CSR): op `i` depends on
-    /// `deps[dep_off[i]..dep_off[i + 1]]`, sorted ascending and deduped.
-    /// [`Schedule::freeze`] keeps this as the frozen predecessor view.
-    dep_off: Vec<u32>,
-    deps: Vec<OpId>,
+    /// The dependency edges, stored once: as each op's dependency list
+    /// until [`Schedule::freeze`], as successor lists after (see
+    /// [`crate::edges`]).
+    pub(crate) edges: Edges,
     /// Human-readable name of the algorithm that produced this schedule.
     name: String,
     /// Per-op release delays in seconds (empty ⇒ all zero): op `i` may not
@@ -61,37 +61,50 @@ impl Schedule {
         grid: ProcGrid,
         buffers: Vec<BufferDecl>,
         ops: Vec<Op>,
-        dep_off: Vec<u32>,
-        deps: Vec<OpId>,
+        edges: Edges,
         name: String,
         release: Vec<f64>,
     ) -> Self {
         debug_assert!(release.is_empty() || release.len() == ops.len());
-        debug_assert_eq!(dep_off.len(), ops.len() + 1);
-        debug_assert_eq!(dep_off.last().map(|&e| e as usize), Some(deps.len()));
+        debug_assert!(match &edges {
+            Edges::Deps(deps) => deps.rows() == ops.len(),
+            Edges::Succs { succs, .. } => succs.rows() == ops.len(),
+        });
         Schedule {
             grid,
             buffers,
             ops,
-            dep_off,
-            deps,
+            edges,
             name,
             release,
         }
     }
 
     /// The operations `id` depends on, ascending and without duplicates.
+    ///
+    /// A frozen schedule stores successor lists only; its first call here
+    /// derives every op's dependency list from them (O(ops + edges), 4 B
+    /// per op and per edge) and keeps it for later calls.
     #[inline]
     pub fn deps(&self, id: OpId) -> &[OpId] {
-        let i = id.index();
-        &self.deps[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
+        self.edges.deps().row(id.index())
     }
 
     /// The flat dependency list: offsets (one per op, plus a final end)
-    /// and the concatenated per-op lists they index.
+    /// and the concatenated per-op lists they index. Derived on a frozen
+    /// schedule, as for [`Schedule::deps`].
     #[inline]
     pub(crate) fn dep_lists(&self) -> (&[u32], &[OpId]) {
-        (&self.dep_off, &self.deps)
+        let deps = self.edges.deps();
+        (&deps.off, &deps.adj)
+    }
+
+    /// Whether the per-op dependency lists are in memory: always for a
+    /// built or merged schedule, and for a frozen one (or one unwrapped
+    /// from it) only after a reader asked for them (see
+    /// [`Schedule::deps`]).
+    pub fn holds_dep_lists(&self) -> bool {
+        self.edges.holds_deps()
     }
 
     /// The release delay of `id` in seconds — `0.0` unless a delay was set
@@ -293,7 +306,7 @@ mod tests {
         let fs = tiny().freeze();
         assert_eq!(fs.succs(0), &[1]);
         assert!(fs.succs(1).is_empty());
-        assert_eq!(fs.indegrees().collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(fs.indegrees(), [0, 1]);
         assert_eq!(fs.ops().len(), 2);
     }
 

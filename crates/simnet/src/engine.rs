@@ -684,7 +684,6 @@ impl EngineState {
 pub struct EngineArena {
     st: EngineState,
     ready: Option<ReadySet>,
-    op_flows_left: Vec<u32>,
     rr_next_rail: Vec<u8>,
     fault_events: Vec<FaultEvent>,
     specs: Vec<SpecTmp>,
@@ -924,7 +923,6 @@ impl Simulator {
         let EngineArena {
             st,
             ready,
-            op_flows_left,
             rr_next_rail,
             fault_events,
             specs,
@@ -953,8 +951,6 @@ impl Simulator {
         let ready = ready.as_mut().expect("readiness driver installed above");
 
         let mut op_end = vec![f64::NAN; n_ops];
-        op_flows_left.clear();
-        op_flows_left.resize(n_ops, 0);
         rr_next_rail.clear();
         rr_next_rail.resize(grid.nodes() as usize, 0);
 
@@ -1095,7 +1091,9 @@ impl Simulator {
                         self.enqueue_ready(sch, op, time, ready, probe, st);
                         continue;
                     }
-                    op_flows_left[oi] = created;
+                    // The op's readiness counter is zero and no completion
+                    // touches it again: it counts the op's live flows.
+                    ready.hold(op, created);
                     if !seeds.is_empty() {
                         st.recompute(time, seeds, rmap, probe)?;
                     }
@@ -1149,8 +1147,7 @@ impl Simulator {
                     st.active_flows -= 1;
 
                     let oi = flow_op as usize;
-                    op_flows_left[oi] -= 1;
-                    if op_flows_left[oi] == 0 {
+                    if ready.take_one(flow_op) {
                         op_end[oi] = time;
                         probe.op_end(flow_op, time);
                         makespan = makespan.max(time);

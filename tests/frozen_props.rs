@@ -1,13 +1,42 @@
 //! Property tests for the frozen CSR schedule IR and the shared readiness
 //! runtime: freezing must preserve exactly the builder's dependency edge
 //! list, and the indegree-counter drivers must release every op exactly
-//! once, in an order consistent with the dependencies.
+//! once, in an order consistent with the dependencies. A frozen schedule
+//! stores successor lists only; the build → freeze → validate → simulate
+//! path must never derive its dependency lists.
 
 use proptest::prelude::*;
 
+use mha::collectives::{build as build_algo, AlgoConfig, Family};
 use mha::sched::{
     AtomicReadySet, FrozenSchedule, OpId, ProcGrid, RankId, ReadySet, ScheduleBuilder,
 };
+use mha::simnet::{ClusterSpec, EngineArena, Simulator};
+
+#[test]
+fn the_ring_run_path_never_derives_dependency_lists() {
+    let spec = ClusterSpec::thor();
+    let built = build_algo(
+        &AlgoConfig::flat(Family::Ring),
+        ProcGrid::new(16, 1),
+        4096,
+        &spec,
+    )
+    .unwrap();
+    assert!(!built.sched.holds_dep_lists());
+    let fs = built.sched.into_schedule().freeze();
+    fs.validate_for(Some(spec.rails)).unwrap();
+    let sim = Simulator::new(spec).unwrap();
+    let r = sim.run_in(&fs, &mut EngineArena::new()).unwrap();
+    assert_eq!(r.op_end.len(), fs.n_ops());
+    assert!(
+        !fs.holds_dep_lists(),
+        "build, freeze, validate or simulate derived the dependency lists"
+    );
+    // The probe is live: a reader that wants them derives them.
+    assert!(!fs.preds(fs.n_ops() as u32 - 1).is_empty());
+    assert!(fs.holds_dep_lists());
+}
 
 /// A random DAG as a per-op dependency list (each op depends on a random
 /// subset of strictly earlier ops — the only shape the builder can express).
@@ -65,6 +94,22 @@ proptest! {
         let expect_roots: Vec<u32> =
             (0..n as u32).filter(|&i| deps[i as usize].is_empty()).collect();
         prop_assert_eq!(fs.roots(), &expect_roots[..]);
+        let expect_indeg: Vec<u32> = deps.iter().map(|d| d.len() as u32).collect();
+        prop_assert_eq!(fs.indegrees(), expect_indeg);
+    }
+
+    /// Unwrapping and refreezing keeps the successor lists, roots and
+    /// derived dependency lists.
+    #[test]
+    fn refreezing_keeps_the_edges(deps in arb_dag()) {
+        let fs = build(&deps);
+        let again = fs.clone().into_schedule().freeze();
+        prop_assert!(!again.holds_dep_lists());
+        prop_assert_eq!(again.roots(), fs.roots());
+        for i in 0..fs.n_ops() as u32 {
+            prop_assert_eq!(again.succs(i), fs.succs(i));
+            prop_assert_eq!(again.preds(i), fs.preds(i));
+        }
     }
 
     /// Op ids are a topological order: every pred of op `i` is `< i`.
