@@ -37,11 +37,11 @@
 use std::ops::Deref;
 
 use crate::ids::OpId;
-use crate::op::{Channel, OpKind};
+use crate::op::{Channel, Op, OpKind};
 use crate::schedule::Schedule;
 
-/// Coarse classification of an op for traces, probes and summaries —
-/// the same partition [`OpKind::kind_name`] reports, as a dense enum.
+/// Coarse classification of an op for traces, probes and summaries, as a
+/// dense enum; [`OpKind::kind_name`] reports its [`OpClass::name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Intra-node kernel-assisted transfer (destination CPU does the work).
@@ -65,7 +65,7 @@ impl OpClass {
         matches!(self, OpClass::Rail | OpClass::Rails)
     }
 
-    /// The short name [`OpKind::kind_name`] would report.
+    /// The short kind name traces and DOT dumps show.
     pub fn name(self) -> &'static str {
         match self {
             OpClass::Cma => "cma",
@@ -78,7 +78,7 @@ impl OpClass {
     }
 }
 
-/// Per-op summary row, derived from the op by [`FrozenSchedule::row`].
+/// Per-op summary row, derived from the op by [`Op::row`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpRow {
     /// Kind classification.
@@ -107,28 +107,39 @@ pub struct FrozenSchedule {
     validated: std::sync::OnceLock<Option<u8>>,
 }
 
-fn row_of(kind: &OpKind, step: u32) -> OpRow {
-    let step = (step != u32::MAX).then_some(step);
-    let (class, rank) = match kind {
-        OpKind::Transfer {
-            src_rank,
-            dst_rank,
-            channel,
-            ..
-        } => match channel {
-            Channel::Cma => (OpClass::Cma, dst_rank.0),
-            Channel::Rail(_) => (OpClass::Rail, src_rank.0),
-            Channel::AllRails => (OpClass::Rails, src_rank.0),
-        },
-        OpKind::Copy { actor, .. } => (OpClass::Copy, actor.0),
-        OpKind::Reduce { actor, .. } => (OpClass::Reduce, actor.0),
-        OpKind::Compute { actor, .. } => (OpClass::Compute, actor.0),
-    };
-    OpRow {
-        class,
-        bytes: kind.bytes() as u64,
-        step,
-        rank,
+impl OpKind {
+    /// The op's [`OpClass`] and the rank whose timeline lane it belongs
+    /// to: the posting rank for network transfers, the executing CPU's
+    /// rank otherwise.
+    pub(crate) fn class_and_rank(&self) -> (OpClass, u32) {
+        match *self {
+            OpKind::Transfer {
+                src_rank,
+                dst_rank,
+                channel,
+                ..
+            } => match channel {
+                Channel::Cma => (OpClass::Cma, dst_rank.0),
+                Channel::Rail(_) => (OpClass::Rail, src_rank.0),
+                Channel::AllRails => (OpClass::Rails, src_rank.0),
+            },
+            OpKind::Copy { actor, .. } => (OpClass::Copy, actor.0),
+            OpKind::Reduce { actor, .. } => (OpClass::Reduce, actor.0),
+            OpKind::Compute { actor, .. } => (OpClass::Compute, actor.0),
+        }
+    }
+}
+
+impl Op {
+    /// The op's summary row.
+    pub fn row(&self) -> OpRow {
+        let (class, rank) = self.kind.class_and_rank();
+        OpRow {
+            class,
+            bytes: self.kind.bytes() as u64,
+            step: self.has_step().then_some(self.step),
+            rank,
+        }
     }
 }
 
@@ -203,14 +214,13 @@ impl FrozenSchedule {
 
     /// Every op's summary row, in op order.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = OpRow> + '_ {
-        self.sched.ops().iter().map(|op| row_of(&op.kind, op.step))
+        self.sched.ops().iter().map(Op::row)
     }
 
     /// Summary row of `op`.
     #[inline]
     pub fn row(&self, op: u32) -> OpRow {
-        let op = &self.sched.ops()[op as usize];
-        row_of(&op.kind, op.step)
+        self.sched.ops()[op as usize].row()
     }
 
     /// [`crate::validate`] with a success memo: an immutable frozen

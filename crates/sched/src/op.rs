@@ -186,22 +186,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The rank whose CPU executes this op, if any (rail transfers are
-    /// performed by the HCA and return `None`).
-    pub fn cpu_actor(&self) -> Option<RankId> {
-        match *self {
-            OpKind::Transfer {
-                dst_rank,
-                channel: Channel::Cma,
-                ..
-            } => Some(dst_rank),
-            OpKind::Transfer { .. } => None,
-            OpKind::Copy { actor, .. }
-            | OpKind::Reduce { actor, .. }
-            | OpKind::Compute { actor, .. } => Some(actor),
-        }
-    }
-
     /// Bytes moved by this op (zero for `Compute`).
     pub fn bytes(&self) -> usize {
         match *self {
@@ -212,25 +196,10 @@ impl OpKind {
         }
     }
 
-    /// Short kind name for traces and DOT dumps.
+    /// Short kind name for traces and DOT dumps: its
+    /// [`crate::OpClass::name`].
     pub fn kind_name(&self) -> &'static str {
-        match self {
-            OpKind::Transfer {
-                channel: Channel::Cma,
-                ..
-            } => "cma",
-            OpKind::Transfer {
-                channel: Channel::Rail(_),
-                ..
-            } => "rail",
-            OpKind::Transfer {
-                channel: Channel::AllRails,
-                ..
-            } => "rails",
-            OpKind::Copy { .. } => "copy",
-            OpKind::Reduce { .. } => "reduce",
-            OpKind::Compute { .. } => "compute",
-        }
+        self.class_and_rank().0.name()
     }
 }
 
@@ -343,26 +312,21 @@ mod tests {
     }
 
     #[test]
-    fn cpu_actor_is_dst_for_cma_and_none_for_rail() {
-        let cma = OpKind::Transfer {
+    fn lane_rank_is_dst_for_cma_and_src_for_rail() {
+        let transfer = |channel| OpKind::Transfer {
             src_rank: RankId(0),
             dst_rank: RankId(1),
             src: loc(),
             dst: loc(),
             len: 8,
-            channel: Channel::Cma,
+            channel,
         };
-        assert_eq!(cma.cpu_actor(), Some(RankId(1)));
-
-        let rail = OpKind::Transfer {
-            src_rank: RankId(0),
-            dst_rank: RankId(1),
-            src: loc(),
-            dst: loc(),
-            len: 8,
-            channel: Channel::Rail(0),
-        };
-        assert_eq!(rail.cpu_actor(), None);
+        let cma = transfer(Channel::Cma);
+        assert_eq!(cma.class_and_rank(), (crate::OpClass::Cma, 1));
+        assert_eq!(cma.kind_name(), "cma");
+        let rail = transfer(Channel::Rail(0));
+        assert_eq!(rail.class_and_rank(), (crate::OpClass::Rail, 0));
+        assert_eq!(rail.kind_name(), "rail");
     }
 
     #[test]

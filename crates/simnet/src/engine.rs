@@ -211,21 +211,18 @@ struct Flow {
     remaining: f64,
     rate: f64,
     last_update: f64,
-    /// Completion prediction computed at the last rate change
-    /// (`now + remaining / rate` at that instant). The argmin scheduler
-    /// reuses this stored value verbatim when re-queueing an unchanged
-    /// flow, so prediction times never drift from what queueing every
-    /// prediction at its rate change (push-per-change) would have queued.
-    t_fin: f64,
-    /// Sequence number reserved for the current prediction at the last
-    /// rate change — the seq push-per-change would have stamped on its
-    /// `Finish` event. The argmin scheduler queues under this original
-    /// `(t_fin, pred_seq)` key, so same-instant events pop in exactly
-    /// push-per-change order (bit-identity by construction).
-    pred_seq: u64,
-    version: u64,
-    alive: bool,
-    /// Starved by a fault (rate 0 on a down rail); a Retry event is pending.
+    /// The calendar key `(time, seq)` of the flow's one pending event.
+    /// For a running flow it is the completion prediction made at the last
+    /// rate change: `now + remaining / rate` at that instant, stamped with
+    /// the seq that queueing every prediction at its rate change
+    /// (push-per-change) would have used. The argmin scheduler queues under
+    /// this stored key verbatim, so same-instant events pop in exactly
+    /// push-per-change order (bit-identity by construction). For a stalled
+    /// flow it is the retry.
+    key: (f64, u64),
+    /// Whether an event under `key` is in the calendar.
+    queued: bool,
+    /// Starved by a fault (rate 0 on a down rail); its retry is `key`.
     stalled: bool,
     /// Consecutive failed retries (drives exponential backoff).
     retries: u32,
@@ -238,13 +235,12 @@ struct Flow {
 enum Ev {
     /// Op's startup latency elapsed: materialize its flows.
     Start { op: u32 },
-    /// A flow predicted to drain at this time (stale if version mismatches).
-    Finish { flow: u32, version: u64 },
+    /// A flow predicted to drain at this time.
+    Finish { flow: u32 },
     /// A fault-timeline boundary: rescale rail capacities and re-waterfill.
     Fault { idx: u32 },
-    /// A stalled flow's retry timeout elapsed: re-issue on a surviving rail
-    /// (stale if version mismatches or the flow already woke up).
-    Retry { flow: u32, version: u64 },
+    /// A stalled flow's retry timeout elapsed: re-issue on a surviving rail.
+    Retry { flow: u32 },
 }
 
 /// Relative tolerance when deciding whether a flow's rate changed enough to
@@ -269,18 +265,8 @@ struct EngineState {
     /// The event queue (keyed cancellation, O(1) ops).
     cal: CalendarQueue<Ev>,
     seq: u64,
-    /// Pending `Finish` prediction per flow slot, as its `(time, seq)`
-    /// calendar key (`seq == 0` = none; live seqs start at 1). Lets a
-    /// rescheduling recompute *delete* the superseded event instead of
-    /// leaving it to pop as a stale no-op — the dominant cost of the old
-    /// engine (>90% of pops on contended rings were stale).
-    finish_ev: Vec<(f64, u64)>,
-    /// Pending `Retry` per flow slot, same convention. A live flow holds at
-    /// most one of the two: running ⇒ one `Finish`, stalled ⇒ one `Retry`.
-    retry_ev: Vec<(f64, u64)>,
     filler: IncrementalFiller,
     rates: Vec<f64>,
-    active_flows: usize,
     max_active: usize,
     /// Per-resource fault scaling of nominal capacity (all 1.0 without
     /// faults; multiplying by 1.0 is bit-exact, so fault-free runs are
@@ -306,7 +292,7 @@ struct EngineState {
     /// per comp_res effective-capacity bits]` — the
     /// [`IncrementalFiller::fill_keyed`] memo key.
     key: Vec<u64>,
-    /// Per-group earliest predicted finisher: `((t_fin bits ‖ pred_seq),
+    /// Per-group earliest predicted finisher: `((key time bits ‖ key seq),
     /// flow)`, indexed by union-find root. `u128::MAX` = no runnable member.
     group_best: Vec<(u128, u32)>,
     /// Unchanged flows whose queued prediction survived the rate loop —
@@ -317,28 +303,15 @@ struct EngineState {
 impl EngineState {
     /// Rewinds the state to what a freshly-constructed engine would hold
     /// for a cluster with `n_res` resources, keeping every allocation —
-    /// the flow table (including each flow's inner resource vector), the
-    /// per-resource registries, the event queue and the water-fill scratch.
+    /// the flow table, the per-resource registries, the event queue and
+    /// the water-fill scratch.
     ///
-    /// Flow slots are reset to version 0 and `free_flows` is primed in
+    /// Flow slots keep their stale contents (an op's start overwrites the
+    /// slot it takes whole) and `free_flows` is primed in
     /// descending order, so a warm run pops slots 0, 1, 2, … — exactly the
     /// indices a cold run assigns by pushing. Every field an event can
     /// observe is therefore bit-identical between cold and warm runs.
     fn reset(&mut self, n_res: usize, faults_active: bool, retry_timeout: f64) {
-        for f in &mut self.flows {
-            f.resources.clear();
-            f.cap = 1.0;
-            f.remaining = 0.0;
-            f.rate = 0.0;
-            f.last_update = 0.0;
-            f.t_fin = 0.0;
-            f.pred_seq = 0;
-            f.version = 0;
-            f.alive = false;
-            f.stalled = false;
-            f.retries = 0;
-            f.route = None;
-        }
         self.free_flows.clear();
         self.free_flows.extend((0..self.flows.len() as u32).rev());
         self.res_flows.resize_with(n_res, Vec::new);
@@ -355,13 +328,8 @@ impl EngineState {
         self.flow_stamp.resize(self.flows.len(), 0);
         self.epoch = 0;
         self.cal.clear();
-        self.finish_ev.clear();
-        self.finish_ev.resize(self.flows.len(), (0.0, 0));
-        self.retry_ev.clear();
-        self.retry_ev.resize(self.flows.len(), (0.0, 0));
         self.filler.reset(n_res);
         self.seq = 0;
-        self.active_flows = 0;
         self.max_active = 0;
         self.cap_scale.clear();
         self.cap_scale.resize(n_res, 1.0);
@@ -374,39 +342,48 @@ impl EngineState {
         self.cal.push(time, self.seq, ev);
     }
 
-    /// Schedules flow `fi`'s completion prediction, remembering its
-    /// calendar key so a later reschedule can cancel it.
-    fn push_finish(&mut self, time: f64, fi: u32, version: u64) {
-        self.seq += 1;
-        self.push_finish_keyed(time, self.seq, fi, version);
+    /// Queues flow `fi`'s completion prediction under its stored key,
+    /// burning no new sequence number — a deferred prediction re-uses the
+    /// seq reserved when its rate changed, so pop order matches
+    /// push-per-change.
+    fn queue_finish(&mut self, fi: u32) {
+        let f = &mut self.flows[fi as usize];
+        f.queued = true;
+        self.cal.push(f.key.0, f.key.1, Ev::Finish { flow: fi });
     }
 
-    /// Queues flow `fi`'s prediction under the given key, burning no new
-    /// sequence number — a deferred prediction re-uses the seq reserved
-    /// when its rate changed, so pop order matches push-per-change.
-    fn push_finish_keyed(&mut self, time: f64, seq: u64, fi: u32, version: u64) {
-        self.finish_ev[fi as usize] = (time, seq);
-        self.cal.push(time, seq, Ev::Finish { flow: fi, version });
-    }
-
-    /// Deletes the event a `finish_ev` / `retry_ev` slot names, if any, and
-    /// empties the slot. Takes the two fields, not `&mut self`, so the rate
-    /// loop can call it while it holds a flow borrowed.
+    /// Deletes flow `f`'s pending event, if any. Takes the calendar, not
+    /// `&mut self`, so the rate loop can call it while it holds a flow
+    /// borrowed.
     #[inline]
-    fn cancel(slot: &mut (f64, u64), cal: &mut CalendarQueue<Ev>) {
-        let (t, s) = std::mem::take(slot);
-        if s != 0 {
-            let found = cal.remove(t, s);
-            debug_assert!(found, "event slot pointed at a missing event");
+    fn cancel(f: &mut Flow, cal: &mut CalendarQueue<Ev>) {
+        if std::mem::take(&mut f.queued) {
+            let found = cal.remove(f.key.0, f.key.1);
+            debug_assert!(found, "a flow's key pointed at a missing event");
         }
     }
 
-    /// Schedules flow `fi`'s retry timeout, remembering its calendar key.
-    fn push_retry(&mut self, time: f64, fi: u32, version: u64) {
+    /// Schedules flow `fi`'s retry timeout as its pending event.
+    fn push_retry(&mut self, time: f64, fi: u32) {
         self.seq += 1;
-        self.retry_ev[fi as usize] = (time, self.seq);
-        self.cal
-            .push(time, self.seq, Ev::Retry { flow: fi, version });
+        let f = &mut self.flows[fi as usize];
+        f.key = (time, self.seq);
+        f.queued = true;
+        self.cal.push(time, self.seq, Ev::Retry { flow: fi });
+    }
+
+    /// The one staleness rule: a popped `Finish` or `Retry` is live iff it
+    /// is its flow's pending event, which it then stops being. Every
+    /// superseded event is deleted from the calendar by key, so a stale pop
+    /// means a cancellation was missed.
+    fn take_pending(&mut self, fi: usize, seq: u64) -> bool {
+        let f = &mut self.flows[fi];
+        let live = f.queued && f.key.1 == seq;
+        debug_assert!(live, "flow {fi}: popped an event it no longer owns");
+        if live {
+            f.queued = false;
+        }
+        live
     }
 
     /// Recomputes max-min rates over the connected component reachable from
@@ -548,13 +525,13 @@ impl EngineState {
 
         // Rate updates, fused with the argmin accumulation: queue ONE
         // prediction per connected sub-group — its argmin stored
-        // `(t_fin, pred_seq)`. Any valid `Finish` pop recomputes over
+        // `key`. Any live `Finish` pop recomputes over
         // the popped flow's whole sub-group, so predictions for later
         // finishers are recreated then — queueing them all now would only
         // produce events that get cancelled or superseded first. This turns
         // queue traffic from O(rate changes) per recompute (≈ the component
         // size on contended rings) into O(sub-groups) (usually 1). Stored
-        // `(t_fin, pred_seq)` keys are reused verbatim, so the event a
+        // keys are reused verbatim, so the event a
         // prediction eventually fires as is bit-identical — time, order
         // among same-instant events, everything — to push-per-change.
         let mut best = std::mem::take(&mut self.group_best);
@@ -571,58 +548,48 @@ impl EngineState {
                 // link-up recompute wakes it.
                 if !f.stalled {
                     f.stalled = true;
-                    f.version += 1; // invalidate any pending Finish
                     f.rate = 0.0;
-                    let (flow, version, op) = (fi, f.version, f.op);
-                    probe.flow_rate(op, flow, 0.0, now);
-                    let t = now + self.retry_timeout;
-                    Self::cancel(&mut self.finish_ev[flow as usize], &mut self.cal);
-                    self.push_retry(t, flow, version);
+                    probe.flow_rate(f.op, fi, 0.0, now);
+                    Self::cancel(f, &mut self.cal);
+                    self.push_retry(now + self.retry_timeout, fi);
                 }
                 continue;
             }
-            let was_stalled = f.stalled;
-            let changed = was_stalled || (new_rate - f.rate).abs() > RATE_EPS * f.cap;
+            let changed = f.stalled || (new_rate - f.rate).abs() > RATE_EPS * f.cap;
             f.rate = new_rate;
             f.stalled = false;
             f.retries = 0;
             // Queue bookkeeping stays inline under the single `f` borrow
-            // (`seq`, `finish_ev`, `retry_ev`, `cal` are disjoint fields) —
+            // (`seq` and `cal` are fields disjoint from the flow table) —
             // re-indexing the flow table or bouncing through `&mut self`
             // helpers costs real time at ~7 changed flows per event.
             if changed {
-                f.version += 1;
                 assert!(new_rate > 0.0, "flow starved by water-filling");
-                let t_fin = now + f.remaining / new_rate;
-                f.t_fin = t_fin;
                 probe.flow_rate(f.op, fi, new_rate, now);
-                if was_stalled {
-                    Self::cancel(&mut self.retry_ev[fi as usize], &mut self.cal);
-                }
-                // Queueing is deferred to the argmin pass below. Burn the
-                // sequence number push-per-change would have stamped on
-                // this prediction and reserve it for the (possible) later
-                // push, then drop the superseded event — a surviving slot
-                // always means "time, seq and version unchanged since
-                // push".
+                // Drop the superseded prediction (or the retry of a flow
+                // that just woke), so a queued flow always means "key
+                // unchanged since push". Queueing is deferred to the argmin
+                // pass below: burn the sequence number push-per-change
+                // would have stamped on this prediction and reserve it in
+                // the key for the (possible) later push.
+                Self::cancel(f, &mut self.cal);
                 self.seq += 1;
-                f.pred_seq = self.seq;
-                Self::cancel(&mut self.finish_ev[fi as usize], &mut self.cal);
-            } else if self.finish_ev[fi as usize].1 != 0 {
+                f.key = (now + f.remaining / new_rate, self.seq);
+            } else if f.queued {
                 // Unchanged flow with a live queued prediction: it keeps
                 // its event (and queue position) unless the pass below
                 // finds its sub-group's argmin moved elsewhere. Stalled
-                // and changed flows never land here — their slots were
+                // and changed flows never land here — their events were
                 // just cancelled.
                 keeps.push(fi);
             }
             if let Some(&(r0, _)) = f.resources.first() {
                 let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
-                // `t_fin` is non-negative, so the bit pattern orders like
-                // the float. Exact time ties MUST break by the reserved
+                // The key's time is non-negative, so the bit pattern orders
+                // like the float. Exact time ties MUST break by the reserved
                 // sequence number — that is the order push-per-change pops
                 // same-instant predictions in.
-                let cand = (u128::from(f.t_fin.to_bits()) << 64) | u128::from(f.pred_seq);
+                let cand = (u128::from(f.key.0.to_bits()) << 64) | u128::from(f.key.1);
                 if (cand, fi) < best[g] {
                     best[g] = (cand, fi);
                 }
@@ -632,10 +599,8 @@ impl EngineState {
         // irrelevant — the queue sorts by key) and drop the queued
         // prediction of any unchanged flow the argmin moved away from.
         for &(_, fi) in &best {
-            if fi != u32::MAX && self.finish_ev[fi as usize].1 == 0 {
-                let f = &self.flows[fi as usize];
-                let (t_fin, seq, version) = (f.t_fin, f.pred_seq, f.version);
-                self.push_finish_keyed(t_fin, seq, fi, version);
+            if fi != u32::MAX && !self.flows[fi as usize].queued {
+                self.queue_finish(fi);
             }
         }
         for &fi in &keeps {
@@ -645,7 +610,7 @@ impl EngineState {
             };
             let g = Self::uf_find(&mut uf, self.res_lidx[r0.index()]) as usize;
             if best[g].1 != fi {
-                Self::cancel(&mut self.finish_ev[fi as usize], &mut self.cal);
+                Self::cancel(&mut self.flows[fi as usize], &mut self.cal);
             }
         }
         self.keeps = keeps;
@@ -667,8 +632,8 @@ impl EngineState {
     }
 }
 
-/// Reusable engine memory: the event queue, flow table (with each flow's
-/// inner resource vector), per-resource flow registries, readiness driver,
+/// Reusable engine memory: the event queue, flow table, per-resource flow
+/// registries, readiness driver,
 /// water-fill scratch, flow-spec emission buffers and the resource map.
 ///
 /// Repeated [`Simulator::run_in`] calls through one arena allocate nothing
@@ -690,7 +655,6 @@ pub struct EngineArena {
     spec_res: Vec<(ResourceId, f64)>,
     rails: Vec<u8>,
     seeds: Vec<ResourceId>,
-    finish_res: Vec<(ResourceId, f64)>,
     rmap: Option<RmapCache>,
 }
 
@@ -929,7 +893,6 @@ impl Simulator {
             spec_res,
             rails,
             seeds,
-            finish_res,
             rmap: rmap_cache,
         } = arena;
         let cache = rmap_cache.as_ref().expect("resource map cached above");
@@ -988,10 +951,9 @@ impl Simulator {
         let mut events = 0u64;
         let mut makespan = 0.0f64;
 
-        // `events` counts *processed* events: pops that survive their
-        // staleness checks. (Superseded events are normally deleted by
-        // key; the version checks below guard against a missed
-        // cancellation.)
+        // `events` counts *processed* events. Superseded events are deleted
+        // by key, so every pop is live; `take_pending` skips (and, in debug
+        // builds, asserts on) a pop a missed cancellation left behind.
         while let Some((time, seq, ev)) = st.cal.pop() {
             match ev {
                 Ev::Start { op } => {
@@ -1016,50 +978,30 @@ impl Simulator {
                             continue;
                         }
                         created += 1;
+                        let mut resources = ResList::new();
+                        resources
+                            .extend_from_slice(&spec_res[sp.res_lo as usize..sp.res_hi as usize]);
+                        let flow = Flow {
+                            op,
+                            resources,
+                            cap: sp.cap,
+                            remaining: sp.bytes,
+                            rate: 0.0,
+                            last_update: time,
+                            key: (0.0, 0),
+                            queued: false,
+                            stalled: false,
+                            retries: 0,
+                            route: sp.route,
+                        };
                         let fi = if let Some(fi) = st.free_flows.pop() {
+                            st.flows[fi as usize] = flow;
                             fi as usize
                         } else {
-                            st.flows.push(Flow {
-                                op,
-                                resources: ResList::new(),
-                                cap: 1.0,
-                                remaining: 0.0,
-                                rate: 0.0,
-                                last_update: 0.0,
-                                t_fin: 0.0,
-                                pred_seq: 0,
-                                version: 0,
-                                alive: false,
-                                stalled: false,
-                                retries: 0,
-                                route: None,
-                            });
+                            st.flows.push(flow);
                             st.flow_stamp.push(0);
-                            st.finish_ev.push((0.0, 0));
-                            st.retry_ev.push((0.0, 0));
                             st.flows.len() - 1
                         };
-                        {
-                            // Field-wise refill keeps the slot's inner
-                            // resource vector allocation alive.
-                            let f = &mut st.flows[fi];
-                            f.op = op;
-                            f.resources.clear();
-                            f.resources.extend_from_slice(
-                                &spec_res[sp.res_lo as usize..sp.res_hi as usize],
-                            );
-                            f.cap = sp.cap;
-                            f.remaining = sp.bytes;
-                            f.rate = 0.0;
-                            f.last_update = time;
-                            f.t_fin = 0.0;
-                            f.pred_seq = 0;
-                            f.version += 1;
-                            f.alive = true;
-                            f.stalled = false;
-                            f.retries = 0;
-                            f.route = sp.route;
-                        }
                         let no_resources = sp.res_lo == sp.res_hi;
                         for &(r, _) in &spec_res[sp.res_lo as usize..sp.res_hi as usize] {
                             st.res_flows[r.index()].push(fi as u32);
@@ -1075,14 +1017,13 @@ impl Simulator {
                             // Pure compute never contends: run at cap now.
                             let f = &mut st.flows[fi];
                             f.rate = f.cap;
-                            let t_fin = time + f.remaining / f.rate;
-                            let (version, rate) = (f.version, f.rate);
-                            probe.flow_rate(op, fi as u32, rate, time);
-                            st.push_finish(t_fin, fi as u32, version);
+                            st.seq += 1;
+                            f.key = (time + f.remaining / f.rate, st.seq);
+                            probe.flow_rate(op, fi as u32, f.rate, time);
+                            st.queue_finish(fi as u32);
                         }
-                        st.active_flows += 1;
                     }
-                    st.max_active = st.max_active.max(st.active_flows);
+                    st.max_active = st.max_active.max(st.flows.len() - st.free_flows.len());
                     if created == 0 {
                         // Latency-only op (e.g. Compute { flops: 0 }).
                         op_end[oi] = time;
@@ -1098,45 +1039,30 @@ impl Simulator {
                         st.recompute(time, seeds, rmap, probe)?;
                     }
                 }
-                Ev::Finish { flow, version } => {
+                Ev::Finish { flow } => {
                     let fi = flow as usize;
-                    if st.finish_ev[fi].1 == seq {
-                        st.finish_ev[fi] = (0.0, 0);
-                    }
-                    if !st.flows[fi].alive || st.flows[fi].version != version {
-                        continue; // stale prediction
+                    if !st.take_pending(fi, seq) {
+                        continue;
                     }
                     events += 1;
-                    let flow_op: u32;
-                    let moved: f64;
-                    {
-                        let f = &mut st.flows[fi];
-                        let dt = time - f.last_update;
-                        moved = (f.rate * dt).min(f.remaining);
-                        f.remaining -= moved;
-                        f.last_update = time;
-                        debug_assert!(
-                            f.remaining < 1.0,
-                            "flow finished with {} bytes left",
-                            f.remaining
-                        );
-                        f.alive = false;
-                        f.version += 1;
-                        flow_op = f.op;
-                        // Copy-out instead of `mem::take` keeps the flow
-                        // slot's resource allocation for the next user.
-                        finish_res.clear();
-                        finish_res.extend_from_slice(&f.resources);
-                        f.resources.clear();
-                    }
-                    for &(r, w) in finish_res.iter() {
+                    // The slot is free once the flow leaves its resources'
+                    // registries: the next op start overwrites it whole.
+                    let f = &st.flows[fi];
+                    let moved = (f.rate * (time - f.last_update)).min(f.remaining);
+                    debug_assert!(
+                        f.remaining - moved < 1.0,
+                        "flow finished with {} bytes left",
+                        f.remaining - moved
+                    );
+                    let (flow_op, res) = (f.op, f.resources.clone());
+                    for &(r, w) in &res {
                         st.resource_bytes[r.index()] += moved * w;
                     }
                     if narrate_flows {
                         probe.flow_end(flow_op, flow, time);
                     }
                     seeds.clear();
-                    seeds.extend(finish_res.iter().map(|&(r, _)| r));
+                    seeds.extend(res.iter().map(|&(r, _)| r));
                     for &r in seeds.iter() {
                         let list = &mut st.res_flows[r.index()];
                         if let Some(pos) = list.iter().position(|&x| x == flow) {
@@ -1144,7 +1070,6 @@ impl Simulator {
                         }
                     }
                     st.free_flows.push(flow);
-                    st.active_flows -= 1;
 
                     let oi = flow_op as usize;
                     if ready.take_one(flow_op) {
@@ -1212,17 +1137,12 @@ impl Simulator {
                     }
                     st.recompute(time, seeds, rmap, probe)?;
                 }
-                Ev::Retry { flow, version } => {
+                Ev::Retry { flow } => {
                     let fi = flow as usize;
-                    if st.retry_ev[fi].1 == seq {
-                        st.retry_ev[fi] = (0.0, 0);
+                    if !st.take_pending(fi, seq) {
+                        continue;
                     }
-                    if !st.flows[fi].alive
-                        || st.flows[fi].version != version
-                        || !st.flows[fi].stalled
-                    {
-                        continue; // the flow finished or already woke up
-                    }
+                    debug_assert!(st.flows[fi].stalled, "a woken flow kept its retry");
                     events += 1;
                     let Some((sn, dn, cur)) = st.flows[fi].route else {
                         continue; // non-rail flows never stall on a fault
@@ -1288,7 +1208,7 @@ impl Simulator {
                             f.retries = f.retries.saturating_add(1);
                             let backoff = (1u64 << f.retries.min(MAX_BACKOFF_SHIFT)) as f64;
                             let t = time + st.retry_timeout * backoff;
-                            st.push_retry(t, flow, version);
+                            st.push_retry(t, flow);
                         }
                     }
                 }
@@ -2659,13 +2579,17 @@ mod tests {
         let mut faults = FaultSpec::flap(0, 50e-6, 120e-6);
         faults.retry_timeout = 10e-6;
         let fs = Simulator::with_faults(ClusterSpec::thor(), faults).unwrap();
+        let mut arena = EngineArena::new();
+        let r = fs.run_in(&fsch, &mut arena).unwrap();
         assert_pinned(
-            &fs.run(&fsch).unwrap(),
+            &r,
             0x3f08_cb3e_ef15_0d19,
             5,
             &[0x3f08_cb3e_ef15_0d19],
             "flapping rail",
         );
+        // The stall, retry and wake-up path pops no stale event either.
+        assert_eq!(arena.work().pops, r.events, "flapping rail: calendar pops");
 
         let mut arena = EngineArena::new();
         for pass in 0..2 {

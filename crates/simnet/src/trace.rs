@@ -12,7 +12,7 @@
 //! the spans is [`mha_sched::union_length`] /
 //! [`mha_sched::intersection_length`].
 
-use mha_sched::{Channel, FrozenSchedule, OpId, OpKind, Probe, RankId, Schedule};
+use mha_sched::{FrozenSchedule, OpId, Probe, RankId, Schedule};
 
 /// The `ready/start/end` times (seconds) of one op.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,21 +69,6 @@ pub struct Trace {
     makespan: f64,
 }
 
-fn lane_of(kind: &OpKind) -> Lane {
-    match kind {
-        OpKind::Transfer {
-            src_rank,
-            channel: Channel::Rail(_) | Channel::AllRails,
-            ..
-        } => Lane::Net(*src_rank),
-        other => Lane::Cpu(
-            other
-                .cpu_actor()
-                .expect("non-rail op always has a CPU actor"),
-        ),
-    }
-}
-
 impl Trace {
     /// Builds a trace from simulator spans plus schedule metadata.
     pub fn new(sch: &Schedule, spans: Vec<OpSpan>) -> Self {
@@ -91,12 +76,18 @@ impl Trace {
             .iter()
             .map(|s| {
                 let op = sch.op(s.op);
+                let row = op.row();
+                let rank = RankId(row.rank);
                 SpanMeta {
-                    lane: lane_of(&op.kind),
-                    kind: op.kind.kind_name(),
+                    lane: if row.class.is_network() {
+                        Lane::Net(rank)
+                    } else {
+                        Lane::Cpu(rank)
+                    },
+                    kind: row.class.name(),
                     label: op.label().to_string(),
-                    step: op.has_step().then_some(op.step),
-                    bytes: op.kind.bytes(),
+                    step: row.step,
+                    bytes: row.bytes as usize,
                 }
             })
             .collect();
@@ -252,7 +243,7 @@ impl Probe for TraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mha_sched::{Loc, ProcGrid, ScheduleBuilder};
+    use mha_sched::{Channel, Loc, ProcGrid, ScheduleBuilder};
 
     fn sample_trace() -> Trace {
         let grid = ProcGrid::new(2, 1);
