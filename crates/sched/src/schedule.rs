@@ -219,32 +219,6 @@ impl Schedule {
         let s = self.stats();
         s.cma_bytes + s.rail_bytes + s.copy_bytes + s.reduce_bytes
     }
-
-    /// Renders the DAG in Graphviz DOT format (for debugging small
-    /// schedules; quadratic label text makes this impractical above a few
-    /// hundred ops).
-    pub fn to_dot(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "digraph \"{}\" {{", self.name);
-        let _ = writeln!(out, "  rankdir=LR; node [shape=box, fontsize=9];");
-        for (i, op) in self.ops.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  {} [label=\"{}\\n{} {}B s{}\"];",
-                i,
-                op.label(),
-                op.kind.kind_name(),
-                op.kind.bytes(),
-                if op.has_step() { op.step as i64 } else { -1 },
-            );
-            for &d in self.deps(OpId::from(i)) {
-                let _ = writeln!(out, "  {} -> {};", d.index(), i);
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -318,14 +292,6 @@ mod tests {
         assert_eq!(sch.private_buffers_of(RankId(2)).count(), 0);
         assert_eq!(sch.shared_buffers_of(NodeId(0)).count(), 1);
         assert_eq!(sch.shared_buffers_of(NodeId(1)).count(), 0);
-    }
-
-    #[test]
-    fn dot_output_mentions_every_op() {
-        let sch = tiny();
-        let dot = sch.to_dot();
-        assert!(dot.contains("digraph"));
-        assert!(dot.contains("0 -> 1;"));
     }
 
     #[test]

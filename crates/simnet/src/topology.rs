@@ -202,13 +202,41 @@ impl ClusterSpec {
     /// specs with equal digests price any schedule identically; the
     /// schedule-cache key (`mha_bench::campaign::ConfigKey`) folds it in.
     pub fn digest(&self) -> u64 {
+        self.digest_with_stripe(self.stripe_threshold)
+    }
+
+    /// The digest as `sch` sees the spec: [`ClusterSpec::digest`] with the
+    /// stripe threshold replaced by the smallest `AllRails` transfer length
+    /// in `sch` that [`ClusterSpec::stripes`] accepts (`usize::MAX` when
+    /// none does). The engine reads the threshold only through `stripes`
+    /// on `AllRails` transfers, so two specs with equal `digest_for(sch)`
+    /// simulate `sch` identically even when their thresholds differ.
+    pub fn digest_for(&self, sch: &mha_sched::Schedule) -> u64 {
+        let stripe = sch
+            .ops()
+            .iter()
+            .filter_map(|op| match op.kind {
+                mha_sched::OpKind::Transfer {
+                    len,
+                    channel: mha_sched::Channel::AllRails,
+                    ..
+                } => Some(len as usize),
+                _ => None,
+            })
+            .filter(|&len| self.stripes(len))
+            .min()
+            .unwrap_or(usize::MAX);
+        self.digest_with_stripe(stripe)
+    }
+
+    fn digest_with_stripe(&self, stripe_threshold: usize) -> u64 {
         let mut fp = mha_sched::Fingerprinter::new();
         fp.push_u8(self.rails)
             .push_f64(self.rail_bw)
             .push_f64(self.rail_alpha)
             .push_f64(self.rndv_extra)
             .push_usize(self.rndv_threshold)
-            .push_usize(self.stripe_threshold)
+            .push_usize(stripe_threshold)
             .push_f64(self.cma_bw)
             .push_f64(self.cma_alpha)
             .push_f64(self.copy_bw)

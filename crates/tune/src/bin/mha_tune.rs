@@ -44,6 +44,7 @@ fn main() {
             "gain_pct".into(),
             "rung0".into(),
             "rung1".into(),
+            "sims".into(),
         ],
     );
     let mut losses = 0usize;
@@ -73,6 +74,7 @@ fn main() {
                 (1.0 - s.tuned_us / best) * 100.0,
                 s.rung0 as f64,
                 s.rung1 as f64,
+                s.simulated as f64,
             ],
         );
     }

@@ -22,6 +22,8 @@
 //! degraded-operation story. All pricing goes through the campaign runner,
 //! so results are worker-count independent.
 
+use std::collections::HashMap;
+
 use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
 use mha_collectives::{AlgoConfig, TableKey, TunedTable};
 use mha_sched::ProcGrid;
@@ -135,6 +137,10 @@ pub struct PointSummary {
     pub rung0: usize,
     /// Candidates priced on the true grid (rung 1).
     pub rung1: usize,
+    /// Distinct simulations over both rungs: candidates that build the
+    /// same schedule for the same simulator share one (see
+    /// [`price_configs`]).
+    pub simulated: usize,
 }
 
 impl PointSummary {
@@ -181,6 +187,15 @@ pub fn fault_timeline(down: &[u8]) -> Option<FaultSpec> {
 /// Prices `configs` at `(grid, msg)` under an optional fault timeline:
 /// one campaign, one latency per config (µs). Shared by the search rungs,
 /// the `ablate_tune` binary and the serving tests.
+///
+/// Configs that would run the same simulation are priced once. A serial
+/// pass builds each config on its effective spec and keys it by its
+/// schedule fingerprint plus [`ClusterSpec::digest_for`] of that schedule,
+/// dropping the schedule before the next build. Within one call the grid,
+/// message size and fault timeline are shared, so configs with equal keys
+/// simulate identically: the campaign runs one point per distinct key (its
+/// first config, rebuilt by the job) and every config gets its group's
+/// latency.
 pub fn price_configs(
     configs: &[AlgoConfig],
     grid: ProcGrid,
@@ -189,21 +204,48 @@ pub fn price_configs(
     spec: &ClusterSpec,
     cfg: &CampaignConfig,
 ) -> Result<Vec<f64>, String> {
-    let points: Vec<CampaignPoint> = configs
-        .iter()
-        .map(|c| {
-            let sim_spec = c.effective_spec(spec).into_owned();
-            let build_spec = sim_spec.clone();
+    price_grouped(configs, grid, msg, faults, spec, cfg).map(|(prices, _)| prices)
+}
+
+/// [`price_configs`], also returning how many distinct simulations ran.
+fn price_grouped(
+    configs: &[AlgoConfig],
+    grid: ProcGrid,
+    msg: usize,
+    faults: Option<&FaultSpec>,
+    spec: &ClusterSpec,
+    cfg: &CampaignConfig,
+) -> Result<(Vec<f64>, usize), String> {
+    let mut groups: HashMap<(u64, u64), usize> = HashMap::new();
+    let mut group_of = Vec::with_capacity(configs.len());
+    let mut points = Vec::new();
+    for (i, c) in configs.iter().enumerate() {
+        let sim_spec = c.effective_spec(spec).into_owned();
+        let fs = mha_collectives::build(c, grid, msg, &sim_spec)
+            .map_err(|e| format!("config {i} [{}]: {e}", c.family.token()))?
+            .sched;
+        let key = (fs.fingerprint().0, sim_spec.digest_for(&fs));
+        drop(fs);
+        let g = *groups.entry(key).or_insert_with(|| {
             let c = c.clone();
-            CampaignPoint::sim_faulty(c.family.token(), sim_spec, faults.cloned(), move || {
-                mha_collectives::build(&c, grid, msg, &build_spec)
-                    .map(|b| b.sched)
-                    .map_err(|e| e.to_string())
-            })
-        })
-        .collect();
+            let build_spec = sim_spec.clone();
+            points.push(CampaignPoint::sim_faulty(
+                c.family.token(),
+                sim_spec,
+                faults.cloned(),
+                move || {
+                    mha_collectives::build(&c, grid, msg, &build_spec)
+                        .map(|b| b.sched)
+                        .map_err(|e| e.to_string())
+                },
+            ));
+            points.len() - 1
+        });
+        group_of.push(g);
+    }
     let report = run_campaign(&points, cfg)?;
-    Ok((0..configs.len()).map(|i| report.value(i)).collect())
+    let prices = group_of.iter().map(|&g| report.value(g)).collect();
+    Ok((prices, points.len()))
 }
 
 /// Deterministic best index: lowest latency, ties broken by config
@@ -241,7 +283,7 @@ pub fn run_search(
             .into_iter()
             .filter(|c| c.valid_for(proxy))
             .collect();
-        let p0 = price_configs(&pool, proxy, point.msg, faults.as_ref(), spec, cfg)?;
+        let (p0, sims0) = price_grouped(&pool, proxy, point.msg, faults.as_ref(), spec, cfg)?;
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by(|&a, &b| {
             p0[a]
@@ -259,7 +301,7 @@ pub fn run_search(
             .collect();
         finalists.extend(untuned.iter().map(|(_, c)| c.clone()));
         let finalists = dedup_by_digest(finalists);
-        let p1 = price_configs(
+        let (p1, sims1) = price_grouped(
             &finalists,
             point.grid,
             point.msg,
@@ -268,7 +310,7 @@ pub fn run_search(
             cfg,
         )?;
         let win = argmin(&p1, &finalists);
-        let by_digest: std::collections::HashMap<u64, f64> = finalists
+        let by_digest: HashMap<u64, f64> = finalists
             .iter()
             .zip(&p1)
             .map(|(c, &v)| (c.digest(), v))
@@ -288,6 +330,7 @@ pub fn run_search(
             untuned_us,
             rung0: pool.len(),
             rung1: finalists.len(),
+            simulated: sims0 + sims1,
         });
     }
     Ok(SearchOutcome { table, summaries })
