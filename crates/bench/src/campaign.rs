@@ -31,7 +31,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mha_apps::report::{fmt_bytes, Table};
 use mha_apps::Contestant;
@@ -114,6 +114,13 @@ impl ConfigKey {
 /// an 8-worker campaign rarely contends on a shard lock.
 const CACHE_SHARDS: usize = 16;
 
+/// Locks `m`, ignoring poisoning: a builder that panicked inside
+/// [`ScheduleCache::get_or_build`] inserted nothing, so its shard stays
+/// consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A concurrent build-once cache of frozen schedules, shared by every
 /// builder of one traffic run or sweep (see `crate::traffic`).
 ///
@@ -124,7 +131,7 @@ const CACHE_SHARDS: usize = 16;
 /// briefly and then shares the first worker's `Arc`. Hit/miss counters are
 /// exact and exposed for the cache-correctness tests.
 pub struct ScheduleCache {
-    shards: Vec<parking_lot::Mutex<HashMap<ConfigKey, Arc<FrozenSchedule>>>>,
+    shards: Vec<Mutex<HashMap<ConfigKey, Arc<FrozenSchedule>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     enabled: bool,
@@ -147,7 +154,7 @@ impl ScheduleCache {
     pub fn new(enabled: bool) -> Self {
         ScheduleCache {
             shards: (0..CACHE_SHARDS)
-                .map(|_| parking_lot::Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -167,7 +174,7 @@ impl ScheduleCache {
             return build().map(Arc::new);
         }
         let shard = &self.shards[(key.digest() as usize) % CACHE_SHARDS];
-        let mut map = shard.lock();
+        let mut map = lock(shard);
         if let Some(s) = map.get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(s));
@@ -190,7 +197,7 @@ impl ScheduleCache {
 
     /// Number of distinct schedules held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True when nothing has been cached.

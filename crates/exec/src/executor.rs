@@ -17,14 +17,15 @@
 //! wall-clock op spans through a [`Probe`], the same observability seam the
 //! simulator emits, so one sink works against both backends.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
-
-use crossbeam::channel;
 
 use mha_sched::{AtomicReadySet, DType, FrozenSchedule, OpKind, Probe, RedOp};
 
 use crate::journal::{CompletionJournal, JournalError, JournalSink, KillPlan};
+use crate::lock;
 use crate::memory::BufferStore;
 
 /// An execution failure.
@@ -35,8 +36,8 @@ pub enum ExecError {
     /// A worker thread panicked (the panic is contained — it surfaces as
     /// this error instead of aborting the process or hanging the pool).
     WorkerPanicked,
-    /// The worker pool drained without completing every op — a broken DAG
-    /// or a disconnected worker queue.
+    /// The worker pool went idle — every worker waiting on an empty ready
+    /// queue — before every op completed: a broken DAG.
     Stalled {
         /// Ops that completed.
         done: usize,
@@ -257,7 +258,7 @@ pub fn resume_threaded(
 }
 
 /// [`resume_threaded`] under a deterministic kill plan: each victim
-/// worker dies — via the same contained-panic release machinery as
+/// worker dies — closing the ready queue, as a panicking worker does for
 /// [`ExecError::WorkerPanicked`] — instead of executing the op it just
 /// claimed, once the journaled-op count reaches its threshold. The claimed
 /// op stays unexecuted and unjournaled, so `resume_threaded` re-runs it
@@ -326,18 +327,14 @@ fn run_threaded_inner(
     } else {
         AtomicReadySet::from_completed(sch, completed)
     };
-    let done = AtomicUsize::new(0);
-    let poisoned = std::sync::atomic::AtomicBool::new(false);
-    let killed = std::sync::atomic::AtomicBool::new(false);
-    let (tx, rx) = channel::unbounded::<usize>();
-    for &i in &frontier {
-        if let Some(p) = probe.as_deref_mut() {
+    if let Some(p) = probe.as_deref_mut() {
+        for &i in &frontier {
             p.op_ready(i, 0.0);
         }
-        // The local `rx` keeps the channel open; a failed send here means
-        // the world is broken in a way the stall check below will report.
-        let _ = tx.send(i as usize);
     }
+    let queue = ReadyQueue::new(frontier, threads);
+    let done = AtomicUsize::new(0);
+    let killed = AtomicBool::new(false);
 
     // Timestamps (nanos + 1; 0 = never ran) are only recorded when a probe
     // is attached, so the unprobed path pays no clock reads.
@@ -354,73 +351,46 @@ fn run_threaded_inner(
     let panicked = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for w in 0..threads {
-            let rx = rx.clone();
-            let tx = tx.clone();
             let kill_at = kill.and_then(|p| p.threshold(w));
-            let (ready, done, poisoned, killed, stamps) =
-                (&ready, &done, &poisoned, &killed, &stamps);
+            let (queue, ready, done, killed, stamps) = (&queue, &ready, &done, &killed, &stamps);
             handles.push(scope.spawn(move || {
-                while let Ok(i) = rx.recv() {
-                    if i == usize::MAX {
-                        break;
-                    }
+                // However this worker leaves (drained queue, kill or
+                // panic), its exit closes the queue for every peer.
+                let _close = CloseOnExit(queue);
+                while let Some(i) = queue.pop() {
                     if let Some(thr) = kill_at {
                         if base + done.load(Ordering::Acquire) >= thr {
                             // Die *before* executing the claimed op: it
                             // stays unexecuted and unjournaled, so resume
                             // re-runs it exactly once — the only safe kill
-                            // point for non-idempotent Reduce ops. Release
-                            // the surviving workers like the poison path.
+                            // point for non-idempotent Reduce ops.
                             killed.store(true, Ordering::Release);
-                            for _ in 0..threads {
-                                let _ = tx.send(usize::MAX);
-                            }
-                            break;
+                            return;
                         }
                     }
+                    let op = i as usize;
                     if timing {
-                        stamps[i].0.store(nanos_since(t0), Ordering::Relaxed);
+                        stamps[op].0.store(nanos_since(t0), Ordering::Relaxed);
                     }
-                    // Contain op panics: poison the run and release every
-                    // worker instead of hanging peers on a queue nobody
-                    // will ever feed again.
-                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        execute_op(&sch.ops()[i].kind, store)
-                    }));
-                    if r.is_err() {
-                        poisoned.store(true, Ordering::Release);
-                        for _ in 0..threads {
-                            let _ = tx.send(usize::MAX);
-                        }
-                        break;
-                    }
+                    execute_op(&sch.ops()[op].kind, store);
                     if timing {
-                        stamps[i].1.store(nanos_since(t0), Ordering::Relaxed);
+                        stamps[op].1.store(nanos_since(t0), Ordering::Relaxed);
                     }
                     // Journal after the op's effects are durable and before
                     // any successor can be released: at every instant the
                     // journal is a dependency-closed prefix in retire order.
                     if let Some(j) = journal {
-                        j.op_retired(i as u32);
+                        j.op_retired(i);
                     }
-                    ready.complete(sch, i as u32, |s| {
-                        // A send can only fail if the channel somehow died;
-                        // the stall check below turns that into an error.
-                        let _ = tx.send(s as usize);
-                    });
-                    if done.fetch_add(1, Ordering::AcqRel) + 1 == todo {
-                        // All done: release every worker.
-                        for _ in 0..threads {
-                            let _ = tx.send(usize::MAX);
-                        }
-                    }
+                    ready.complete(sch, i, |s| queue.push(s));
+                    done.fetch_add(1, Ordering::AcqRel);
                 }
             }));
         }
         handles.into_iter().any(|h| h.join().is_err())
     });
 
-    if panicked || poisoned.load(Ordering::Acquire) {
+    if panicked {
         return Err(ExecError::WorkerPanicked);
     }
     let ran = done.load(Ordering::Acquire);
@@ -465,6 +435,84 @@ fn run_threaded_inner(
     Ok(())
 }
 
+/// The pool's shared FIFO of ready op ids.
+///
+/// It closes on [`ReadyQueue::close`] (a worker leaving the pool) and by
+/// itself once every worker waits with nothing queued: no op is running
+/// then, so none can ever be released again. That one rule ends a finished
+/// run and turns a broken DAG into [`ExecError::Stalled`] instead of a
+/// hang. Once closed, [`ReadyQueue::pop`] returns `None` to every worker,
+/// abandoning whatever is still queued.
+struct ReadyQueue {
+    state: Mutex<QueueState>,
+    wake: Condvar,
+    workers: usize,
+}
+
+struct QueueState {
+    ops: VecDeque<u32>,
+    waiting: usize,
+    closed: bool,
+}
+
+impl ReadyQueue {
+    fn new(ops: Vec<u32>, workers: usize) -> Self {
+        ReadyQueue {
+            state: Mutex::new(QueueState {
+                ops: ops.into(),
+                waiting: 0,
+                closed: false,
+            }),
+            wake: Condvar::new(),
+            workers,
+        }
+    }
+
+    fn push(&self, op: u32) {
+        let mut s = lock(&self.state);
+        s.ops.push_back(op);
+        if s.waiting > 0 {
+            self.wake.notify_one();
+        }
+    }
+
+    /// The next ready op, blocking while the queue is empty but some
+    /// worker may still release one; `None` once the queue is closed.
+    fn pop(&self) -> Option<u32> {
+        let mut s = lock(&self.state);
+        loop {
+            if s.closed {
+                return None;
+            }
+            if let Some(op) = s.ops.pop_front() {
+                return Some(op);
+            }
+            if s.waiting + 1 == self.workers {
+                s.closed = true;
+                self.wake.notify_all();
+                return None;
+            }
+            s.waiting += 1;
+            s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
+            s.waiting -= 1;
+        }
+    }
+
+    fn close(&self) {
+        lock(&self.state).closed = true;
+        self.wake.notify_all();
+    }
+}
+
+/// Closes the queue when dropped, including while a panic unwinds.
+struct CloseOnExit<'a>(&'a ReadyQueue);
+
+impl Drop for CloseOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.close();
+    }
+}
+
 /// Nanoseconds since `t0`, offset by 1 so 0 can mean "never recorded".
 fn nanos_since(t0: Instant) -> u64 {
     (t0.elapsed().as_nanos() as u64).saturating_add(1)
@@ -475,12 +523,13 @@ mod tests {
     use super::*;
     use mha_sched::{Channel, Loc, ProcGrid, RankId, ScheduleBuilder};
 
-    /// A chain of copies relaying a pattern through several buffers.
-    fn relay_schedule(hops: usize) -> FrozenSchedule {
+    /// A chain of 16-byte copies relaying a pattern through `hops + 1`
+    /// buffers of `len` bytes each.
+    fn relay_schedule(hops: usize, len: usize) -> FrozenSchedule {
         let grid = ProcGrid::single_node(1);
         let mut b = ScheduleBuilder::new(grid, "relay");
         let bufs: Vec<_> = (0..=hops)
-            .map(|i| b.private_buf(RankId(0), 16, format!("b{i}")))
+            .map(|i| b.private_buf(RankId(0), len, format!("b{i}")))
             .collect();
         let mut prev = None;
         for w in bufs.windows(2) {
@@ -499,7 +548,7 @@ mod tests {
 
     #[test]
     fn single_executes_relay() {
-        let sch = relay_schedule(5);
+        let sch = relay_schedule(5, 16);
         let store = BufferStore::new(&sch);
         let pattern: Vec<u8> = (0..16).collect();
         store.fill(sch.buffers()[0].id, 0, &pattern);
@@ -509,7 +558,7 @@ mod tests {
 
     #[test]
     fn threaded_matches_single_on_relay() {
-        let sch = relay_schedule(20);
+        let sch = relay_schedule(20, 16);
         let pattern: Vec<u8> = (0..16).map(|x| x * 3).collect();
         for threads in [1, 2, 8] {
             let store = BufferStore::new(&sch);
@@ -526,11 +575,50 @@ mod tests {
         // allocated and panics inside a worker. The pool must contain
         // that panic and report it — not abort the process, and not hang
         // the remaining workers on a queue nobody will feed again.
-        let sch = relay_schedule(5);
-        let tiny = relay_schedule(1);
+        let sch = relay_schedule(5, 16);
+        let tiny = relay_schedule(1, 16);
         let store = BufferStore::new(&tiny);
         let err = run_threaded(&sch, &store, 4).unwrap_err();
         assert!(matches!(err, ExecError::WorkerPanicked), "got {err}");
+    }
+
+    #[test]
+    fn panic_under_buffer_locks_leaves_store_readable() {
+        // The same 6-buffer relay, but every buffer in the store is 8
+        // bytes: the first 16-byte copy panics inside `copy_bytes` while
+        // it holds both buffers' locks, which poisons them. The run must
+        // still report the panic, and the store and the journal must
+        // stay readable afterwards.
+        let sch = relay_schedule(5, 16);
+        let short = relay_schedule(5, 8);
+        let store = BufferStore::new(&short);
+        store.fill(sch.buffers()[0].id, 0, &[7; 8]);
+        let err = run_threaded(&sch, &store, 4).unwrap_err();
+        assert!(matches!(err, ExecError::WorkerPanicked), "got {err}");
+        let journal = CompletionJournal::for_schedule(&sch);
+        let err = resume_threaded(&sch, &store, 4, &journal).unwrap_err();
+        assert!(matches!(err, ExecError::WorkerPanicked), "got {err}");
+        assert_eq!(store.read_all(sch.buffers()[0].id), vec![7; 8]);
+        assert_eq!(store.read_all(sch.buffers()[1].id), vec![0; 8]);
+        assert_eq!(journal.len(), 0);
+    }
+
+    #[test]
+    fn ready_queue_closes_when_every_worker_idles() {
+        // Two queued ops, three workers, nothing ever pushed again: the
+        // ops are handed out, then the last worker to go idle closes the
+        // queue and releases the other two.
+        let queue = ReadyQueue::new(vec![4, 9], 3);
+        let popped: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..3)
+                .map(|_| scope.spawn(|| std::iter::from_fn(|| queue.pop()).collect()))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut all: Vec<u32> = popped.concat();
+        all.sort_unstable();
+        assert_eq!(all, [4, 9]);
+        assert_eq!(queue.pop(), None);
     }
 
     #[test]

@@ -14,15 +14,17 @@
 //! `Reduce` ops.
 //!
 //! [`KillPlan`] is the deterministic crash injector: named worker threads
-//! die (via the same contained-panic machinery that reports
-//! [`crate::ExecError::WorkerPanicked`]) once the global retired-op counter
-//! passes their seeded thresholds, the run aborts with
+//! die (closing the pool's ready queue, as a worker that panics with
+//! [`crate::ExecError::WorkerPanicked`] does) once the global retired-op
+//! counter passes their seeded thresholds, the run aborts with
 //! [`crate::ExecError::Killed`], and `resume_threaded` finishes the
 //! unfinished suffix against the same buffers.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use mha_sched::FrozenSchedule;
+
+use crate::lock;
 
 /// A malformed completion journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,28 +116,28 @@ impl CompletionJournal {
 
     /// Completions recorded so far.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        lock(&self.entries).len()
     }
 
     /// Whether nothing has been journaled.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        lock(&self.entries).is_empty()
     }
 
     /// Whether every op of the schedule has retired.
     pub fn is_complete(&self) -> bool {
-        self.entries.lock().len() == self.n_ops
+        lock(&self.entries).len() == self.n_ops
     }
 
     /// A snapshot of the entries in retire order.
     pub fn entries(&self) -> Vec<u32> {
-        self.entries.lock().clone()
+        lock(&self.entries).clone()
     }
 
     /// Records `op` as retired. Executors call this through
     /// [`JournalSink`]; tests may append directly.
     pub fn record(&self, op: u32) {
-        self.entries.lock().push(op);
+        lock(&self.entries).push(op);
     }
 
     /// Checks the journal against `sch`: every entry in range, no
@@ -167,7 +169,7 @@ impl CompletionJournal {
     /// pin this alongside the output-buffer hash.
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &op in self.entries.lock().iter() {
+        for &op in lock(&self.entries).iter() {
             for b in op.to_le_bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);

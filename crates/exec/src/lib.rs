@@ -43,3 +43,10 @@ pub use verify::{
     rank_pattern, rank_values_f32, verify_allgather, verify_allreduce_sum_f32, verify_alltoall,
     verify_bcast, Mode, VerifyError,
 };
+
+/// Locks `m`, ignoring poisoning. A worker that panics while holding a lock
+/// has already failed its run ([`ExecError::WorkerPanicked`]); the buffers,
+/// journal entries and ready queue it held stay readable for the caller.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -5,9 +5,11 @@
 //! is possible; for schedules that pass `mha_sched::check_races`, the result
 //! is additionally independent of scheduling order.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use mha_sched::{BufId, Loc, Schedule};
+
+use crate::lock;
 
 /// The materialized buffers of one schedule.
 pub struct BufferStore {
@@ -42,19 +44,19 @@ impl BufferStore {
     ///
     /// Panics if the range is out of bounds.
     pub fn fill(&self, buf: BufId, offset: usize, data: &[u8]) {
-        let mut guard = self.bufs[buf.index()].lock();
+        let mut guard = lock(&self.bufs[buf.index()]);
         guard[offset..offset + data.len()].copy_from_slice(data);
     }
 
     /// Returns a copy of `buf[offset..offset + len]`.
     pub fn read(&self, buf: BufId, offset: usize, len: usize) -> Vec<u8> {
-        let guard = self.bufs[buf.index()].lock();
+        let guard = lock(&self.bufs[buf.index()]);
         guard[offset..offset + len].to_vec()
     }
 
     /// Returns a full copy of `buf`.
     pub fn read_all(&self, buf: BufId) -> Vec<u8> {
-        self.bufs[buf.index()].lock().clone()
+        lock(&self.bufs[buf.index()]).clone()
     }
 
     /// Copies `len` bytes from `src` to `dst`, locking in id order.
@@ -62,7 +64,7 @@ impl BufferStore {
     /// memcpy; timing differences are the simulator's concern).
     pub fn copy_bytes(&self, src: Loc, dst: Loc, len: usize) {
         if src.buf == dst.buf {
-            let mut guard = self.bufs[src.buf.index()].lock();
+            let mut guard = lock(&self.bufs[src.buf.index()]);
             // Validation forbids overlapping same-buffer copies, so a
             // temporary split via copy_within is safe.
             guard.copy_within(span(src, len), dst.offset as usize);
@@ -73,8 +75,8 @@ impl BufferStore {
             } else {
                 (dst.buf, src.buf)
             };
-            let g1 = self.bufs[first.index()].lock();
-            let g2 = self.bufs[second.index()].lock();
+            let g1 = lock(&self.bufs[first.index()]);
+            let g2 = lock(&self.bufs[second.index()]);
             let (sg, mut dg) = if src.buf == first { (g1, g2) } else { (g2, g1) };
             dg[span(dst, len)].copy_from_slice(&sg[span(src, len)]);
         }
@@ -92,7 +94,7 @@ impl BufferStore {
     ) {
         assert_eq!(len % elem_size, 0);
         if acc.buf == operand.buf {
-            let mut guard = self.bufs[acc.buf.index()].lock();
+            let mut guard = lock(&self.bufs[acc.buf.index()]);
             // Ranges are validated non-overlapping only for Copy; reduce may
             // legally read and write the same buffer at disjoint offsets.
             // Work on a copied operand to sidestep aliasing.
@@ -110,8 +112,8 @@ impl BufferStore {
             } else {
                 (operand.buf, acc.buf)
             };
-            let g1 = self.bufs[first.index()].lock();
-            let g2 = self.bufs[second.index()].lock();
+            let g1 = lock(&self.bufs[first.index()]);
+            let g2 = lock(&self.bufs[second.index()]);
             let (mut ag, og) = if acc.buf == first { (g1, g2) } else { (g2, g1) };
             let acc_slice = &mut ag[span(acc, len)];
             let op_slice = &og[span(operand, len)];

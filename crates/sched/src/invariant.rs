@@ -175,8 +175,7 @@ struct FlowState {
 /// conservation (see the module docs for the exact invariants).
 ///
 /// Reusable: [`Probe::begin_run`] resets all state, so one instance can
-/// audit many runs back to back (violations accumulate across runs until
-/// [`InvariantProbe::take_violations`]).
+/// audit many runs back to back (violations accumulate across runs).
 #[derive(Debug, Default)]
 pub struct InvariantProbe {
     // Frozen DAG predecessors (the schedule's derived dependency lists),
@@ -224,12 +223,6 @@ impl InvariantProbe {
     /// Whether every audited run was violation-free.
     pub fn is_clean(&self) -> bool {
         self.total == 0
-    }
-
-    /// Drains the recorded violations, resetting the counters.
-    pub fn take_violations(&mut self) -> Vec<Violation> {
-        self.total = 0;
-        std::mem::take(&mut self.violations)
     }
 
     /// Consumes the auditor, returning every recorded violation.
@@ -646,8 +639,6 @@ mod tests {
         drive_clean(&mut p, &fs);
         assert!(p.is_clean());
         assert!(p.wants_flows());
-        let drained = p.take_violations();
-        assert!(drained.is_empty());
     }
 
     #[test]

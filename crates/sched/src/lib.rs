@@ -17,8 +17,8 @@
 //!   (op ids are a topological order),
 //! * [`runtime`], the indegree-counter readiness drivers ([`ReadySet`],
 //!   [`AtomicReadySet`]) both backends schedule with, and
-//! * [`probe`], the pluggable observability seam ([`Probe`] sinks: JSONL
-//!   traces, run summaries with the network/CPU overlap fraction).
+//! * [`probe`], the pluggable observability seam ([`Probe`] sinks: run
+//!   summaries with the network/CPU overlap fraction, invariant audits).
 //!
 //! Collective algorithms (in `mha-collectives`) compile to this IR once and
 //! freeze it; the discrete-event simulator (`mha-simnet`) then prices the
@@ -69,8 +69,8 @@ pub use invariant::{InvariantProbe, Violation};
 pub use merge::{merge_parts, MergeError, MergePart, Merged};
 pub use op::{Channel, DType, Marker, Op, OpKind, OpLabel, RailSet, RedOp};
 pub use probe::{
-    intersection_length, union_length, JsonlProbe, NullProbe, Probe, ResourceUtil, RunSummary,
-    SummaryProbe, Tee,
+    intersection_length, union_length, NullProbe, Probe, ResourceUtil, RunSummary, SummaryProbe,
+    Tee,
 };
 pub use relocate::{relocate_onto, validate_placement, RelocateError};
 pub use runtime::{AtomicReadySet, ReadySet};

@@ -56,24 +56,6 @@ pub struct Merged {
     pub spans: Vec<std::ops::Range<u32>>,
 }
 
-impl Merged {
-    /// The part owning op `id`, by binary search over the spans.
-    pub fn part_of(&self, id: OpId) -> usize {
-        match self.spans.binary_search_by(|s| {
-            if id.0 < s.start {
-                std::cmp::Ordering::Greater
-            } else if id.0 >= s.end {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(k) => k,
-            Err(_) => panic!("op {} outside every span", id.0),
-        }
-    }
-}
-
 /// Why a merge was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MergeError {
@@ -404,8 +386,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.spans, vec![0..2, 2..4]);
-        assert_eq!(m.part_of(OpId(1)), 0);
-        assert_eq!(m.part_of(OpId(2)), 1);
         let sch = &m.schedule;
         assert_eq!(sch.ops().len(), 4);
         assert_eq!(sch.buffers().len(), 6);

@@ -8,16 +8,12 @@
 //!
 //! * [`NullProbe`] — keeps nothing (the default; all trait methods are
 //!   no-op defaults, so custom sinks override only what they need);
-//! * [`JsonlProbe`] — streams every event as one JSON object per line, for
-//!   offline analysis (format documented on the type and in `DESIGN.md`);
 //! * [`SummaryProbe`] — folds the stream into a [`RunSummary`]: per-resource
 //!   utilization plus the network/CPU overlap fraction that quantifies the
 //!   paper's Fig. 7 compute–communication overlap argument.
 //!
 //! The ASCII timeline sink (`TraceBuilder`) lives in `mha-simnet::trace`
 //! because it renders against the simulator's lane model.
-
-use std::io::{self, Write};
 
 use crate::frozen::FrozenSchedule;
 
@@ -177,196 +173,6 @@ pub fn intersection_length(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// JSONL sink
-// ---------------------------------------------------------------------------
-
-/// Streams the probe event stream as JSON Lines.
-///
-/// One object per line. The stream opens with a `begin` record and one `op`
-/// record per op (static metadata), then carries dynamic events in order:
-///
-/// ```text
-/// {"ev":"begin","backend":"simnet","schedule":"ring","ops":12,"edges":14}
-/// {"ev":"op","op":0,"kind":"rails","bytes":4096,"step":0,"rank":0,"label":"r0->r4"}
-/// {"ev":"res","res":0,"label":"cpu(r0)","capacity":1.3e10}
-/// {"ev":"ready","op":0,"t":0.0}
-/// {"ev":"start","op":0,"t":1.9e-6}
-/// {"ev":"flow_begin","op":0,"flow":0,"cap":1.55e10,"bytes":4096.0,"resources":[[4,1.0],[6,1.0]],"t":1.9e-6}
-/// {"ev":"rate","op":0,"flow":0,"rate":1.55e10,"t":1.9e-6}
-/// {"ev":"waterfill","t":1.9e-6,"flows":2}
-/// {"ev":"flow_end","op":0,"flow":0,"t":4.54e-6}
-/// {"ev":"end","op":0,"t":4.54e-6}
-/// {"ev":"resource","label":"tx(n0,h0)","bytes":4096.0,"capacity":1.55e10}
-/// {"ev":"end_run","makespan":4.54e-6}
-/// ```
-///
-/// Times are seconds; rates and capacities bytes/s. `step` is `null` for
-/// untagged ops. No external JSON dependency is used: fields are numbers,
-/// fixed keys and escaped strings only.
-#[derive(Debug)]
-pub struct JsonlProbe<W: Write> {
-    w: W,
-    err: Option<io::Error>,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl<W: Write> JsonlProbe<W> {
-    /// A sink writing to `w`.
-    pub fn new(w: W) -> Self {
-        JsonlProbe { w, err: None }
-    }
-
-    fn line(&mut self, s: String) {
-        if self.err.is_none() {
-            if let Err(e) = writeln!(self.w, "{s}") {
-                self.err = Some(e);
-            }
-        }
-    }
-
-    /// Finishes the stream, returning the writer or the first I/O error.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        match self.err.take() {
-            Some(e) => Err(e),
-            None => {
-                self.w.flush()?;
-                Ok(self.w)
-            }
-        }
-    }
-}
-
-impl<W: Write> Probe for JsonlProbe<W> {
-    fn begin_run(&mut self, fs: &FrozenSchedule, backend: &'static str) {
-        self.line(format!(
-            "{{\"ev\":\"begin\",\"backend\":\"{}\",\"schedule\":\"{}\",\"ops\":{},\"edges\":{}}}",
-            json_escape(backend),
-            json_escape(fs.name()),
-            fs.n_ops(),
-            fs.n_edges()
-        ));
-        for (i, row) in fs.rows().enumerate() {
-            let step = match row.step {
-                Some(s) => s.to_string(),
-                None => "null".into(),
-            };
-            self.line(format!(
-                "{{\"ev\":\"op\",\"op\":{},\"kind\":\"{}\",\"bytes\":{},\"step\":{},\"rank\":{},\"label\":\"{}\"}}",
-                i,
-                row.class.name(),
-                row.bytes,
-                step,
-                row.rank,
-                json_escape(&fs.ops()[i].label().to_string())
-            ));
-        }
-    }
-
-    fn op_ready(&mut self, op: u32, t: f64) {
-        self.line(format!("{{\"ev\":\"ready\",\"op\":{op},\"t\":{t:e}}}"));
-    }
-
-    fn op_start(&mut self, op: u32, t: f64) {
-        self.line(format!("{{\"ev\":\"start\",\"op\":{op},\"t\":{t:e}}}"));
-    }
-
-    fn op_end(&mut self, op: u32, t: f64) {
-        self.line(format!("{{\"ev\":\"end\",\"op\":{op},\"t\":{t:e}}}"));
-    }
-
-    fn wants_flows(&self) -> bool {
-        true
-    }
-
-    fn resource_decl(&mut self, index: u32, label: &str, capacity: f64) {
-        self.line(format!(
-            "{{\"ev\":\"res\",\"res\":{index},\"label\":\"{}\",\"capacity\":{capacity:e}}}",
-            json_escape(label)
-        ));
-    }
-
-    fn flow_begin(
-        &mut self,
-        op: u32,
-        flow: u32,
-        resources: &[(u32, f64)],
-        cap: f64,
-        bytes: f64,
-        t: f64,
-    ) {
-        let res: Vec<String> = resources
-            .iter()
-            .map(|(r, w)| format!("[{r},{w:e}]"))
-            .collect();
-        self.line(format!(
-            "{{\"ev\":\"flow_begin\",\"op\":{op},\"flow\":{flow},\"cap\":{cap:e},\"bytes\":{bytes:e},\"resources\":[{}],\"t\":{t:e}}}",
-            res.join(",")
-        ));
-    }
-
-    fn flow_end(&mut self, op: u32, flow: u32, t: f64) {
-        self.line(format!(
-            "{{\"ev\":\"flow_end\",\"op\":{op},\"flow\":{flow},\"t\":{t:e}}}"
-        ));
-    }
-
-    fn flow_rate(&mut self, op: u32, flow: u32, rate: f64, t: f64) {
-        self.line(format!(
-            "{{\"ev\":\"rate\",\"op\":{op},\"flow\":{flow},\"rate\":{rate:e},\"t\":{t:e}}}"
-        ));
-    }
-
-    fn resource_capacity(&mut self, res: u32, capacity: f64, t: f64) {
-        self.line(format!(
-            "{{\"ev\":\"capacity\",\"res\":{res},\"capacity\":{capacity:e},\"t\":{t:e}}}"
-        ));
-    }
-
-    fn flow_resources(&mut self, op: u32, flow: u32, resources: &[(u32, f64)], t: f64) {
-        let res: Vec<String> = resources
-            .iter()
-            .map(|(r, w)| format!("[{r},{w:e}]"))
-            .collect();
-        self.line(format!(
-            "{{\"ev\":\"flow_reroute\",\"op\":{op},\"flow\":{flow},\"resources\":[{}],\"t\":{t:e}}}",
-            res.join(",")
-        ));
-    }
-
-    fn waterfill(&mut self, t: f64, flows: usize, touched: usize) {
-        self.line(format!(
-            "{{\"ev\":\"waterfill\",\"t\":{t:e},\"flows\":{flows},\"touched\":{touched}}}"
-        ));
-    }
-
-    fn resource_sample(&mut self, label: &str, bytes: f64, capacity: f64) {
-        self.line(format!(
-            "{{\"ev\":\"resource\",\"label\":\"{}\",\"bytes\":{bytes:e},\"capacity\":{capacity:e}}}",
-            json_escape(label)
-        ));
-    }
-
-    fn end_run(&mut self, makespan: f64) {
-        self.line(format!("{{\"ev\":\"end_run\",\"makespan\":{makespan:e}}}"));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Summary sink
 // ---------------------------------------------------------------------------
 
@@ -521,7 +327,7 @@ impl Probe for SummaryProbe {
 }
 
 /// Broadcasts each event to two probes, letting callers combine sinks
-/// (e.g. a [`SummaryProbe`] and a [`JsonlProbe`]) in one run.
+/// (e.g. a [`SummaryProbe`] and an [`crate::InvariantProbe`]) in one run.
 #[derive(Debug)]
 pub struct Tee<'a, A: Probe + ?Sized, B: Probe + ?Sized>(pub &'a mut A, pub &'a mut B);
 
@@ -670,39 +476,6 @@ mod tests {
     fn overlap_fraction_zero_without_network() {
         let s = RunSummary::default();
         assert_eq!(s.overlap_fraction(), 0.0);
-    }
-
-    #[test]
-    fn jsonl_probe_emits_one_object_per_line() {
-        let fs = tiny();
-        let mut p = JsonlProbe::new(Vec::<u8>::new());
-        p.begin_run(&fs, "simnet");
-        p.op_ready(0, 0.0);
-        p.op_start(0, 1e-6);
-        p.flow_rate(0, 0, 2.5e10, 1e-6);
-        p.waterfill(1e-6, 1, 1);
-        p.op_end(0, 2e-6);
-        p.resource_sample("tx(n0,h0)", 64.0, 2.5e10);
-        p.end_run(2e-6);
-        let out = String::from_utf8(p.into_inner().unwrap()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        // begin + 2 op-meta + 5 events + resource + end_run
-        assert_eq!(lines.len(), 10);
-        assert!(lines[0].contains("\"ev\":\"begin\""));
-        assert!(lines[0].contains("\"backend\":\"simnet\""));
-        assert!(lines[1].contains("\"kind\":\"rails\""));
-        assert!(lines[2].contains("\"kind\":\"copy\""));
-        assert!(lines[2].contains("\"step\":1"));
-        assert!(lines.last().unwrap().contains("\"ev\":\"end_run\""));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

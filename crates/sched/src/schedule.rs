@@ -2,10 +2,10 @@
 //! buffers, produced by an algorithm in `mha-collectives` and consumed by
 //! both the simulator (`mha-simnet`) and the executors (`mha-exec`).
 
-use crate::buffer::{BufKind, BufferDecl};
+use crate::buffer::BufferDecl;
 use crate::edges::Edges;
 use crate::grid::ProcGrid;
-use crate::ids::{BufId, NodeId, OpId, RankId};
+use crate::ids::{BufId, OpId};
 use crate::op::{Channel, Op, OpKind};
 
 /// Aggregate statistics of a schedule, used by tests to assert algorithmic
@@ -156,20 +156,6 @@ impl Schedule {
         &self.ops[id.index()]
     }
 
-    /// Buffers private to `rank`, in declaration order.
-    pub fn private_buffers_of(&self, rank: RankId) -> impl Iterator<Item = &BufferDecl> {
-        self.buffers
-            .iter()
-            .filter(move |b| b.kind == BufKind::Private(rank))
-    }
-
-    /// Shared buffers of `node`, in declaration order.
-    pub fn shared_buffers_of(&self, node: NodeId) -> impl Iterator<Item = &BufferDecl> {
-        self.buffers
-            .iter()
-            .filter(move |b| b.kind == BufKind::NodeShared(node))
-    }
-
     /// Computes aggregate statistics in one pass.
     pub fn stats(&self) -> ScheduleStats {
         let mut s = ScheduleStats {
@@ -226,6 +212,7 @@ mod tests {
     use super::*;
     use crate::buffer::Loc;
     use crate::builder::ScheduleBuilder;
+    use crate::ids::{NodeId, RankId};
 
     fn tiny() -> Schedule {
         let grid = ProcGrid::new(2, 2);
@@ -282,16 +269,6 @@ mod tests {
         assert!(fs.succs(1).is_empty());
         assert_eq!(fs.indegrees(), [0, 1]);
         assert_eq!(fs.ops().len(), 2);
-    }
-
-    #[test]
-    fn buffer_queries_filter_by_owner() {
-        let sch = tiny();
-        assert_eq!(sch.private_buffers_of(RankId(0)).count(), 1);
-        assert_eq!(sch.private_buffers_of(RankId(1)).count(), 1);
-        assert_eq!(sch.private_buffers_of(RankId(2)).count(), 0);
-        assert_eq!(sch.shared_buffers_of(NodeId(0)).count(), 1);
-        assert_eq!(sch.shared_buffers_of(NodeId(1)).count(), 0);
     }
 
     #[test]

@@ -210,22 +210,6 @@ impl FaultSpec {
         }
         fp.finish().0
     }
-
-    /// Rails down fabric-wide from `time` on (ignoring per-node events) —
-    /// what a failure-aware builder would exclude when re-striping.
-    pub fn down_rails_at(&self, time: f64, rails: u8) -> Vec<u8> {
-        let mut order: Vec<usize> = (0..self.events.len()).collect();
-        order.sort_by(|&a, &b| self.events[a].time.total_cmp(&self.events[b].time));
-        let mut down = vec![false; usize::from(rails)];
-        for i in order {
-            let ev = &self.events[i];
-            if ev.time > time || ev.node.is_some() || usize::from(ev.rail) >= down.len() {
-                continue;
-            }
-            down[usize::from(ev.rail)] = matches!(ev.kind, FaultKind::Down);
-        }
-        (0..rails).filter(|&r| down[usize::from(r)]).collect()
-    }
 }
 
 /// Default retry timeout for the convenience constructors: 100 µs, a few
@@ -268,14 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn down_rails_tracks_the_timeline() {
-        let s = FaultSpec::flap(0, 1.0, 2.0);
-        assert_eq!(s.down_rails_at(0.5, 2), Vec::<u8>::new());
-        assert_eq!(s.down_rails_at(1.5, 2), vec![0]);
-        assert_eq!(s.down_rails_at(2.5, 2), Vec::<u8>::new());
-    }
-
-    #[test]
     fn node_crash_constructors_validate() {
         let s = FaultSpec::node_crash(1, 1e-3, 5e-4);
         assert!(s.validate(2, 4).is_ok());
@@ -289,12 +265,6 @@ mod tests {
             kind: FaultKind::NodeDown,
         });
         assert!(s.validate(2, 4).is_err(), "node event without a node");
-    }
-
-    #[test]
-    fn node_events_are_not_fabric_wide_rail_downs() {
-        let s = FaultSpec::node_crash(0, 1.0, 1.0);
-        assert_eq!(s.down_rails_at(1.5, 2), Vec::<u8>::new());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * **Observability** ([`Trace`], [`mha_sched::Probe`]): every view of a
 //!   run is a probe sink plugged into [`Simulator::run_probed`] — the
 //!   ASCII Gantt timeline in the spirit of the paper's Figure 2
-//!   ([`TraceBuilder`]), JSONL event streams ([`mha_sched::JsonlProbe`]),
-//!   and the utilization/overlap digest ([`mha_sched::SummaryProbe`]) for
-//!   the Figure 6/7 arguments. Check mode ([`check_enabled`]) tees an
+//!   ([`TraceBuilder`]) and the utilization/overlap digest
+//!   ([`mha_sched::SummaryProbe`]) for the Figure 6/7 arguments. Check mode ([`check_enabled`]) tees an
 //!   [`mha_sched::InvariantProbe`] onto every run and fails a run that
 //!   breaks an invariant with [`SimError::Invariant`].
 //!

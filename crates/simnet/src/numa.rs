@@ -75,11 +75,6 @@ impl NumaSpec {
     pub fn cross_socket(&self, grid: &ProcGrid, a: RankId, b: RankId) -> bool {
         grid.same_node(a, b) && self.socket_of(grid, a) != self.socket_of(grid, b)
     }
-
-    /// Ranks-per-socket for `grid` (the last socket may hold fewer).
-    pub fn ranks_per_socket(&self, grid: &ProcGrid) -> u32 {
-        grid.ppn().div_ceil(self.sockets)
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +118,6 @@ mod tests {
     fn odd_ppn_rounds_up_per_socket() {
         let n = NumaSpec::broadwell_2s();
         let grid = ProcGrid::new(1, 5);
-        assert_eq!(n.ranks_per_socket(&grid), 3);
         assert_eq!(n.socket_of(&grid, RankId(2)), 0);
         assert_eq!(n.socket_of(&grid, RankId(3)), 1);
         assert_eq!(n.socket_of(&grid, RankId(4)), 1);
