@@ -47,7 +47,7 @@ impl BpmfConfig {
 
     /// Bytes of one rank's item-factor block (f64 factors, padded so every
     /// rank contributes equally).
-    pub fn block_bytes(&self) -> usize {
+    fn block_bytes(&self) -> usize {
         let r = self.grid.nranks() as usize;
         self.items.div_ceil(r) * self.latent * 8
     }
@@ -55,7 +55,7 @@ impl BpmfConfig {
     /// FLOPs per Gibbs iteration per rank: for each local item, build and
     /// solve a `k × k` normal-equation system from its ratings
     /// (`2·n·k²` accumulate + `k³/3` Cholesky).
-    pub fn flops_per_rank(&self) -> f64 {
+    fn flops_per_rank(&self) -> f64 {
         let r = self.grid.nranks() as usize;
         let local_items = self.items.div_ceil(r) as f64;
         let k = self.latent as f64;

@@ -58,7 +58,7 @@ impl MatvecConfig {
 
     /// Total useful floating-point work per iteration (2 flops per matrix
     /// element).
-    pub fn total_flops(&self) -> u64 {
+    fn total_flops(&self) -> u64 {
         2 * self.rows as u64 * self.cols as u64
     }
 }

@@ -4,13 +4,13 @@
 //! derived from the two simulated cells at assembly time.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::{build_direct_alltoall, build_mha_alltoall};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(8, 8);
     let sizes = size_sweep(64, 64 * 1024);
@@ -28,7 +28,7 @@ fn main() {
                 .map_err(|e| format!("{e:?}"))
         }));
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Extension: Alltoall, 8 nodes x 8 PPN",
         "msg_bytes",
@@ -46,5 +46,5 @@ fn main() {
             vec![t_flat, t_mha, (1.0 - t_mha / t_flat) * 100.0],
         );
     }
-    mha_bench::emit(&t, "ablate_alltoall");
+    cli.emit(&t, "ablate_alltoall");
 }

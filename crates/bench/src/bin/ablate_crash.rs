@@ -15,13 +15,13 @@
 //! the `FaultSpec` varies.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultSpec, Simulator};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let grid = ProcGrid::new(4, 4);
     let msg = 256 * 1024;
     let spec = ClusterSpec::thor();
@@ -46,7 +46,7 @@ fn main() {
             move || Ok(sched.clone()),
         ));
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
 
     let mut table = Table::new(
         "Ablation: node 1 crashes at 0.25 T0 and restarts after R, \
@@ -64,5 +64,5 @@ fn main() {
         let floor = (t_crash + f * t0) * 1e6;
         table.push(format!("{f}"), vec![m, m / (t0 * 1e6), floor, m / floor]);
     }
-    mha_bench::emit(&table, "ablate_crash");
+    cli.emit(&table, "ablate_crash");
 }

@@ -4,14 +4,14 @@
 //! `mha_bench::campaign`); the full design doubles as the baseline cell.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let grid = ProcGrid::new(8, 16);
     let msg = 64 * 1024;
@@ -59,7 +59,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
     let full_t = report.value(0);
     let mut t = Table::new(
         "Ablation: MHA-inter design choices, 8 nodes x 16 PPN, 64 KB per rank",
@@ -70,5 +70,5 @@ fn main() {
         let lat = report.value(i);
         t.push(*name, vec![lat, (lat / full_t - 1.0) * 100.0]);
     }
-    mha_bench::emit(&t, "ablate_design");
+    cli.emit(&t, "ablate_design");
 }

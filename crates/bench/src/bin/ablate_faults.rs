@@ -21,7 +21,7 @@
 //! `!events.is_empty()`).
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::MhaInterConfig;
 use mha_collectives::{build, AlgoConfig};
 use mha_model::{mha_inter_latency, ModelParams, Phase2};
@@ -29,7 +29,7 @@ use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, FaultEvent, FaultKind, FaultSpec, Simulator, DEFAULT_RETRY_TIMEOUT};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let rails = 8u8;
     let grid = ProcGrid::new(4, 4);
     let msg = 256 * 1024;
@@ -77,7 +77,7 @@ fn main() {
             },
         ));
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
 
     let mut table = Table::new(
         "Ablation: MHA-inter latency (us), k of 8 rails fail mid-run, 4 nodes x 4 PPN, 256 KB",
@@ -100,5 +100,5 @@ fn main() {
             vec![t_obl, t_aware, t_model, t_aware / t_model],
         );
     }
-    mha_bench::emit(&table, "ablate_faults");
+    cli.emit(&table, "ablate_faults");
 }

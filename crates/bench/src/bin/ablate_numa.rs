@@ -4,14 +4,14 @@
 //! `mha_bench::campaign`), three simulated cells per row.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::{build_mha_numa3, Numa3Config};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor_numa();
     let grid = ProcGrid::new(4, 16);
     let sizes = size_sweep(4096, 1 << 20);
@@ -43,7 +43,7 @@ fn main() {
             .map_err(|e| format!("{e:?}"))
         }));
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Future work: 3-level NUMA-aware vs 2-level NUMA-blind, 4 nodes x 16 PPN \
          (dual-socket, 7 GB/s effective cross-socket copies)",
@@ -69,5 +69,5 @@ fn main() {
             ],
         );
     }
-    mha_bench::emit(&t, "ablate_numa");
+    cli.emit(&t, "ablate_numa");
 }

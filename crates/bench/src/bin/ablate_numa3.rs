@@ -8,7 +8,7 @@
 //! model envelope), so the sweep doubles as a model-conformance gate.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::MhaInterConfig;
 use mha_collectives::{build_composed, ComposePlan};
 use mha_model::{composed_latency, ModelParams};
@@ -16,7 +16,7 @@ use mha_sched::{ProcGrid, Topology};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor_numa();
     let grid = ProcGrid::new(4, 16);
     // The NUMA spec's own tree: 4 nodes × 2 sockets × 8 ranks, with real
@@ -46,7 +46,7 @@ fn main() {
             }));
         }
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
 
     let envelope = 2.0f64;
     let p = ModelParams::from_spec(&spec);
@@ -95,5 +95,5 @@ fn main() {
             ],
         );
     }
-    mha_bench::emit(&t, "ablate_numa3");
+    cli.emit(&t, "ablate_numa3");
 }

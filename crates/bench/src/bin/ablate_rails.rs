@@ -5,14 +5,14 @@
 //! rail counts; each row's cells carry their own cluster spec.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::{build_mha_intra, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let msg = 1 << 20;
     let rail_counts = [1u8, 2, 4, 8];
     let mut cells = Vec::new();
@@ -39,7 +39,7 @@ fn main() {
                 .map_err(|e| format!("{e:?}"))
         }));
     }
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
     let mut intra = Table::new(
         "Ablation: MHA-intra latency (us) vs rail count, 8 processes, 1 MB",
         "rails",
@@ -60,6 +60,6 @@ fn main() {
         inter.push(rails.to_string(), vec![report.value(3 * i + 2)]);
     }
     let _ = fmt_bytes(msg);
-    mha_bench::emit(&intra, "ablate_rails_intra");
-    mha_bench::emit(&inter, "ablate_rails_inter");
+    cli.emit(&intra, "ablate_rails_intra");
+    cli.emit(&inter, "ablate_rails_inter");
 }

@@ -5,14 +5,14 @@
 //! the tuner sweeps its own candidate simulations inside the point.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::mha::{optimal_offload, tune_offload, Offload};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let msg = 1 << 20;
     let procs = [2u32, 4, 8, 16, 32];
@@ -52,7 +52,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Ablation: Eq.1 analytic offload vs empirical tuner, 1 MB blocks",
         "processes",
@@ -69,5 +69,5 @@ fn main() {
             t.push(row.label.clone(), row.values.clone());
         }
     }
-    mha_bench::emit(&t, "ablate_tuning");
+    cli.emit(&t, "ablate_tuning");
 }

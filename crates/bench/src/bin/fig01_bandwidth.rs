@@ -6,11 +6,11 @@
 use std::sync::Arc;
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_simnet::{pt2pt_bandwidth_mbps, size_sweep, ClusterSpec, Placement, Simulator};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let window = 64;
     let two = Arc::new(Simulator::new(ClusterSpec::thor()).unwrap());
     let one = Arc::new(Simulator::new(ClusterSpec::thor_single_rail()).unwrap());
@@ -31,7 +31,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Figure 1: pt2pt bandwidth (MB/s), intra-node CMA vs inter-node 1/2 HCAs",
         "msg_bytes",
@@ -46,8 +46,8 @@ fn main() {
             t.push(row.label.clone(), row.values.clone());
         }
     }
-    mha_bench::emit(&t, "fig01_bandwidth");
-    mha_bench::emit_run_summary(
+    cli.emit(&t, "fig01_bandwidth");
+    cli.emit_run_summary(
         &two,
         &mha_bench::pt2pt_rails_schedule(4 << 20),
         "fig01_bandwidth",

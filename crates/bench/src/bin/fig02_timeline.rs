@@ -3,13 +3,13 @@
 //! The traced run is one campaign point (see `mha_bench::campaign`) whose
 //! rendered artifact rides in the row's note.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::ProcGrid;
 use mha_simnet::{ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::new(2, 2);
@@ -33,8 +33,8 @@ fn main() {
         out.push_str(&trace.to_csv());
         Ok(vec![Row::note("timeline", out)])
     })];
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let out = report.rows_for(0)[0].note.clone().unwrap();
-    mha_bench::emit_text(&out, "fig02_timeline");
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig02_timeline");
+    cli.emit_text(&out, "fig02_timeline");
+    cli.emit_run_summary(&sim, &built.sched, "fig02_timeline");
 }

@@ -5,11 +5,11 @@
 use std::sync::Arc;
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_simnet::{pt2pt_latency_us, size_sweep, ClusterSpec, Placement, Simulator};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let two = Arc::new(Simulator::new(ClusterSpec::thor()).unwrap());
     let one = Arc::new(Simulator::new(ClusterSpec::thor_single_rail()).unwrap());
     let sizes = size_sweep(8 * 1024, 4 << 20);
@@ -27,7 +27,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Figure 3: inter-node pt2pt latency (us), 1 vs 2 HCAs",
         "msg_bytes",
@@ -38,8 +38,8 @@ fn main() {
             t.push(row.label.clone(), row.values.clone());
         }
     }
-    mha_bench::emit(&t, "fig03_latency");
-    mha_bench::emit_run_summary(
+    cli.emit(&t, "fig03_latency");
+    cli.emit_run_summary(
         &two,
         &mha_bench::pt2pt_rails_schedule(4 << 20),
         "fig03_latency",

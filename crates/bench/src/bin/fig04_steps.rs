@@ -3,7 +3,7 @@
 //! latency cells run as campaign points (see `mha_bench::campaign`); the
 //! op dumps are rendered at assembly.
 
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{run_campaign, CampaignPoint};
 use mha_collectives::mha::{build_mha_intra, Offload};
 use mha_collectives::{build, AlgoConfig, Family};
 use mha_sched::{OpKind, ProcGrid};
@@ -30,7 +30,7 @@ fn dump(title: &str, built: &mha_collectives::Built, out: &mut String) {
 }
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Simulator::new(spec.clone()).unwrap();
     let grid = ProcGrid::single_node(4);
@@ -44,7 +44,7 @@ fn main() {
         CampaignPoint::sim("direct_spread", spec.clone(), move || Ok(ds_sched.clone())),
         CampaignPoint::sim("mha_intra", spec.clone(), move || Ok(mha_sched.clone())),
     ];
-    let report = run_campaign(&cells, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&cells, &cli.env.campaign).unwrap();
     let t_ds = report.value(0);
     let t_mha = report.value(1);
 
@@ -59,6 +59,6 @@ fn main() {
     );
     dump("Direct Spread (Fig. 4a)", &ds, &mut out);
     dump("MHA-intra (Fig. 4b)", &mha, &mut out);
-    mha_bench::emit_text(&out, "fig04_steps");
-    mha_bench::emit_run_summary(&sim, &mha.sched, "fig04_steps");
+    cli.emit_text(&out, "fig04_steps");
+    cli.emit_run_summary(&sim, &mha.sched, "fig04_steps");
 }

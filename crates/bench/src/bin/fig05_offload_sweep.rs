@@ -5,12 +5,12 @@
 //! tuned/analytic optima for the title.
 
 use mha_apps::report::Table;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::mha::tune_offload;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let configs = [
         (4u32, 4usize << 20, "L4_4M"),
@@ -32,7 +32,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     for (pi, &(l, msg, tag)) in configs.iter().enumerate() {
         let rows = report.rows_for(pi);
         let best = rows[0].values[0] as u32;
@@ -48,7 +48,7 @@ fn main() {
         for row in &rows[1..] {
             t.push(row.label.clone(), row.values.clone());
         }
-        mha_bench::emit(&t, &format!("fig05_offload_{tag}"));
+        cli.emit(&t, &format!("fig05_offload_{tag}"));
     }
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let built = mha_collectives::mha::build_mha_intra(
@@ -58,5 +58,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig05_offload");
+    cli.emit_run_summary(&sim, &built.sched, "fig05_offload");
 }

@@ -11,13 +11,13 @@ use mha_collectives::{build, AlgoConfig};
 use std::sync::Arc;
 
 use mha_apps::report::{render_run_summary, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_sched::{intersection_length, union_length, ProcGrid, SummaryProbe, Tee};
 use mha_simnet::{ClusterSpec, Simulator, TraceBuilder};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let sim = Arc::new(Simulator::new(spec.clone()).unwrap());
     let msg = 64 * 1024;
@@ -79,7 +79,7 @@ fn main() {
             })
         })
         .collect();
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         "Figure 6/7: phase-2/3 overlap, 8 nodes, 64 KB per rank \
          (PPN 4 = network-bound regime, PPN 32 = copy-bound regime)",
@@ -102,6 +102,6 @@ fn main() {
             }
         }
     }
-    mha_bench::emit(&t, "fig07_overlap");
-    mha_bench::emit_text(&summaries, "fig07_overlap_summary");
+    cli.emit(&t, "fig07_overlap");
+    cli.emit_text(&summaries, "fig07_overlap_summary");
 }

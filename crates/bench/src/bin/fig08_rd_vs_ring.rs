@@ -4,16 +4,16 @@
 //! simulation point.
 
 use mha_apps::report::fmt_bytes;
-use mha_bench::campaign::{campaign_table, CampaignConfig, CampaignPoint};
+use mha_bench::campaign::{campaign_table, CampaignPoint};
 use mha_collectives::mha::{InterAlgo, MhaInterConfig, Offload};
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec, Simulator};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
-    let ccfg = CampaignConfig::from_env();
+    let ccfg = &cli.env.campaign;
     for nodes in [16u32, 32] {
         let grid = ProcGrid::new(nodes, 32);
         let sizes = size_sweep(4, 1 << 20);
@@ -43,10 +43,10 @@ fn main() {
             vec!["RD_us".into(), "Ring_us".into()],
             &row_labels,
             cells,
-            &ccfg,
+            ccfg,
         )
         .unwrap();
-        mha_bench::emit(&t, &format!("fig08_rd_vs_ring_{nodes}n"));
+        cli.emit(&t, &format!("fig08_rd_vs_ring_{nodes}n"));
     }
     let sim = Simulator::new(spec.clone()).unwrap();
     let cfg = MhaInterConfig {
@@ -61,5 +61,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig08_rd_vs_ring");
+    cli.emit_run_summary(&sim, &built.sched, "fig08_rd_vs_ring");
 }

@@ -4,12 +4,12 @@
 //! mean relative error for the title.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_model::{calibrate, mean_rel_error, validate_intra};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let spec2 = spec.clone();
     let points = vec![CampaignPoint::custom("validate_intra", move |_seed| {
@@ -25,7 +25,7 @@ fn main() {
         }
         Ok(rows)
     })];
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let rows = report.rows_for(0);
     let mut t = Table::new(
         format!(
@@ -43,7 +43,7 @@ fn main() {
     for row in &rows[1..] {
         t.push(row.label.clone(), row.values.clone());
     }
-    mha_bench::emit(&t, "fig09_model_intra");
+    cli.emit(&t, "fig09_model_intra");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let built = mha_collectives::mha::build_mha_intra(
         mha_sched::ProcGrid::single_node(4),
@@ -52,5 +52,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig09_model_intra");
+    cli.emit_run_summary(&sim, &built.sched, "fig09_model_intra");
 }

@@ -4,13 +4,13 @@
 //! carries the mean relative error for the title.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::{build, AlgoConfig};
 use mha_model::{calibrate, mean_rel_error, validate_inter};
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let spec2 = spec.clone();
     let points = vec![CampaignPoint::custom("validate_inter", move |_seed| {
@@ -27,7 +27,7 @@ fn main() {
         }
         Ok(rows)
     })];
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let rows = report.rows_for(0);
     let mut t = Table::new(
         format!(
@@ -45,7 +45,7 @@ fn main() {
     for row in &rows[1..] {
         t.push(row.label.clone(), row.values.clone());
     }
-    mha_bench::emit(&t, "fig10_model_inter");
+    cli.emit(&t, "fig10_model_inter");
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let built = build(
         &AlgoConfig::default(),
@@ -54,5 +54,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig10_model_inter");
+    cli.emit_run_summary(&sim, &built.sched, "fig10_model_inter");
 }

@@ -4,14 +4,14 @@
 //! schedules are cached per configuration fingerprint.
 
 use mha_apps::paper_contestants;
-use mha_bench::campaign::{allgather_sweep, CampaignConfig};
+use mha_bench::campaign::allgather_sweep;
 use mha_sched::ProcGrid;
 use mha_simnet::{size_sweep, ClusterSpec};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
-    let cfg = CampaignConfig::from_env();
+    let cfg = &cli.env.campaign;
     let sizes = size_sweep(256 * 1024, 16 << 20);
     for ppn in [2u32, 4, 8, 16] {
         let grid = ProcGrid::single_node(ppn);
@@ -21,10 +21,10 @@ fn main() {
             &sizes,
             &paper_contestants(),
             &spec,
-            &cfg,
+            cfg,
         )
         .unwrap();
-        mha_bench::emit(&t, &format!("fig11_intra_allgather_{ppn}p"));
+        cli.emit(&t, &format!("fig11_intra_allgather_{ppn}p"));
     }
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let built = mha_collectives::mha::build_mha_intra(
@@ -34,5 +34,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig11_intra_allgather");
+    cli.emit_run_summary(&sim, &built.sched, "fig11_intra_allgather");
 }

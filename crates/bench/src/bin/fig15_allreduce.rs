@@ -5,15 +5,15 @@
 //! count runs as one campaign (see `mha_bench::campaign`).
 
 use mha_apps::Contestant;
-use mha_bench::campaign::{allreduce_sweep, CampaignConfig};
+use mha_bench::campaign::allreduce_sweep;
 use mha_collectives::Library;
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
-    let cfg = CampaignConfig::from_env();
+    let cfg = &cli.env.campaign;
     let sizes_bytes = [64 * 1024usize, 2 << 20, 16 << 20, 128 << 20];
     for nodes in [8u32, 16, 32] {
         let grid = ProcGrid::new(nodes, 32);
@@ -27,10 +27,10 @@ fn main() {
             &[Contestant::Library(Library::HpcX), Contestant::MhaTuned],
             vec!["FlatRing".into(), "MHA".into()],
             &spec,
-            &cfg,
+            cfg,
         )
         .unwrap();
-        mha_bench::emit(&t, &format!("fig15_allreduce_{nodes}n"));
+        cli.emit(&t, &format!("fig15_allreduce_{nodes}n"));
     }
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
     let built = mha_collectives::build_ring_allreduce(
@@ -40,5 +40,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig15_allreduce");
+    cli.emit_run_summary(&sim, &built.sched, "fig15_allreduce");
 }

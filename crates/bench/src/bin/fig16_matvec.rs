@@ -6,12 +6,19 @@
 use mha_apps::matvec::{run_matvec, MatvecConfig};
 use mha_apps::report::Table;
 use mha_apps::{paper_contestants, Contestant};
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
+use mha_bench::Cli;
 use mha_collectives::{build, AlgoConfig};
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
-fn sweep(title: &str, cfg_of: impl Fn(ProcGrid) -> MatvecConfig, name: &str, spec: &ClusterSpec) {
+fn sweep(
+    cli: &Cli,
+    title: &str,
+    cfg_of: impl Fn(ProcGrid) -> MatvecConfig,
+    name: &str,
+    spec: &ClusterSpec,
+) {
     let contestants = paper_contestants();
     let node_counts = [8u32, 16, 32];
     let mut points = Vec::new();
@@ -30,7 +37,7 @@ fn sweep(title: &str, cfg_of: impl Fn(ProcGrid) -> MatvecConfig, name: &str, spe
             ));
         }
     }
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     let mut t = Table::new(
         title,
         "processes",
@@ -48,19 +55,21 @@ fn sweep(title: &str, cfg_of: impl Fn(ProcGrid) -> MatvecConfig, name: &str, spe
             row,
         );
     }
-    mha_bench::emit(&t, name);
+    cli.emit(&t, name);
 }
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     sweep(
+        &cli,
         "Figure 16a: matvec strong scaling, GFLOP/s (1024 x 32768)",
         MatvecConfig::strong_scaling,
         "fig16_matvec_strong",
         &spec,
     );
     sweep(
+        &cli,
         "Figure 16b: matvec weak scaling, GFLOP/s",
         MatvecConfig::weak_scaling,
         "fig16_matvec_weak",
@@ -72,5 +81,5 @@ fn main() {
     let grid = ProcGrid::new(8, 32);
     let msg = 32768 * 8 / grid.nranks() as usize;
     let built = build(&AlgoConfig::default(), grid, msg, &spec).unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig16_matvec");
+    cli.emit_run_summary(&sim, &built.sched, "fig16_matvec");
 }

@@ -7,13 +7,13 @@
 use mha_apps::deep_learning::{run_training_step, DlConfig, RESNET101, RESNET152, RESNET50};
 use mha_apps::report::Table;
 use mha_apps::Contestant;
-use mha_bench::campaign::{run_campaign, CampaignConfig, CampaignPoint, Row};
+use mha_bench::campaign::{run_campaign, CampaignPoint, Row};
 use mha_collectives::Library;
 use mha_sched::ProcGrid;
 use mha_simnet::ClusterSpec;
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
+    let cli = mha_bench::Cli::parse(&["--check"]);
     let spec = ClusterSpec::thor();
     let models = [RESNET50, RESNET101, RESNET152];
     let node_counts = [8u32, 16, 32];
@@ -47,7 +47,7 @@ fn main() {
             ));
         }
     }
-    let report = run_campaign(&points, &CampaignConfig::from_env()).unwrap();
+    let report = run_campaign(&points, &cli.env.campaign).unwrap();
     for (mi, model) in models.iter().enumerate() {
         let mut t = Table::new(
             format!(
@@ -65,7 +65,7 @@ fn main() {
             }
         }
         let tag = model.name.to_lowercase().replace('-', "");
-        mha_bench::emit(&t, &format!("fig17_dl_{tag}"));
+        cli.emit(&t, &format!("fig17_dl_{tag}"));
     }
     // Summarize a representative gradient-bucket Allreduce (2 MB, 256 ranks).
     let sim = mha_simnet::Simulator::new(spec.clone()).unwrap();
@@ -76,5 +76,5 @@ fn main() {
         &spec,
     )
     .unwrap();
-    mha_bench::emit_run_summary(&sim, &built.sched, "fig17_dl");
+    cli.emit_run_summary(&sim, &built.sched, "fig17_dl");
 }

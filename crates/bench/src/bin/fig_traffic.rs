@@ -7,17 +7,17 @@
 //! trace of the heaviest load level. Deterministic: the CSVs are
 //! byte-identical for any `MHA_CAMPAIGN_WORKERS`, which CI diffs.
 
-use mha_bench::campaign::{CampaignConfig, ScheduleCache};
+use mha_bench::campaign::ScheduleCache;
 use mha_bench::traffic::{offered_load_table, run_traffic_cached, TrafficSweep};
 use mha_traffic::{job_trace_csv, tenant_csv, tenant_stats};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
-    let cfg = CampaignConfig::from_env();
+    let cli = mha_bench::Cli::parse(&["--check"]);
+    let cfg = &cli.env.campaign;
     let sweep = TrafficSweep::thor_default();
 
-    let table = offered_load_table(&sweep, &cfg).unwrap();
-    mha_bench::emit(&table, "fig_traffic");
+    let table = offered_load_table(&sweep, cfg).unwrap();
+    cli.emit(&table, "fig_traffic");
 
     // Raw artifacts for the heaviest level: the per-job trace and the
     // tenant summary the table aggregates.
@@ -29,8 +29,8 @@ fn main() {
     let spec = sweep.spec_at(heaviest, cfg.seed);
     let cache = ScheduleCache::new(cfg.cache);
     let report = run_traffic_cached(&spec, &cache).unwrap();
-    mha_bench::emit_text(&job_trace_csv(&report), "fig_traffic_jobs");
-    mha_bench::emit_text(
+    cli.emit_text(&job_trace_csv(&report), "fig_traffic_jobs");
+    cli.emit_text(
         &tenant_csv(&tenant_stats(&report, spec.ppn)),
         "fig_traffic_tenants",
     );

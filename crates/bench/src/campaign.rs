@@ -25,9 +25,10 @@
 //!   rep)` — never from worker identity or scheduling order — so seeded
 //!   [`PointWork::Custom`] closures are reproducible too.
 //!
-//! Environment knobs: `MHA_CAMPAIGN_WORKERS` (pool size),
-//! `MHA_CAMPAIGN_REPS`, `MHA_CAMPAIGN_SEED` — see
-//! [`CampaignConfig::from_env`].
+//! Library code builds a [`CampaignConfig`] itself and reads no
+//! environment variable; the binaries take theirs from
+//! `MHA_CAMPAIGN_WORKERS` (pool size), `MHA_CAMPAIGN_REPS` and
+//! `MHA_CAMPAIGN_SEED` through [`crate::Cli`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -239,31 +240,11 @@ fn default_workers() -> usize {
 }
 
 impl CampaignConfig {
-    /// The defaults overridden by `MHA_CAMPAIGN_WORKERS`,
-    /// `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED`.
-    pub fn from_env() -> Self {
-        let mut cfg = CampaignConfig::default();
-        if let Some(w) = parse_env::<usize>("MHA_CAMPAIGN_WORKERS") {
-            cfg.workers = w.max(1);
-        }
-        if let Some(r) = parse_env::<u32>("MHA_CAMPAIGN_REPS") {
-            cfg.reps = r.max(1);
-        }
-        if let Some(s) = parse_env::<u64>("MHA_CAMPAIGN_SEED") {
-            cfg.seed = s;
-        }
-        cfg
-    }
-
     /// Replaces the worker count (builder style).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
     }
-}
-
-fn parse_env<T: std::str::FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// One result row produced by a campaign job: a label, numeric values

@@ -11,34 +11,61 @@
 pub mod campaign;
 pub mod traffic;
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
+use campaign::CampaignConfig;
 use mha_apps::report::{render_run_summary, Table};
 use mha_sched::{FrozenSchedule, SummaryProbe};
 use mha_simnet::Simulator;
 
-/// A binary's command line, parsed whole before any work starts.
+/// A binary's command line and environment, both read whole before any
+/// work starts.
 ///
 /// Each binary names the arguments it accepts: flags (`"--check"`) and
 /// options with a value (`"--out <path>"`). Anything else, or an option
-/// without its value, exits 2 with a usage line. Two flags act here, so
-/// every binary treats them alike. `--check` audits every simulated run
-/// with an [`mha_sched::InvariantProbe`] (causality, per-resource
-/// capacity, byte conservation); a violation fails that run with
-/// [`mha_simnet::SimError::Invariant`], which the binary reports as an
-/// error. It goes through [`mha_simnet::set_check_enabled`], so it works
-/// however early the `MHA_CHECK` cache was read. `--tuned` loads
-/// [`Cli::tuned`]; without it the sweeps stay byte-identical to their
-/// untuned output.
+/// without its value, exits 2 with a usage line. The environment is read
+/// once, by [`Cli::read_env`], into [`Cli::env`]; a malformed value exits
+/// 2 too. Only binaries read these variables; library code and tests
+/// never do, and a test passes its [`CampaignConfig`] explicitly.
+///
+/// Two flags act here, so every binary treats them alike. `--check`
+/// audits every simulated run with an [`mha_sched::InvariantProbe`]
+/// (causality, per-resource capacity, byte conservation); a violation
+/// fails that run with [`mha_simnet::SimError::Invariant`], which the
+/// binary reports as an error. It goes through
+/// [`mha_simnet::set_check_enabled`], so it works however early the
+/// `MHA_CHECK` cache was read. `--tuned` loads [`Cli::tuned`]; without it
+/// the sweeps stay byte-identical to their untuned output.
 #[derive(Debug)]
 pub struct Cli {
-    /// The tuning table ([`load_tuned_table`]), when `--tuned` was given.
+    /// The tuning table at [`Env::tuned_table`], when `--tuned` was given.
     pub tuned: Option<mha_collectives::TunedTable>,
+    /// The campaign, results and tuning-table settings.
+    pub env: Env,
     given: Vec<(&'static str, Option<String>)>,
 }
 
+/// The settings a binary takes from its environment, resolved once by
+/// [`Cli::read_env`].
+#[derive(Debug)]
+pub struct Env {
+    /// [`CampaignConfig::default`] with `MHA_CAMPAIGN_WORKERS`,
+    /// `MHA_CAMPAIGN_REPS` and `MHA_CAMPAIGN_SEED` applied.
+    pub campaign: CampaignConfig,
+    /// Where results are written: `MHA_RESULTS_DIR`, else `results`
+    /// (relative to the working directory).
+    pub results_dir: PathBuf,
+    /// The tuning table the binaries serve and `mha_tune` writes by
+    /// default: `MHA_TUNED_TABLE`, else `tuned_thor.mtab` under
+    /// [`Env::results_dir`].
+    pub tuned_table: PathBuf,
+}
+
 impl Cli {
-    /// Parses `std::env::args()` against `accepts`.
+    /// Parses `std::env::args()` against `accepts`, then reads the
+    /// environment ([`Cli::read_env`]).
     pub fn parse(accepts: &[&'static str]) -> Cli {
         let mut argv = std::env::args();
         let bin = argv.next().unwrap_or_default();
@@ -52,15 +79,32 @@ impl Cli {
             );
             std::process::exit(2);
         });
-        let mut cli = Cli { tuned: None, given };
+        let env = Cli::read_env().unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        let mut cli = Cli {
+            tuned: None,
+            env,
+            given,
+        };
         if cli.has("--check") {
             mha_simnet::set_check_enabled(Some(true));
             eprintln!("[--check: invariant probes active on every simulated run]");
         }
         if cli.has("--tuned") {
-            cli.tuned = Some(load_tuned_table());
+            cli.tuned = Some(cli.load_tuned_table());
         }
         cli
+    }
+
+    /// Reads `MHA_CAMPAIGN_{WORKERS,REPS,SEED}`, `MHA_RESULTS_DIR` and
+    /// `MHA_TUNED_TABLE` from the process environment: the one reader of
+    /// these variables. A binary with a command line of its own calls it
+    /// directly. A campaign variable that is set but not a number is an
+    /// error naming it; an empty one counts as unset.
+    pub fn read_env() -> Result<Env, String> {
+        resolve_env(|name| std::env::var_os(name))
     }
 
     /// Whether the flag or option `name` was given.
@@ -72,6 +116,108 @@ impl Cli {
     pub fn value(&self, name: &str) -> Option<&str> {
         let (_, v) = self.given.iter().find(|(n, _)| *n == name)?;
         v.as_deref()
+    }
+
+    /// Loads the table at [`Env::tuned_table`], the serving half of the
+    /// `mha-tune` autotuner. A table that cannot be loaded exits 2: the
+    /// user asked for tuned numbers, so there is no silent fallback.
+    pub fn load_tuned_table(&self) -> mha_collectives::TunedTable {
+        let path = &self.env.tuned_table;
+        match mha_collectives::TunedTable::load(path) {
+            Ok(t) => {
+                eprintln!(
+                    "[serving {} tuned entries from {} (digest {:016x})]",
+                    t.len(),
+                    path.display(),
+                    t.digest()
+                );
+                t
+            }
+            Err(e) => {
+                eprintln!(
+                    "error: cannot load tuning table {} ({e}); run `cargo run --release -p mha-tune --bin mha_tune` first",
+                    path.display()
+                );
+                std::process::exit(2);
+            }
+        }
+    }
+
+    /// Prints the table and saves `<results_dir>/<name>.csv`.
+    pub fn emit(&self, table: &Table, name: &str) {
+        println!("{}", table.to_text());
+        save_in(
+            &self.env.results_dir,
+            &table.to_csv(),
+            &format!("{name}.csv"),
+        );
+    }
+
+    /// Prints a free-form artifact (timelines, op dumps) and saves it as
+    /// `<results_dir>/<name>.txt`.
+    pub fn emit_text(&self, content: &str, name: &str) {
+        println!("{content}");
+        save_in(&self.env.results_dir, content, &format!("{name}.txt"));
+    }
+
+    /// Re-simulates `sched` with a [`SummaryProbe`] attached and prints the
+    /// per-rail/CPU/memory utilization + overlap block, saving it as
+    /// `<results_dir>/<name>_summary.txt`. The `fig*` binaries call this
+    /// once on a representative workload after their sweep tables. A
+    /// failed run (under `--check`, an invariant violation) exits 1.
+    pub fn emit_run_summary(&self, sim: &Simulator, sched: &FrozenSchedule, name: &str) {
+        let mut probe = SummaryProbe::new();
+        if let Err(e) = sim.run_probed(sched, &mut probe) {
+            eprintln!("error: summary run for {name} failed: {e}");
+            std::process::exit(1);
+        }
+        self.emit_text(
+            &render_run_summary(&probe.finish()),
+            &format!("{name}_summary"),
+        );
+    }
+}
+
+/// Resolves [`Env`] from `var`, a lookup of one variable by name.
+fn resolve_env(var: impl Fn(&str) -> Option<OsString>) -> Result<Env, String> {
+    let mut campaign = CampaignConfig::default();
+    if let Some(w) = parse_var::<usize>(&var, "MHA_CAMPAIGN_WORKERS")? {
+        campaign.workers = w.max(1);
+    }
+    if let Some(r) = parse_var::<u32>(&var, "MHA_CAMPAIGN_REPS")? {
+        campaign.reps = r.max(1);
+    }
+    if let Some(s) = parse_var::<u64>(&var, "MHA_CAMPAIGN_SEED")? {
+        campaign.seed = s;
+    }
+    let results_dir =
+        var("MHA_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from);
+    let tuned_table =
+        var("MHA_TUNED_TABLE").map_or_else(|| results_dir.join("tuned_thor.mtab"), PathBuf::from);
+    Ok(Env {
+        campaign,
+        results_dir,
+        tuned_table,
+    })
+}
+
+/// Variable `name` parsed as a `T`: `None` when it is unset or blank, an
+/// error naming it when it does not parse.
+fn parse_var<T: FromStr>(
+    var: &impl Fn(&str) -> Option<OsString>,
+    name: &str,
+) -> Result<Option<T>, String> {
+    let Some(raw) = var(name) else {
+        return Ok(None);
+    };
+    match raw.to_string_lossy().trim() {
+        "" => Ok(None),
+        text => text.parse().map(Some).map_err(|_| {
+            format!(
+                "{name}=`{text}` is not a valid {}",
+                std::any::type_name::<T>()
+            )
+        }),
     }
 }
 
@@ -98,65 +244,6 @@ fn parse_args(
     Ok(given)
 }
 
-/// The tuning table the binaries serve and `mha_tune` writes by default:
-/// `MHA_TUNED_TABLE` if set, else `tuned_thor.mtab` under [`results_dir`].
-pub fn tuned_table_path() -> PathBuf {
-    std::env::var_os("MHA_TUNED_TABLE")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| results_dir().join("tuned_thor.mtab"))
-}
-
-/// Loads the table at [`tuned_table_path`], the serving half of the
-/// `mha-tune` autotuner. A table that cannot be loaded exits 2: the user
-/// asked for tuned numbers, so there is no silent fallback.
-pub fn load_tuned_table() -> mha_collectives::TunedTable {
-    let path = tuned_table_path();
-    match mha_collectives::TunedTable::load(&path) {
-        Ok(t) => {
-            eprintln!(
-                "[serving {} tuned entries from {} (digest {:016x})]",
-                t.len(),
-                path.display(),
-                t.digest()
-            );
-            t
-        }
-        Err(e) => {
-            eprintln!(
-                "error: cannot load tuning table {} ({e}); run `cargo run --release -p mha-tune --bin mha_tune` first",
-                path.display()
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Directory the `fig*` binaries write CSVs into (`results/` at the
-/// workspace root, honoring `MHA_RESULTS_DIR`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("MHA_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
-
-/// Prints the table and saves `results/<name>.csv`.
-pub fn emit(table: &Table, name: &str) {
-    println!("{}", table.to_text());
-    save(&table.to_csv(), &format!("{name}.csv"));
-}
-
-/// Prints a free-form artifact (timelines, op dumps) and saves it as
-/// `results/<name>.txt`.
-pub fn emit_text(content: &str, name: &str) {
-    println!("{content}");
-    save(content, &format!("{name}.txt"));
-}
-
-/// Writes `body` to `file` under [`results_dir`], warning on failure.
-fn save(body: &str, file: &str) {
-    save_in(&results_dir(), body, file);
-}
-
 /// Writes `body` to `dir/file`, creating `dir` and warning on failure.
 fn save_in(dir: &Path, body: &str, file: &str) {
     if let Err(e) = std::fs::create_dir_all(dir) {
@@ -168,23 +255,6 @@ fn save_in(dir: &Path, body: &str, file: &str) {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
-}
-
-/// Re-simulates `sched` with a [`SummaryProbe`] attached and prints the
-/// per-rail/CPU/memory utilization + overlap block, saving it as
-/// `results/<name>_summary.txt`. The `fig*` binaries call this once on a
-/// representative workload after their sweep tables. A failed run (under
-/// `--check`, an invariant violation) exits 1.
-pub fn emit_run_summary(sim: &Simulator, sched: &FrozenSchedule, name: &str) {
-    let mut probe = SummaryProbe::new();
-    if let Err(e) = sim.run_probed(sched, &mut probe) {
-        eprintln!("error: summary run for {name} failed: {e}");
-        std::process::exit(1);
-    }
-    emit_text(
-        &render_run_summary(&probe.finish()),
-        &format!("{name}_summary"),
-    );
 }
 
 /// A single inter-node `msg`-byte transfer striped over all rails — the
@@ -229,6 +299,54 @@ mod tests {
         let l = large_sizes();
         assert_eq!(l.first(), Some(&16384));
         assert_eq!(l.last(), Some(&262144));
+    }
+
+    /// [`resolve_env`] over a fixed variable list, not the process's.
+    fn resolve(vars: &[(&str, &str)]) -> Result<Env, String> {
+        resolve_env(|name| {
+            let (_, v) = vars.iter().find(|(n, _)| *n == name)?;
+            Some(OsString::from(v))
+        })
+    }
+
+    #[test]
+    fn unset_variables_resolve_to_the_defaults() {
+        let env = resolve(&[]).unwrap();
+        let default = CampaignConfig::default();
+        assert_eq!(env.campaign.workers, default.workers);
+        assert_eq!((env.campaign.reps, env.campaign.seed), (1, 0));
+        assert_eq!(env.results_dir, Path::new("results"));
+        assert_eq!(env.tuned_table, Path::new("results/tuned_thor.mtab"));
+    }
+
+    #[test]
+    fn set_variables_override_the_defaults() {
+        let env = resolve(&[
+            ("MHA_CAMPAIGN_WORKERS", " 3 "),
+            ("MHA_CAMPAIGN_REPS", "0"),
+            ("MHA_CAMPAIGN_SEED", "42"),
+            ("MHA_RESULTS_DIR", "runs/a"),
+        ])
+        .unwrap();
+        assert_eq!(env.campaign.workers, 3);
+        assert_eq!(env.campaign.reps, 1, "reps clamp to at least 1");
+        assert_eq!(env.campaign.seed, 42);
+        assert_eq!(env.tuned_table, Path::new("runs/a/tuned_thor.mtab"));
+        let env = resolve(&[("MHA_CAMPAIGN_WORKERS", ""), ("MHA_TUNED_TABLE", "t.mtab")]).unwrap();
+        assert_eq!(env.campaign.workers, CampaignConfig::default().workers);
+        assert_eq!(env.tuned_table, Path::new("t.mtab"));
+    }
+
+    #[test]
+    fn a_malformed_number_is_an_error_naming_its_variable() {
+        for (name, value) in [
+            ("MHA_CAMPAIGN_WORKERS", "eight"),
+            ("MHA_CAMPAIGN_REPS", "-1"),
+            ("MHA_CAMPAIGN_SEED", "1.5"),
+        ] {
+            let e = resolve(&[(name, value)]).unwrap_err();
+            assert!(e.contains(&format!("{name}=`{value}`")), "{e}");
+        }
     }
 
     #[test]

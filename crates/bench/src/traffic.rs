@@ -117,7 +117,7 @@ impl TrafficSweep {
 /// sharing `cache`. The point seed (a pure function of campaign seed and
 /// point index) seeds the scenario, so reps resample the stream while
 /// worker count never moves a bit.
-pub fn offered_load_points(sweep: &TrafficSweep, cache: Arc<ScheduleCache>) -> Vec<CampaignPoint> {
+fn offered_load_points(sweep: &TrafficSweep, cache: Arc<ScheduleCache>) -> Vec<CampaignPoint> {
     sweep
         .loads_hz
         .iter()

@@ -35,3 +35,21 @@ fn unaccepted_flags_exit_2_before_any_work() {
         assert!(!results.exists(), "{usage} {arg} wrote results");
     }
 }
+
+#[test]
+fn a_malformed_campaign_variable_exits_2_before_any_work() {
+    let results = std::env::temp_dir().join(format!("mha-bench-env-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_fig11_intra_allgather"))
+        .env("MHA_CAMPAIGN_WORKERS", "eight")
+        .env("MHA_RESULTS_DIR", &results)
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("MHA_CAMPAIGN_WORKERS=`eight`"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "a malformed pool width ran something"
+    );
+    assert!(!results.exists(), "a malformed pool width wrote results");
+}

@@ -174,7 +174,7 @@ impl AlgoConfig {
     }
 
     /// The MHA-inter phase configuration this config encodes.
-    pub fn inter_cfg(&self) -> MhaInterConfig {
+    fn inter_cfg(&self) -> MhaInterConfig {
         MhaInterConfig {
             inter: self.inter,
             offload: self.offload,

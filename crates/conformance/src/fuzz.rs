@@ -387,7 +387,7 @@ pub fn find_killable_edge_drop(target: &FuzzTarget) -> Option<Mutation> {
 /// Draws a random applicable mutation for `spec` (deterministic given the
 /// rng state); `None` if the drawn class has no applicable op after a few
 /// retries.
-pub fn random_mutation(rng: &mut StdRng, spec: &SchedSpec) -> Option<Mutation> {
+fn random_mutation(rng: &mut StdRng, spec: &SchedSpec) -> Option<Mutation> {
     for _ in 0..16 {
         let op = rng.gen_range(0..spec.ops.len());
         let m = match rng.gen_range(0..5u32) {

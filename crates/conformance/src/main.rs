@@ -1,6 +1,8 @@
 //! `mha-conformance <oracle> [--cases N]`: runs one conformance oracle at
 //! its fixed seed, prints the report and exits non-zero on any
-//! disagreement. The campaign pool width follows `MHA_CAMPAIGN_WORKERS`.
+//! disagreement. The campaign pool width follows `MHA_CAMPAIGN_WORKERS`,
+//! read by [`mha_bench::Cli::read_env`] like every binary's; a malformed
+//! value exits 2 before any case runs.
 //!
 //! ```text
 //! cargo run --release -p mha-conformance -- differential --cases 1000
@@ -85,12 +87,8 @@ fn parse(args: &[String]) -> Result<(&'static str, Option<usize>), ArgError> {
     }
 }
 
-fn sweep<O: Oracle>(oracle: O, cases: Option<usize>) -> Report {
-    run(
-        oracle,
-        cases.unwrap_or(O::DEFAULT_CASES),
-        &CampaignConfig::from_env(),
-    )
+fn sweep<O: Oracle>(oracle: O, cases: Option<usize>, campaign: &CampaignConfig) -> Report {
+    run(oracle, cases.unwrap_or(O::DEFAULT_CASES), campaign)
 }
 
 fn main() -> ExitCode {
@@ -105,25 +103,32 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let campaign = match mha_bench::Cli::read_env() {
+        Ok(env) => env.campaign,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let report = match oracle {
         Differential::NAME => {
-            let mut r = sweep(Differential, cases);
+            let mut r = sweep(Differential, cases, &campaign);
             r.disagreements.extend(check_model_envelope());
             r
         }
-        Faults::NAME => sweep(Faults, cases),
-        Crash::NAME => sweep(Crash, cases),
+        Faults::NAME => sweep(Faults, cases, &campaign),
+        Crash::NAME => sweep(Crash, cases, &campaign),
         Tuned::NAME => match Tuned::shipped() {
-            Ok(t) => sweep(t, cases),
+            Ok(t) => sweep(t, cases, &campaign),
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
         },
-        Waterfill::NAME => sweep(Waterfill, cases),
-        Traffic::NAME => sweep(Traffic::armed(), cases),
+        Waterfill::NAME => sweep(Waterfill, cases, &campaign),
+        Traffic::NAME => sweep(Traffic::armed(), cases, &campaign),
         Fuzz::NAME => {
-            let mut r = sweep(Fuzz, cases);
+            let mut r = sweep(Fuzz, cases, &campaign);
             r.disagreements.extend(check_kill_rate(&r).err());
             r
         }

@@ -43,7 +43,8 @@ pub const ENVELOPE: f64 = 2.0;
 pub(crate) const THREADS: usize = 4;
 
 /// The differential oracle: random configurations, the four families
-/// round-robin, each checked by [`check_case`] on the Thor cluster.
+/// round-robin, each checked across the executor and the simulator on
+/// the Thor cluster.
 /// Passing cases are tallied by [`Family::name`].
 pub struct Differential;
 
@@ -102,7 +103,7 @@ pub(crate) fn verify_built(built: &Built, rails: u8) -> Result<(), String> {
 
 /// Checks one configuration across the executor and the simulator on the
 /// Thor cluster; returns a description of the first disagreement found.
-pub fn check_case(case: &Case) -> Result<(), String> {
+fn check_case(case: &Case) -> Result<(), String> {
     let spec = ClusterSpec::thor();
     let built = case
         .build(&spec)

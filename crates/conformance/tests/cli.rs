@@ -41,3 +41,19 @@ fn waterfill_accepts_only_its_pinned_count() {
         "exactly its 120 pinned cases",
     );
 }
+
+#[test]
+fn a_malformed_pool_width_exits_2_before_any_case() {
+    let out = Command::new(env!("CARGO_BIN_EXE_mha-conformance"))
+        .arg("crash")
+        .env("MHA_CAMPAIGN_WORKERS", "eight")
+        .output()
+        .expect("the binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("MHA_CAMPAIGN_WORKERS=`eight`"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "a malformed pool width ran something"
+    );
+}

@@ -22,7 +22,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 fn crash_oracle_sweep_has_zero_disagreements() {
     let n = Crash::DEFAULT_CASES;
     assert!(n >= 100, "acceptance bar requires >= 100 cases");
-    let report = run(Crash, n, &CampaignConfig::from_env());
+    let report = run(Crash, n, &CampaignConfig::default());
     assert_eq!(report.cases, n);
     assert!(report.is_clean(), "{report}");
 }

@@ -10,7 +10,7 @@ use mha_conformance::{run, Faults, Oracle};
 fn fault_oracle_sweep_has_zero_disagreements() {
     let n = Faults::DEFAULT_CASES;
     assert!(n >= 100, "acceptance bar requires >= 100 cases");
-    let report = run(Faults, n, &CampaignConfig::from_env());
+    let report = run(Faults, n, &CampaignConfig::default());
     assert_eq!(report.cases, n);
     assert!(
         report.count("envelope") >= n / 4,

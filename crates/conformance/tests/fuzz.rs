@@ -66,7 +66,7 @@ fn killed_mutants_shrink_to_minimal_reproductions() {
 
 #[test]
 fn random_fuzzing_survivors_are_genuinely_correct() {
-    let report = run(Fuzz, Fuzz::DEFAULT_CASES, &CampaignConfig::from_env());
+    let report = run(Fuzz, Fuzz::DEFAULT_CASES, &CampaignConfig::default());
     assert_eq!(report.cases, 150);
     check_kill_rate(&report).unwrap_or_else(|e| panic!("{e}: {report}"));
     assert!(report.is_clean(), "{report}");

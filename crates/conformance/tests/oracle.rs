@@ -8,7 +8,7 @@ use mha_conformance::{check_model_envelope, run, Differential, Family, Oracle};
 fn oracle_sweep_has_zero_disagreements() {
     let n = Differential::DEFAULT_CASES;
     assert!(n >= 200, "acceptance bar requires >= 200 cases");
-    let mut report = run(Differential, n, &CampaignConfig::from_env());
+    let mut report = run(Differential, n, &CampaignConfig::default());
     report.disagreements.extend(check_model_envelope());
     assert_eq!(report.cases, n);
     for f in Family::ALL {

@@ -13,7 +13,7 @@ use mha_conformance::{run, Oracle, Traffic};
 fn traffic_oracle_sweep_has_zero_disagreements() {
     let n = Traffic::DEFAULT_CASES;
     assert!(n >= 100, "acceptance bar requires >= 100 cases");
-    let report = run(Traffic::armed(), n, &CampaignConfig::from_env());
+    let report = run(Traffic::armed(), n, &CampaignConfig::default());
     assert_eq!(report.cases, n);
     assert_eq!(report.count("disjoint"), n / 2, "{report}");
     assert!(report.is_clean(), "{report}");

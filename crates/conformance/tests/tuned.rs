@@ -9,7 +9,7 @@ fn shipped_table_serves_only_correct_allgathers() {
     let oracle = Tuned::shipped().unwrap_or_else(|e| panic!("{e}"));
     let n = Tuned::DEFAULT_CASES;
     assert!(n >= 200, "acceptance bar requires >= 200 queries");
-    let report = run(oracle, n, &CampaignConfig::from_env());
+    let report = run(oracle, n, &CampaignConfig::default());
     assert_eq!(report.cases, n);
     // The query sampler roams off the tuned grid on purpose: both serving
     // regimes must be exercised.

@@ -10,7 +10,7 @@ fn engine_matches_certified_pins_on_random_schedules() {
     let report = run(
         Waterfill,
         Waterfill::DEFAULT_CASES,
-        &CampaignConfig::from_env(),
+        &CampaignConfig::default(),
     );
     assert_eq!(report.cases, 120);
     assert_eq!(report.count("faulted"), 40, "every third case runs faulted");

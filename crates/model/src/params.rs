@@ -12,7 +12,7 @@
 //! | `BW_H` | [`ModelParams::bw_h`] | bandwidth of one rail |
 //! | `α_L` | [`ModelParams::alpha_l`] | startup per local memcpy |
 //! | `BW_L` | [`ModelParams::bw_l`] | bandwidth of a local memcpy |
-//! | `b` | [`ModelParams::b_factor`] | CMA memory-congestion multiplier |
+//! | `b` | inside [`ModelParams::t_c`] | CMA memory-congestion multiplier |
 //! | `cg(M,k)` | [`ModelParams::cg`] | copy-out congestion factor |
 //!
 //! `T_C`, `T_H` and `T_L` (Table 1's time helpers) are methods.
@@ -84,7 +84,7 @@ impl ModelParams {
     /// Congestion multiplier `b` for `l` concurrent CMA streams on one node
     /// (Table 1: "number of concurrent accesses to memory" once the memory
     /// is saturated; 1 for small concurrency).
-    pub fn b_factor(&self, l: u32) -> f64 {
+    fn b_factor(&self, l: u32) -> f64 {
         let demand = f64::from(l) * self.cma_mem_weight * self.bw_c;
         (demand / self.mem_bw).max(1.0)
     }

@@ -111,7 +111,7 @@ impl FaultSpec {
     }
 
     /// Convenience: `node` crashes at `time` and never comes back.
-    pub fn node_down_at(node: u32, time: f64) -> Self {
+    fn node_down_at(node: u32, time: f64) -> Self {
         let mut s = FaultSpec::new(DEFAULT_RETRY_TIMEOUT);
         s.events.push(FaultEvent {
             time,

@@ -135,14 +135,14 @@ impl WaterFiller {
 
     /// The component's real resources, in first-appearance order, after a
     /// fill. Aligned with [`WaterFiller::levels`].
-    pub fn local_resources(&self) -> &[ResourceId] {
+    fn local_resources(&self) -> &[ResourceId] {
         &self.local_ids
     }
 
-    /// The saturation level of each component resource after a fill
-    /// (aligned with [`WaterFiller::local_resources`]): the common rate at
-    /// which the resource ran out of headroom and froze its flows, or
-    /// `f64::INFINITY` for a resource that never saturated.
+    /// The saturation level of each component resource after a fill, in
+    /// the first-appearance order of the component's real resources: the
+    /// common rate at which the resource ran out of headroom and froze its
+    /// flows, or `f64::INFINITY` for a resource that never saturated.
     pub fn levels(&self) -> &[f64] {
         &self.levels[..self.local_ids.len()]
     }

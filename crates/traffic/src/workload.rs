@@ -36,7 +36,7 @@ impl WorkloadEntry {
     }
 
     /// Replaces the weight (builder style).
-    pub fn with_weight(mut self, weight: f64) -> Self {
+    fn with_weight(mut self, weight: f64) -> Self {
         assert!(weight > 0.0 && weight.is_finite(), "bad weight {weight}");
         self.weight = weight;
         self

@@ -2,22 +2,21 @@
 //! grids — the acceptance sweep of the `mha-tune` pipeline.
 //!
 //! Loads the shipped tuning table (`results/tuned_thor.mtab`, or
-//! `MHA_TUNED_TABLE`), serves each `(grid, msg)` point with a **pure
-//! table probe** (no search, no build on the serving path), prices the
-//! served config next to every untuned family, and hard-asserts
-//! `tuned ≤ untuned` at every point. Emits `results/ablate_tune.csv`.
+//! `MHA_TUNED_TABLE` as read by `mha_bench::Cli`), serves each
+//! `(grid, msg)` point with a **pure table probe** (no search, no build
+//! on the serving path), prices the served config next to every untuned
+//! family, and hard-asserts `tuned ≤ untuned` at every point. Emits `results/ablate_tune.csv`.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::CampaignConfig;
 use mha_tune::search::price_configs;
 use mha_tune::{fig_grids, untuned_families};
 
 fn main() {
-    mha_bench::Cli::parse(&["--check"]);
-    let table = mha_bench::load_tuned_table();
+    let cli = mha_bench::Cli::parse(&["--check"]);
+    let table = cli.load_tuned_table();
 
     let spec = mha_simnet::ClusterSpec::thor();
-    let cfg = CampaignConfig::from_env();
+    let cfg = &cli.env.campaign;
     let mut sizes = mha_bench::medium_sizes();
     sizes.extend(mha_bench::large_sizes());
 
@@ -39,7 +38,7 @@ fn main() {
             let mut configs: Vec<mha_collectives::AlgoConfig> =
                 untuned.iter().map(|(_, c)| c.clone()).collect();
             configs.push(served);
-            let prices = price_configs(&configs, grid, msg, None, &spec, &cfg).unwrap();
+            let prices = price_configs(&configs, grid, msg, None, &spec, cfg).unwrap();
             let tuned_us = *prices.last().unwrap();
             let best_untuned = prices[..prices.len() - 1]
                 .iter()
@@ -64,7 +63,7 @@ fn main() {
             );
         }
     }
-    mha_bench::emit(&t, "ablate_tune");
+    cli.emit(&t, "ablate_tune");
     assert_eq!(
         violations, 0,
         "{violations} serving points lost to an untuned family"

@@ -1,15 +1,17 @@
 //! The offline autotuner: runs the successive-halving search over the
-//! Figure 12–14 grids and writes the versioned tuning table
-//! (`results/tuned_thor.mtab` or `--out <path>` / `MHA_TUNED_TABLE`).
+//! Figure 12–14 grids and writes the versioned tuning table to
+//! `--out <path>`, else to the table path [`mha_bench::Cli`] resolved
+//! (`MHA_TUNED_TABLE`, else `tuned_thor.mtab` under `MHA_RESULTS_DIR` or
+//! `results/`).
 //!
-//! `--reduced` tunes the CI smoke point set instead of the full grid;
-//! campaign knobs (`MHA_CAMPAIGN_WORKERS`, `MHA_CAMPAIGN_SEED`, …) apply.
+//! `--reduced` tunes the CI smoke point set instead of the full grid.
+//! The campaign settings (`MHA_CAMPAIGN_WORKERS`, `MHA_CAMPAIGN_SEED`, …)
+//! are read by `Cli` too, once, before the search starts.
 //! Exits non-zero if any tuned pick loses to an untuned family — that
 //! would indicate a search bug, since the untuned families are rung-1
 //! candidates by construction.
 
 use mha_apps::report::{fmt_bytes, Table};
-use mha_bench::campaign::CampaignConfig;
 use mha_tune::{full_points, reduced_points, run_search};
 
 fn main() {
@@ -17,11 +19,10 @@ fn main() {
     let reduced = cli.has("--reduced");
     let out_path = cli
         .value("--out")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(mha_bench::tuned_table_path);
+        .map_or_else(|| cli.env.tuned_table.clone(), std::path::PathBuf::from);
 
     let spec = mha_simnet::ClusterSpec::thor();
-    let cfg = CampaignConfig::from_env();
+    let cfg = &cli.env.campaign;
     let points = if reduced {
         reduced_points(&spec)
     } else {
@@ -33,7 +34,7 @@ fn main() {
         if reduced { "reduced" } else { "full" },
         cfg.workers
     );
-    let outcome = run_search(&points, &spec, &cfg).unwrap();
+    let outcome = run_search(&points, &spec, cfg).unwrap();
 
     let mut t = Table::new(
         "mha-tune: tuned vs best untuned per point",

@@ -69,7 +69,7 @@ fn figure_grid_queries_are_exact_probes() {
 fn tuned_serving_never_loses_to_an_untuned_family() {
     let table = shipped_table();
     let spec = mha_simnet::ClusterSpec::thor();
-    let cfg = CampaignConfig::from_env();
+    let cfg = CampaignConfig::default();
     let untuned = untuned_families();
 
     let (grids, sizes): (Vec<ProcGrid>, Vec<usize>) = if full() {
