@@ -8,13 +8,20 @@
 //! [`run_campaign`] on a thread pool. Three properties make this more than
 //! a parallel `for`:
 //!
-//! * **One build per job** — each `(point, rep)` job of a
-//!   [`PointWork::Sim`] point builds its own frozen schedule and drops it
-//!   when the job ends, so a campaign holds at most one schedule per
-//!   worker; per-run engine state lives in each worker's private
-//!   [`EngineArena`] and is reset, never rebuilt. Campaign points rarely
-//!   repeat a build, so there is no campaign-level cache; the traffic
-//!   layer's placement-keyed [`ScheduleCache`] is the one cache.
+//! * **One simulation per distinct schedule** — each `(point, rep)` job
+//!   of a [`PointWork::Sim`] point builds its own frozen schedule and
+//!   drops it when the job ends, so a campaign holds at most one schedule
+//!   per worker. The job then keys itself by what the simulation can
+//!   observe: the schedule's [`FrozenSchedule::fingerprint`], the spec as
+//!   the schedule sees it ([`ClusterSpec::digest_for`]) and the fault
+//!   timeline's digest. The first job to claim a key simulates; every
+//!   other job with it moves on without waiting and, once the pool has
+//!   joined, reports the key's values under its own label
+//!   ([`CampaignReport::simulations`] counts the keys). Per-run engine
+//!   state lives in each worker's private [`EngineArena`] and is reset,
+//!   never rebuilt. No schedule outlives its job, so there is no
+//!   campaign-level schedule cache; the traffic layer's placement-keyed
+//!   [`ScheduleCache`] is the one cache.
 //! * **Worker-count independence** — the simulator is deterministic and
 //!   every job writes into its own pre-assigned slot of a lock-free
 //!   collector, so the assembled output is *bit-identical* whether the
@@ -30,6 +37,7 @@
 //! `MHA_CAMPAIGN_WORKERS` (pool size), `MHA_CAMPAIGN_REPS` and
 //! `MHA_CAMPAIGN_SEED` through [`crate::Cli`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -117,7 +125,8 @@ const CACHE_SHARDS: usize = 16;
 
 /// Locks `m`, ignoring poisoning: a builder that panicked inside
 /// [`ScheduleCache::get_or_build`] inserted nothing, so its shard stays
-/// consistent.
+/// consistent, and a campaign's shared-simulation map is only read and
+/// inserted into under its lock, never left half-written.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -294,7 +303,9 @@ pub type CustomFn = Arc<dyn Fn(u64) -> Result<Vec<Row>, String> + Send + Sync>;
 #[allow(clippy::large_enum_variant)]
 pub enum PointWork {
     /// Build a frozen schedule, simulate it on `spec` under `faults`, and
-    /// report `[latency_us, makespan_s]`.
+    /// report `[latency_us, makespan_s]`. Jobs of one campaign whose
+    /// schedules, spec views and timelines key alike share one simulation
+    /// (see [`run_campaign`]).
     Sim {
         /// Cluster the simulation prices the schedule on.
         spec: ClusterSpec,
@@ -387,6 +398,9 @@ pub struct PointResult {
 pub struct CampaignReport {
     /// One entry per job, sorted by `(point, rep)`.
     pub results: Vec<PointResult>,
+    /// Distinct simulations the [`PointWork::Sim`] jobs ran: one per
+    /// key (see [`run_campaign`]), however many jobs shared it.
+    pub simulations: usize,
 }
 
 impl CampaignReport {
@@ -429,7 +443,37 @@ pub fn simulator_for(spec: &ClusterSpec, faults: Option<&FaultSpec>) -> Result<S
     .map_err(|e| e.to_string())
 }
 
+/// A `Sim` job's key: schedule fingerprint, spec digest for the
+/// schedule, and the digest of a non-empty timeline (`None` for no
+/// timeline or an empty one, which [`simulator_for`] treats alike).
+type SimKey = (u64, u64, Option<u64>);
+
+/// One key's simulation outcome, `[latency_us, makespan_s]` or its error;
+/// set once, by the job that claimed the key.
+type SimCell = Arc<OnceLock<Result<[f64; 2], String>>>;
+
+/// What one job leaves in its slot.
+enum JobOut {
+    /// A custom job's rows, or a `Sim` job's build error.
+    Rows(Result<Vec<Row>, String>),
+    /// A `Sim` job's key cell. The job that claimed the key sets it; the
+    /// others leave without waiting, and assembly reads the cell once the
+    /// pool has joined.
+    Sim(SimCell),
+}
+
 /// Runs `points` under `cfg`.
+///
+/// A [`PointWork::Sim`] job builds its schedule and keys itself by what
+/// its simulation can observe: the schedule's
+/// [`FrozenSchedule::fingerprint`], [`ClusterSpec::digest_for`] the
+/// schedule, and its fault timeline's [`FaultSpec::digest`]. Jobs with
+/// equal keys simulate identically, so the first job to claim a key
+/// simulates on its worker's arena, and a job whose key is already
+/// claimed takes the key's cell and moves on to the next job at once,
+/// never waiting for the simulation. Once the pool has joined, every
+/// cell is set and each job reports its key's values (or error) under
+/// its own label, so the report is the same whichever job simulated.
 pub fn run_campaign(
     points: &[CampaignPoint],
     cfg: &CampaignConfig,
@@ -440,9 +484,9 @@ pub fn run_campaign(
         .collect();
     // Lock-free collector: every job owns one pre-assigned write-once
     // slot, so assembly order is fixed before the pool starts.
-    let slots: Vec<OnceLock<Result<Vec<Row>, String>>> =
-        (0..jobs.len()).map(|_| OnceLock::new()).collect();
+    let slots: Vec<OnceLock<JobOut>> = (0..jobs.len()).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
+    let sims = Mutex::new(HashMap::new());
     let workers = cfg.workers.clamp(1, jobs.len().max(1));
 
     std::thread::scope(|s| {
@@ -455,7 +499,7 @@ pub fn run_campaign(
                     let j = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(pi, rep)) = jobs.get(j) else { break };
                     let seed = job_seed(cfg.seed, pi, rep);
-                    let out = run_point(&points[pi], seed, &mut arena);
+                    let out = run_point(&points[pi], seed, &sims, &mut arena);
                     let _ = slots[j].set(out);
                 }
             });
@@ -464,17 +508,29 @@ pub fn run_campaign(
 
     let mut results = Vec::with_capacity(jobs.len());
     for (slot, &(pi, rep)) in slots.into_iter().zip(&jobs) {
-        let rows = slot
-            .into_inner()
-            .unwrap_or_else(|| Err("job never ran".into()))
-            .map_err(|e| format!("point {pi} [{}] rep {rep}: {e}", points[pi].label))?;
+        let label = &points[pi].label;
+        let rows = match slot.into_inner() {
+            Some(JobOut::Rows(rows)) => rows,
+            Some(JobOut::Sim(cell)) => match cell.get() {
+                Some(values) => values
+                    .clone()
+                    .map(|v| vec![Row::new(label.clone(), v.to_vec())]),
+                None => Err("shared simulation never ran".into()),
+            },
+            None => Err("job never ran".into()),
+        }
+        .map_err(|e| format!("point {pi} [{label}] rep {rep}: {e}"))?;
         results.push(PointResult {
             point: pi,
             rep,
             rows,
         });
     }
-    Ok(CampaignReport { results })
+    let simulations = lock(&sims).len();
+    Ok(CampaignReport {
+        results,
+        simulations,
+    })
 }
 
 /// The seed handed to job `(point, rep)` — a pure function of the campaign
@@ -488,23 +544,40 @@ fn job_seed(seed: u64, point: usize, rep: u32) -> u64 {
 fn run_point(
     point: &CampaignPoint,
     seed: u64,
+    sims: &Mutex<HashMap<SimKey, SimCell>>,
     arena: &mut EngineArena,
-) -> Result<Vec<Row>, String> {
+) -> JobOut {
     match &point.work {
         PointWork::Sim {
             spec,
             faults,
             build,
         } => {
-            let sched = build()?;
-            let sim = simulator_for(spec, faults.as_ref())?;
-            let r = sim.run_in(&sched, arena).map_err(|e| e.to_string())?;
-            Ok(vec![Row::new(
-                point.label.clone(),
-                vec![r.latency_us(), r.makespan],
-            )])
+            let sched = match build() {
+                Ok(sched) => sched,
+                Err(e) => return JobOut::Rows(Err(e)),
+            };
+            let faults = faults.as_ref().filter(|f| !f.events.is_empty());
+            let key = (
+                sched.fingerprint().0,
+                spec.digest_for(&sched),
+                faults.map(FaultSpec::digest),
+            );
+            // Claim the key under the lock; simulate outside it.
+            let (cell, claimed) = match lock(sims).entry(key) {
+                Entry::Occupied(e) => (Arc::clone(e.get()), false),
+                Entry::Vacant(e) => (Arc::clone(e.insert(SimCell::default())), true),
+            };
+            if claimed {
+                let values = simulator_for(spec, faults).and_then(|sim| {
+                    let r = sim.run_in(&sched, arena).map_err(|e| e.to_string())?;
+                    Ok([r.latency_us(), r.makespan])
+                });
+                let _ = cell.set(values);
+            }
+            JobOut::Sim(cell)
         }
-        PointWork::Custom(f) => f(seed),
+        PointWork::Custom(f) => JobOut::Rows(f(seed)),
     }
 }
 
@@ -643,6 +716,27 @@ mod tests {
     }
 
     #[test]
+    fn a_job_whose_key_is_claimed_neither_simulates_nor_waits() {
+        // Claim the key as a job still simulating it would: its cell is
+        // in the map and unset.
+        let sched = crate::pt2pt_rails_schedule(4096);
+        let spec = ClusterSpec::thor();
+        let key = (sched.fingerprint().0, spec.digest_for(&sched), None);
+        let claimed = SimCell::default();
+        let sims = Mutex::new(HashMap::from([(key, Arc::clone(&claimed))]));
+        let out = run_point(&tiny_point("p", 4096), 0, &sims, &mut EngineArena::new());
+        let JobOut::Sim(cell) = out else {
+            panic!("a Sim job leaves its key's cell")
+        };
+        assert!(Arc::ptr_eq(&cell, &claimed));
+        assert!(
+            cell.get().is_none(),
+            "the owner sets the cell, not a sharer"
+        );
+        assert_eq!(lock(&sims).len(), 1);
+    }
+
+    #[test]
     fn sim_points_report_latency_and_makespan() {
         let points = vec![tiny_point("64K", 64 * 1024)];
         let report = run_campaign(&points, &CampaignConfig::default()).unwrap();
@@ -689,6 +783,8 @@ mod tests {
         let report = run_campaign(&points, &cfg).unwrap();
         assert_eq!(report.results.len(), 3 * 5);
         assert_eq!(builds.load(Ordering::Relaxed), 3 * 5);
+        // The repetitions of a point share its simulation.
+        assert_eq!(report.simulations, 3);
     }
 
     #[test]

@@ -143,21 +143,30 @@ impl Cli {
         }
     }
 
-    /// Prints the table and saves `<results_dir>/<name>.csv`.
+    /// Prints the table and saves `<results_dir>/<name>.csv`. A file that
+    /// cannot be written exits 1.
     pub fn emit(&self, table: &Table, name: &str) {
         println!("{}", table.to_text());
-        save_in(
-            &self.env.results_dir,
-            &table.to_csv(),
-            &format!("{name}.csv"),
-        );
+        self.save(&table.to_csv(), &format!("{name}.csv"));
     }
 
     /// Prints a free-form artifact (timelines, op dumps) and saves it as
-    /// `<results_dir>/<name>.txt`.
+    /// `<results_dir>/<name>.txt`. A file that cannot be written exits 1.
     pub fn emit_text(&self, content: &str, name: &str) {
         println!("{content}");
-        save_in(&self.env.results_dir, content, &format!("{name}.txt"));
+        self.save(content, &format!("{name}.txt"));
+    }
+
+    /// Saves `body` as `<results_dir>/<file>`, or exits 1 naming the path:
+    /// a run whose results are missing has failed.
+    fn save(&self, body: &str, file: &str) {
+        match save_in(&self.env.results_dir, body, file) {
+            Ok(path) => println!("[saved {}]", path.display()),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        }
     }
 
     /// Re-simulates `sched` with a [`SummaryProbe`] attached and prints the
@@ -244,17 +253,14 @@ fn parse_args(
     Ok(given)
 }
 
-/// Writes `body` to `dir/file`, creating `dir` and warning on failure.
-fn save_in(dir: &Path, body: &str, file: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
+/// Writes `body` to `dir/file`, creating `dir`; returns the path written,
+/// or a `cannot write …` message naming the path that failed.
+fn save_in(dir: &Path, body: &str, file: &str) -> Result<PathBuf, String> {
     let path = dir.join(file);
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, body))
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// A single inter-node `msg`-byte transfer striped over all rails — the
@@ -352,7 +358,8 @@ mod tests {
     #[test]
     fn emit_text_writes_artifact() {
         let dir = std::env::temp_dir().join(format!("mha-bench-save-{}", std::process::id()));
-        save_in(&dir, "hello", "selftest.txt");
+        let path = save_in(&dir, "hello", "selftest.txt").unwrap();
+        assert_eq!(path, dir.join("selftest.txt"));
         let body = std::fs::read_to_string(dir.join("selftest.txt")).unwrap();
         assert_eq!(body, "hello");
         std::fs::remove_dir_all(&dir).unwrap();

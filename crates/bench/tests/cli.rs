@@ -53,3 +53,23 @@ fn a_malformed_campaign_variable_exits_2_before_any_work() {
     );
     assert!(!results.exists(), "a malformed pool width wrote results");
 }
+
+#[test]
+fn a_results_dir_that_cannot_be_written_exits_1_naming_the_path() {
+    let file = std::env::temp_dir().join(format!("mha-bench-file-{}", std::process::id()));
+    std::fs::write(&file, "not a directory").unwrap();
+    let results = file.join("sub");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig03_latency"))
+        .env("MHA_RESULTS_DIR", &results)
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_file(&file).unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("error: cannot write {}", results.display())),
+        "{stderr}"
+    );
+    assert!(!stdout.contains("[saved"), "{stdout}");
+}

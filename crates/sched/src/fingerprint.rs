@@ -1,22 +1,21 @@
 //! Stable structural fingerprints for cache keys.
 //!
-//! The campaign runner (in `mha-bench`) memoizes built-and-frozen schedules
-//! across sweep points, keyed by the *build-relevant* configuration. Rust's
-//! `DefaultHasher` is explicitly unstable across releases and (with
+//! Rust's `DefaultHasher` is explicitly unstable across releases and (with
 //! `RandomState`) across processes, so cache keys and persisted digests use
-//! this module instead: a fixed FNV-1a 64-bit construction whose output for
-//! a given byte sequence never changes.
+//! this module instead. Two constructions, each with an output that never
+//! changes for a given input:
 //!
-//! Two layers:
-//!
-//! * [`Fingerprinter`] — an order-sensitive accumulator with typed `push_*`
-//!   methods (each value is framed by a type tag so `push_u32(1); push_u32(2)`
-//!   and `push_u64(…)` of the concatenated bits cannot collide by framing);
+//! * [`Fingerprinter`] — an order-sensitive FNV-1a 64-bit accumulator with
+//!   typed `push_*` methods (each value is framed by a type tag so
+//!   `push_u32(1); push_u32(2)` and `push_u64(…)` of the concatenated bits
+//!   cannot collide by framing), for config, spec and table digests;
 //! * [`FrozenSchedule::fingerprint`] — a digest of everything execution
 //!   observes about a schedule: grid, buffer table, op table (kinds, ranks,
-//!   locations, lengths, channels), dependency edges and step tags. Two
-//!   schedules with equal fingerprints simulate identically on the same
-//!   cluster spec (up to the 64-bit collision bound).
+//!   locations, lengths, channels), step tags, dependency edges and release
+//!   delays, hashed a word at a time over several multiply lanes. The
+//!   campaign runner (in `mha-bench`) keys its shared simulations by it:
+//!   two schedules with equal fingerprints simulate identically on the
+//!   same cluster spec (up to the 64-bit collision bound).
 
 use crate::buffer::BufKind;
 use crate::frozen::FrozenSchedule;
@@ -120,40 +119,149 @@ impl Fingerprinter {
     }
 }
 
-// Offsets and lengths are pushed as `usize`, the width the pinned
-// digests were taken at.
-fn push_loc(fp: &mut Fingerprinter, loc: &crate::buffer::Loc) {
-    fp.push_u32(loc.buf.0).push_usize(loc.offset as usize);
+/// Multiply lanes of [`FrozenSchedule::fingerprint`], one per word of a
+/// block: the lanes' multiplies do not wait on each other. Five, the words
+/// of one op.
+const LANES: usize = 5;
+
+/// A block of [`LANES`] words.
+type Block = [u64; LANES];
+
+/// Per-lane start states and multipliers, and the multiplier that folds
+/// the lanes together: odd constants with well-spread bits (the digits of
+/// π, and the wyhash and splitmix64 constants).
+const SEED: Block = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+    0x4528_21e6_38d0_1377,
+];
+const MUL: Block = [
+    0xa076_1d64_78bd_642f,
+    0xe703_7ed1_a0b4_28db,
+    0x8ebc_6af0_9c88_c6e3,
+    0x5899_65cc_7537_4cc3,
+    0x1d8e_4e27_c47d_124f,
+];
+const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 128-bit product of `a` and `b`, its high half xor its low half.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    // Splitting the product into its two halves is the point.
+    #[allow(clippy::cast_possible_truncation)]
+    let (lo, hi) = (p as u64, (p >> 64) as u64);
+    lo ^ hi
+}
+
+/// Two `u32` fields in one word, `lo` in the low half.
+#[inline]
+fn pack(lo: u32, hi: u32) -> u64 {
+    u64::from(lo) | u64::from(hi) << 32
+}
+
+/// A location as one word: buffer id low, offset high.
+#[inline]
+fn loc(l: &crate::buffer::Loc) -> u64 {
+    pack(l.buf.0, l.offset)
+}
+
+/// The order-sensitive block hash behind [`FrozenSchedule::fingerprint`]:
+/// each block's words go one to a lane, through a folded multiply, and
+/// [`WordHash::finish`] mixes the lanes into one digest. A record shorter
+/// than a block is zero-padded to one; a stream whose records each have a
+/// length fixed by the words before them is decoded unambiguously from its
+/// blocks, so only the 64-bit collision bound can merge two such streams.
+struct WordHash {
+    lanes: Block,
+}
+
+impl WordHash {
+    fn new() -> Self {
+        WordHash { lanes: SEED }
+    }
+
+    #[inline]
+    fn block(&mut self, b: Block) {
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            *lane = fold_mul(*lane ^ b[k], MUL[k]);
+        }
+    }
+
+    /// `v`, two values per word, zero-padded to whole blocks.
+    fn u32s(&mut self, v: &[u32]) {
+        let mut chunks = v.chunks_exact(2 * LANES);
+        for c in &mut chunks {
+            self.block(std::array::from_fn(|k| pack(c[2 * k], c[2 * k + 1])));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let at = |i: usize| rest.get(i).copied().unwrap_or(0);
+            self.block(std::array::from_fn(|k| pack(at(2 * k), at(2 * k + 1))));
+        }
+    }
+
+    fn finish(self) -> Fingerprint {
+        let mut h = 0;
+        for lane in self.lanes {
+            h = fold_mul(h ^ lane, FOLD);
+        }
+        // The murmur3 finalizer: every input bit reaches every output bit.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        Fingerprint(h)
+    }
 }
 
 impl FrozenSchedule {
     /// A stable structural digest of the schedule: grid, buffers, op kinds
-    /// with all operands, dependency edges, step tags and release delays.
+    /// with all operands, step tags, dependency edges and release delays.
     /// Everything the simulator and executors can observe contributes; the
-    /// human-readable schedule name does not (two identically-built
-    /// schedules with different names are interchangeable for execution).
-    /// Release delays are mixed in only when the schedule has any, so a
-    /// release-free schedule's digest does not depend on them.
+    /// human-readable schedule name, buffer labels and op markers do not
+    /// (two identically-built schedules with different names are
+    /// interchangeable for execution). Release delays are mixed in only
+    /// when the schedule has any, so a release-free schedule's digest does
+    /// not depend on them.
+    ///
+    /// The schedule is hashed as blocks of five `u64` words, each word on
+    /// its own multiply lane, with fields packed two `u32`s to a word: a
+    /// header (grid, buffer and op counts, whether there are release
+    /// delays); one block per buffer (owner and home socket, their tags,
+    /// the length); one per op (kind tag, channel or element type and
+    /// step; ranks or actor; two locations or the flop count; length and
+    /// successor count); the successor lists, ten ids to a block; the
+    /// release delays' bits, five to a block. The edges are read from the
+    /// successor lists the frozen schedule stores, so hashing never
+    /// derives the predecessor view. O(ops + edges), no allocation.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut fp = Fingerprinter::new();
-        fp.push_u32(self.grid().nodes()).push_u32(self.grid().ppn());
+        let mut h = WordHash::new();
+        let n = self.ops().len();
+        h.block([
+            pack(self.grid().nodes(), self.grid().ppn()),
+            self.buffers().len() as u64,
+            n as u64,
+            u64::from(self.has_releases()),
+            0,
+        ]);
 
-        fp.push_usize(self.buffers().len());
         for b in self.buffers() {
-            match b.kind {
-                BufKind::Private(r) => fp.push_u8(0).push_u32(r.0),
-                BufKind::NodeShared(n) => fp.push_u8(1).push_u32(n.0),
+            let (shared, owner) = match b.kind {
+                BufKind::Private(r) => (0, r.0),
+                BufKind::NodeShared(node) => (1, node.0),
             };
-            fp.push_usize(b.len);
-            match b.home_socket {
-                None => fp.push_u8(0),
-                Some(s) => fp.push_u8(1).push_u32(s),
-            };
+            let (homed, socket) = b.home_socket.map_or((0, 0), |s| (1, s));
+            h.block([pack(owner, socket), pack(shared, homed), b.len as u64, 0, 0]);
         }
 
-        fp.push_usize(self.ops().len());
-        for (i, op) in self.ops().iter().enumerate() {
-            match &op.kind {
+        let (succs, _) = self.edges.frozen();
+        for (op, ends) in self.ops().iter().zip(succs.off.windows(2)) {
+            // (tag, channel or element type, actors, operands, length)
+            let (tag, aux, who, a, b, len) = match &op.kind {
                 OpKind::Transfer {
                     src_rank,
                     dst_rank,
@@ -162,27 +270,26 @@ impl FrozenSchedule {
                     len,
                     channel,
                 } => {
-                    fp.push_u8(10).push_u32(src_rank.0).push_u32(dst_rank.0);
-                    push_loc(&mut fp, src);
-                    push_loc(&mut fp, dst);
-                    fp.push_usize(*len as usize);
-                    match channel {
-                        Channel::Cma => fp.push_u8(0),
-                        Channel::Rail(h) => fp.push_u8(1).push_u8(*h),
-                        Channel::AllRails => fp.push_u8(2),
+                    let aux = match channel {
+                        Channel::Cma => 0,
+                        Channel::AllRails => 1,
+                        Channel::Rail(r) => 2 | u32::from(*r) << 2,
                     };
+                    (
+                        0,
+                        aux,
+                        pack(src_rank.0, dst_rank.0),
+                        loc(src),
+                        loc(dst),
+                        *len,
+                    )
                 }
                 OpKind::Copy {
                     actor,
                     src,
                     dst,
                     len,
-                } => {
-                    fp.push_u8(11).push_u32(actor.0);
-                    push_loc(&mut fp, src);
-                    push_loc(&mut fp, dst);
-                    fp.push_usize(*len as usize);
-                }
+                } => (1, 0, u64::from(actor.0), loc(src), loc(dst), *len),
                 OpKind::Reduce {
                     actor,
                     acc,
@@ -191,31 +298,35 @@ impl FrozenSchedule {
                     dtype,
                     op: red,
                 } => {
-                    fp.push_u8(12).push_u32(actor.0);
-                    push_loc(&mut fp, acc);
-                    push_loc(&mut fp, operand);
-                    fp.push_usize(*len as usize)
-                        .push_u8(u8::try_from(dtype.size()).expect("element sizes are 4 or 8"))
-                        .push_u8(*red as u8);
+                    let size = u32::try_from(dtype.size()).expect("element sizes are 4 or 8");
+                    let aux = size | (*red as u32) << 8;
+                    (2, aux, u64::from(actor.0), loc(acc), loc(operand), *len)
                 }
-                OpKind::Compute { actor, flops } => {
-                    fp.push_u8(13).push_u32(actor.0).push_u64(*flops);
-                }
-            }
-            fp.push_u32(op.step);
-            let deps = self.deps(OpId::from(i));
-            fp.push_usize(deps.len());
-            for d in deps {
-                fp.push_u32(d.0);
-            }
+                OpKind::Compute { actor, flops } => (3, 0, u64::from(actor.0), *flops, 0, 0),
+            };
+            h.block([
+                pack(tag | aux << 8, op.step),
+                who,
+                a,
+                b,
+                pack(len, ends[1] - ends[0]),
+            ]);
         }
+        h.u32s(&succs.adj);
+
         if self.has_releases() {
-            fp.push_u8(14);
-            for i in 0..self.ops().len() {
-                fp.push_u64(self.release_of(OpId::from(i)).to_bits());
+            for first in (0..n).step_by(LANES) {
+                h.block(std::array::from_fn(|k| {
+                    let i = first + k;
+                    if i < n {
+                        self.release_of(OpId::from(i)).to_bits()
+                    } else {
+                        0
+                    }
+                }));
             }
         }
-        fp.finish()
+        h.finish()
     }
 }
 
@@ -289,6 +400,38 @@ mod tests {
         assert_ne!(free, with_release(Some(1e-6)));
         assert_ne!(with_release(Some(1e-6)), with_release(Some(2e-6)));
         assert_eq!(with_release(Some(1e-6)), with_release(Some(1e-6)));
+    }
+
+    #[test]
+    fn fingerprint_distinguishes_the_edges() {
+        // Three equal ops; only which op waits on which differs.
+        let chain = |edges: &[(usize, usize)]| {
+            let mut b = ScheduleBuilder::new(ProcGrid::single_node(1), "e");
+            let mut ids = Vec::new();
+            for _ in 0..3 {
+                let deps: Vec<OpId> = edges
+                    .iter()
+                    .filter(|&&(_, to)| to == ids.len())
+                    .map(|&(from, _)| ids[from])
+                    .collect();
+                ids.push(b.compute(RankId(0), 7, &deps, 0));
+            }
+            b.finish().freeze().fingerprint()
+        };
+        let fps = [
+            chain(&[]),
+            chain(&[(0, 1)]),
+            chain(&[(0, 2)]),
+            chain(&[(1, 2)]),
+            chain(&[(0, 1), (0, 2)]),
+            chain(&[(0, 1), (1, 2)]),
+        ];
+        for (i, a) in fps.iter().enumerate() {
+            for b in &fps[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(fps[5], chain(&[(0, 1), (1, 2)]));
     }
 
     #[test]

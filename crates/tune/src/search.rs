@@ -137,8 +137,9 @@ pub struct PointSummary {
     pub rung0: usize,
     /// Candidates priced on the true grid (rung 1).
     pub rung1: usize,
-    /// Distinct simulations over both rungs: candidates that build the
-    /// same schedule for the same simulator share one (see
+    /// Distinct simulations over both rungs, the sum of the two rungs'
+    /// [`mha_bench::campaign::CampaignReport::simulations`]: candidates
+    /// that build the same schedule for the same simulator share one (see
     /// [`price_configs`]).
     pub simulated: usize,
 }
@@ -185,17 +186,15 @@ pub fn fault_timeline(down: &[u8]) -> Option<FaultSpec> {
 }
 
 /// Prices `configs` at `(grid, msg)` under an optional fault timeline:
-/// one campaign, one latency per config (µs). Shared by the search rungs,
-/// the `ablate_tune` binary and the serving tests.
+/// one campaign, one `Sim` point per config, one latency per config (µs).
+/// Shared by the search rungs, the `ablate_tune` binary and the serving
+/// tests.
 ///
-/// Configs that would run the same simulation are priced once. A serial
-/// pass builds each config on its effective spec and keys it by its
-/// schedule fingerprint plus [`ClusterSpec::digest_for`] of that schedule,
-/// dropping the schedule before the next build. Within one call the grid,
-/// message size and fault timeline are shared, so configs with equal keys
-/// simulate identically: the campaign runs one point per distinct key (its
-/// first config, rebuilt by the job) and every config gets its group's
-/// latency.
+/// Configs that build the same schedule for the same simulator (a knob
+/// the builder ignores at this size, a stripe override no transfer
+/// crosses) share one simulation: the campaign runner keys each job by
+/// its schedule and the spec as the schedule sees it, so each config is
+/// built once and each distinct schedule simulated once.
 pub fn price_configs(
     configs: &[AlgoConfig],
     grid: ProcGrid,
@@ -204,11 +203,11 @@ pub fn price_configs(
     spec: &ClusterSpec,
     cfg: &CampaignConfig,
 ) -> Result<Vec<f64>, String> {
-    price_grouped(configs, grid, msg, faults, spec, cfg).map(|(prices, _)| prices)
+    price_counted(configs, grid, msg, faults, spec, cfg).map(|(prices, _)| prices)
 }
 
 /// [`price_configs`], also returning how many distinct simulations ran.
-fn price_grouped(
+fn price_counted(
     configs: &[AlgoConfig],
     grid: ProcGrid,
     msg: usize,
@@ -216,36 +215,22 @@ fn price_grouped(
     spec: &ClusterSpec,
     cfg: &CampaignConfig,
 ) -> Result<(Vec<f64>, usize), String> {
-    let mut groups: HashMap<(u64, u64), usize> = HashMap::new();
-    let mut group_of = Vec::with_capacity(configs.len());
-    let mut points = Vec::new();
-    for (i, c) in configs.iter().enumerate() {
-        let sim_spec = c.effective_spec(spec).into_owned();
-        let fs = mha_collectives::build(c, grid, msg, &sim_spec)
-            .map_err(|e| format!("config {i} [{}]: {e}", c.family.token()))?
-            .sched;
-        let key = (fs.fingerprint().0, sim_spec.digest_for(&fs));
-        drop(fs);
-        let g = *groups.entry(key).or_insert_with(|| {
-            let c = c.clone();
+    let points: Vec<CampaignPoint> = configs
+        .iter()
+        .map(|c| {
+            let sim_spec = c.effective_spec(spec).into_owned();
             let build_spec = sim_spec.clone();
-            points.push(CampaignPoint::sim_faulty(
-                c.family.token(),
-                sim_spec,
-                faults.cloned(),
-                move || {
-                    mha_collectives::build(&c, grid, msg, &build_spec)
-                        .map(|b| b.sched)
-                        .map_err(|e| e.to_string())
-                },
-            ));
-            points.len() - 1
-        });
-        group_of.push(g);
-    }
+            let c = c.clone();
+            CampaignPoint::sim_faulty(c.family.token(), sim_spec, faults.cloned(), move || {
+                mha_collectives::build(&c, grid, msg, &build_spec)
+                    .map(|b| b.sched)
+                    .map_err(|e| e.to_string())
+            })
+        })
+        .collect();
     let report = run_campaign(&points, cfg)?;
-    let prices = group_of.iter().map(|&g| report.value(g)).collect();
-    Ok((prices, points.len()))
+    let prices = (0..points.len()).map(|i| report.value(i)).collect();
+    Ok((prices, report.simulations))
 }
 
 /// Deterministic best index: lowest latency, ties broken by config
@@ -283,7 +268,7 @@ pub fn run_search(
             .into_iter()
             .filter(|c| c.valid_for(proxy))
             .collect();
-        let (p0, sims0) = price_grouped(&pool, proxy, point.msg, faults.as_ref(), spec, cfg)?;
+        let (p0, sims0) = price_counted(&pool, proxy, point.msg, faults.as_ref(), spec, cfg)?;
         let mut order: Vec<usize> = (0..pool.len()).collect();
         order.sort_by(|&a, &b| {
             p0[a]
@@ -301,7 +286,7 @@ pub fn run_search(
             .collect();
         finalists.extend(untuned.iter().map(|(_, c)| c.clone()));
         let finalists = dedup_by_digest(finalists);
-        let (p1, sims1) = price_grouped(
+        let (p1, sims1) = price_counted(
             &finalists,
             point.grid,
             point.msg,
@@ -387,6 +372,9 @@ mod tests {
         );
         let served = out.table.lookup(points[0].grid, points[0].msg, spec.rails);
         assert_eq!(served, s.winner);
+        // Candidates that build the same schedule share a simulation: a
+        // runner that stopped sharing would run all 97.
+        assert_eq!((s.rung0 + s.rung1, s.simulated), (97, 34));
     }
 
     #[test]
@@ -405,5 +393,8 @@ mod tests {
         if s.winner.family == mha_collectives::Family::MhaInter {
             assert_eq!(s.winner.down_rails, vec![1]);
         }
+        // Under the same fault timeline, candidates that build the same
+        // schedule still share a simulation.
+        assert_eq!(s.simulated, 20);
     }
 }

@@ -1,5 +1,6 @@
 //! `price_configs` simulates one config per group of configs that build
-//! the same schedule for the same simulator. The grouping must not be
+//! the same schedule for the same simulator (the campaign runner shares
+//! the simulation among the group's jobs). The grouping must not be
 //! visible from outside: every latency equals, bit for bit, the latency of
 //! the config priced alone in its own one-point campaign, at any worker
 //! count.
